@@ -32,8 +32,9 @@ from .mechanism import (
     WorkingMode,
     default_jointspace_box,
     default_workspace_box,
-    dkp_box,
     ikp_box,
+    joint_verdict,
+    workspace_verdict,
 )
 from .quadtree import (
     BLACK,
@@ -85,40 +86,17 @@ def jointspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> Classifier:
     certified nonsingular and the elbow cross products at that branch carry
     the combo's working-mode signs over the whole box.
     """
-
-    def classify(box: Box2) -> int:
-        res = dkp_box(box, g, combo.am)
-        if res.status is not Ternary.VALID:
-            return int(res.status)
-        sol = res.solution_for(combo.am)
-        su, sv = sol.u_z.sign(), sol.v_z.sign()
-        if su == combo.wm.s1 and sv == combo.wm.s2:
-            return 1
-        if (su != 0 and su != combo.wm.s1) or (sv != 0 and sv != combo.wm.s2):
-            return -1
-        return 0
-
-    return classify
+    return lambda box: joint_verdict(box, g, combo.am, combo.wm)
 
 
 def workspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> Classifier:
-    """Box classifier for the parallel aspect of a mode combo."""
+    """Box classifier for the parallel aspect of a mode combo.
 
-    def classify(box: Box2) -> int:
-        res = ikp_box(box, g, combo.wm)
-        if res.status is not Ternary.VALID:
-            return int(res.status)
-        sol = res.solution_for(combo.wm)
-        if sol is None:
-            return 0
-        s = sol.det_a.sign()
-        if s == int(combo.am):
-            return 1
-        if s != 0:
-            return -1
-        return 0
-
-    return classify
+    A workspace box is valid when the working mode's IKP solution is
+    certified over the whole box and its det(A) cross product carries the
+    combo's assembly-mode sign.
+    """
+    return lambda box: workspace_verdict(box, g, combo.wm, combo.am)
 
 
 def wrap_angle(t: float) -> float:

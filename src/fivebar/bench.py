@@ -17,10 +17,10 @@ from .mechanism import (
     FiveBarGeometry,
     default_jointspace_box,
     default_workspace_box,
-    dkp_box,
-    ikp_box,
+    joint_verdict,
     point_classify_joint,
     point_classify_workspace,
+    workspace_verdict,
     VALID,
 )
 from .quadtree import Classifier, build
@@ -57,9 +57,9 @@ def space_box(g: FiveBarGeometry, space: str) -> Box2:
 def space_classifier(g: FiveBarGeometry, space: str) -> Classifier:
     """The mode-free classifier: plain assemblability / reachability."""
     if space == JOINTSPACE:
-        return lambda box: int(dkp_box(box, g).status)
+        return lambda box: joint_verdict(box, g)
     if space == WORKSPACE:
-        return lambda box: int(ikp_box(box, g).status)
+        return lambda box: workspace_verdict(box, g)
     raise ValueError(f"unknown space {space!r}")
 
 

@@ -56,9 +56,10 @@ def _geometry(args, parser) -> tuple[mech.FiveBarGeometry, str]:
         lengths = [float(v) for v in parts]
     except ValueError:
         parser.error(f"bad --lengths value: {args.lengths!r}")
-    if any(v <= 0 for v in lengths):
-        parser.error("--lengths values must be positive")
-    return mech.FiveBarGeometry(*lengths), "custom"
+    try:
+        return mech.FiveBarGeometry(*lengths), "custom"
+    except ValueError as exc:
+        parser.error(f"bad --lengths: {exc}")
 
 
 def _depth(args, parser) -> int:
@@ -93,18 +94,13 @@ def _parse_modes(args, parser) -> tuple[Optional[mech.WorkingMode], Optional[mec
 
 
 def _space_classifier(space, g, wm, am, parser) -> qt.Classifier:
-    if wm is not None and am is not None:
-        combo = asp.ModeCombo(wm, am)
-        if space == bench_mod.JOINTSPACE:
-            return asp.jointspace_classifier(combo, g)
-        return asp.workspace_classifier(combo, g)
     if space == bench_mod.JOINTSPACE:
-        if wm is not None:
+        if wm is not None and am is None:
             parser.error("--working-mode in the joint space also needs --assembly-mode")
-        return lambda box: int(mech.dkp_box(box, g, am).status)
-    if am is not None:
+        return lambda box: mech.joint_verdict(box, g, am, wm)
+    if am is not None and wm is None:
         parser.error("--assembly-mode in the workspace also needs --working-mode")
-    return lambda box: int(mech.ikp_box(box, g, wm).status)
+    return lambda box: mech.workspace_verdict(box, g, wm, am)
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -98,17 +98,19 @@ class QuadtreeModel:
     root_box: Box2
     max_depth: int
     root: QuadNode
-    complement: QuadNode
     stats: TreeStats = field(default_factory=TreeStats)
 
     @property
     def accuracy(self) -> float:
         return self.root_box.x.width / 2**self.max_depth
 
+    @property
+    def complement(self) -> QuadNode:
+        """The complementary tree (Black/White swapped), derived on each access."""
+        return _swap(self.root)
+
     def complement_model(self) -> "QuadtreeModel":
-        return QuadtreeModel(
-            self.root_box, self.max_depth, self.complement, self.root, TreeStats()
-        )
+        return QuadtreeModel(self.root_box, self.max_depth, self.complement, TreeStats())
 
 
 def _swap(node: QuadNode) -> QuadNode:
@@ -181,7 +183,7 @@ def build(
         root = _merge(tuple(node for node, _ in results))
     stats = TreeStats(calls=calls)
     _count_kinds(root, stats)
-    return QuadtreeModel(box, d_max, root, _swap(root), stats)
+    return QuadtreeModel(box, d_max, root, stats)
 
 
 def _regrow(
@@ -221,7 +223,7 @@ def refine(
     root, calls = _regrow(m.root, m.root_box, 0, d_max, classify)
     stats = TreeStats(calls=m.stats.calls + calls)
     _count_kinds(root, stats)
-    return QuadtreeModel(m.root_box, d_max, root, _swap(root), stats)
+    return QuadtreeModel(m.root_box, d_max, root, stats)
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def deserialize(text: str) -> QuadtreeModel:
         raise ParseError("trailing characters after node string", offset + pos)
     stats = TreeStats()
     _count_kinds(root, stats)
-    return QuadtreeModel(box, d_max, root, _swap(root), stats)
+    return QuadtreeModel(box, d_max, root, stats)
 
 
 # --------------------------------------------------------------------------

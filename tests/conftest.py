@@ -1,4 +1,12 @@
 import re
+import time
+
+import pytest
+
+from fivebar.aspects import all_mode_combos, jointspace_classifier, workspace_classifier
+from fivebar.bench import JOINTSPACE, WORKSPACE, space_box
+from fivebar.mechanism import M1, M2
+from fivebar.quadtree import build
 
 CRITERIA = {
     1: "every Black box sampled at random points agrees with the scalar classifier",
@@ -30,3 +38,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"criterion {num}: {status} - {CRITERIA.get(num, '')}"
         )
+
+
+@pytest.fixture(scope="session")
+def combo_trees_d8():
+    """One tree per (mechanism, space, combo) at depth 8, plus build time."""
+    t0 = time.monotonic()
+    trees = {}
+    for name, g in (("m1", M1), ("m2", M2)):
+        for combo in all_mode_combos():
+            trees[(name, JOINTSPACE, combo)] = build(
+                space_box(g, JOINTSPACE), 8, jointspace_classifier(combo, g), jobs=4
+            )
+            trees[(name, WORKSPACE, combo)] = build(
+                space_box(g, WORKSPACE), 8, workspace_classifier(combo, g), jobs=4
+            )
+    return trees, time.monotonic() - t0

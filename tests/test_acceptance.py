@@ -16,8 +16,6 @@ from fivebar import mechanism as mech
 from fivebar.aspects import (
     all_mode_combos,
     compute_aspects,
-    jointspace_classifier,
-    workspace_classifier,
     wrap_angle,
 )
 from fivebar.bench import (
@@ -60,24 +58,8 @@ MECHANISMS = (("m1", M1), ("m2", M2))
 
 
 # ---------------------------------------------------------------------------
-# Shared fixtures
+# Shared fixtures (combo_trees_d8 lives in conftest.py)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="session")
-def combo_trees_d8():
-    """One tree per (mechanism, space, combo) at depth 8, plus build time."""
-    t0 = time.monotonic()
-    trees = {}
-    for name, g in MECHANISMS:
-        for combo in all_mode_combos():
-            trees[(name, JOINTSPACE, combo)] = build(
-                space_box(g, JOINTSPACE), 8, jointspace_classifier(combo, g), jobs=4
-            )
-            trees[(name, WORKSPACE, combo)] = build(
-                space_box(g, WORKSPACE), 8, workspace_classifier(combo, g), jobs=4
-            )
-    return trees, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")

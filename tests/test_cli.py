@@ -126,6 +126,25 @@ def test_bad_lengths_usage_errors(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "space, lengths",
+    [
+        ("jointspace", "nan,1,1,1,1"),
+        ("jointspace", "inf,1,1,1,1"),
+        ("workspace", "1,1e308,1,1e308,1"),
+        ("jointspace", "2e-154,2e-154,2e-154,2e-154,2e-154"),
+    ],
+)
+def test_non_finite_or_out_of_range_lengths_usage_errors(tmp_path, capsys, space, lengths):
+    out = tmp_path / "x.qt"
+    with pytest.raises(SystemExit) as exc:
+        run([space, "--mechanism", "custom", "--lengths", lengths, "--depth", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("fivebar: error: bad --lengths: ")
+
+
 def test_lengths_with_builtin_mechanism_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(

@@ -394,8 +394,9 @@ def _interval_from(a: float, b: float) -> Interval:
 def test_hypothesis_arithmetic_contains_point_results(a, b, c, d, u, v):
     x = _interval_from(a, b)
     y = _interval_from(c, d)
-    px = x.lo + u * (x.hi - x.lo)
-    py = y.lo + v * (y.hi - y.lo)
+    # the affine point can round just outside its interval; clamp it back in
+    px = min(max(x.lo + u * (x.hi - x.lo), x.lo), x.hi)
+    py = min(max(y.lo + v * (y.hi - y.lo), y.lo), y.hi)
     assert iv.add(x, y).contains(px + py)
     assert iv.sub(x, y).contains(px - py)
     assert iv.mul(x, y).contains(px * py)

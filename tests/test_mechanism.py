@@ -45,6 +45,27 @@ def test_geometry_rejects_nonpositive_lengths():
         FiveBarGeometry(1, 1, 1, -2.0, 1)
 
 
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        (math.nan, 1, 1, 1, 1),
+        (1, math.inf, 1, 1, 1),
+        (1, 1, 1, 1, -math.inf),
+        (1, 1e308, 1, 1e308, 1),  # L1 + L3 overflows
+        (1, 1e200, 1, 1, 1),  # L1 * L1 overflows
+        (1, 1, 1e-160, 1, 1),  # below MIN_LENGTH
+    ],
+)
+def test_geometry_rejects_non_finite_or_overflowing_lengths(lengths):
+    with pytest.raises(ValueError):
+        FiveBarGeometry(*lengths)
+
+
+def test_geometry_accepts_lengths_up_to_the_bound():
+    FiveBarGeometry(1e150, 1e150, 1e150, 1e150, 1e150)
+    FiveBarGeometry(1e-150, 1e-150, 1e-150, 1e-150, 1e-150)
+
+
 def test_builtin_mechanisms():
     assert M1.lengths == (9.0, 8.0, 5.0, 5.0, 8.0)
     assert M2.lengths == (2.55, 2.3, 2.3, 2.3, 2.3)
