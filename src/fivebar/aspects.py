@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .interval import Box2
 from .mechanism import (
     AssemblyMode,
@@ -38,16 +40,16 @@ from .mechanism import (
 )
 from .quadtree import (
     BLACK,
+    CODE_BLACK,
     Classifier,
     QuadtreeModel,
     RegionLabeling,
     UnionFind,
     build,
-    collect_leaves,
     label_regions,
+    leaf_table,
     locate,
-    rasterize,
-    CODE_BLACK,
+    shared_black_cells,
 )
 
 
@@ -121,31 +123,35 @@ class AspectRegion:
 def _seam_pairs(model: QuadtreeModel, labels: RegionLabeling) -> list[tuple[int, int]]:
     """Raw region pairs whose Black leaves adjoin through opposite box edges."""
     root = model.root_box
-    black = [leaf for leaf in collect_leaves(model) if leaf.kind == BLACK]
+    t = leaf_table(model)
+    black = t.kind == CODE_BLACK
     pairs = []
-    for axis in (0, 1):
-        bounds = (root.x.lo, root.x.hi) if axis == 0 else (root.y.lo, root.y.hi)
-        lo_side, hi_side = [], []
-        for leaf in black:
-            own = leaf.box.x if axis == 0 else leaf.box.y
-            other = leaf.box.y if axis == 0 else leaf.box.x
-            if own.lo == bounds[0]:
-                lo_side.append((other.lo, other.hi, leaf.path))
-            if own.hi == bounds[1]:
-                hi_side.append((other.lo, other.hi, leaf.path))
+    for own_lo, own_hi, other_lo, other_hi, bounds in (
+        (t.x_lo, t.x_hi, t.y_lo, t.y_hi, (root.x.lo, root.x.hi)),
+        (t.y_lo, t.y_hi, t.x_lo, t.x_hi, (root.y.lo, root.y.hi)),
+    ):
+        lo_side, hi_side = [
+            list(zip(
+                other_lo[rows].tolist(),
+                other_hi[rows].tolist(),
+                [labels.leaf_index_to_region[i] for i in rows.tolist()],
+            ))
+            for rows in (
+                np.flatnonzero(black & (own_lo == bounds[0])),
+                np.flatnonzero(black & (own_hi == bounds[1])),
+            )
+        ]
         # leaves on one edge tile it, so both lists are disjoint and sorting
         # by lower bound allows a linear sweep for positive-length overlaps
         lo_side.sort()
         hi_side.sort()
         i = 0
-        for alo, ahi, apath in lo_side:
+        for alo, ahi, a_region in lo_side:
             while i < len(hi_side) and hi_side[i][1] <= alo:
                 i += 1
             k = i
             while k < len(hi_side) and hi_side[k][0] < ahi:
-                pairs.append(
-                    (labels.leaf_to_region[apath], labels.leaf_to_region[hi_side[k][2]])
-                )
+                pairs.append((a_region, hi_side[k][2]))
                 k += 1
     return pairs
 
@@ -256,7 +262,9 @@ def pair_regions(
     q_labels: RegionLabeling,
     q_aspects: tuple[AspectRegion, ...],
 ) -> tuple[PairingEntry, ...]:
-    leaf_by_path = {leaf.path: leaf for leaf in collect_leaves(w_model)}
+    t = leaf_table(w_model)
+    row_of = {path: i for i, path in enumerate(t.paths)}
+    areas = t.area.tolist()
     serial_of = {
         rid: a.aspect_id for a in q_aspects for rid in a.region_ids
     }
@@ -267,13 +275,14 @@ def pair_regions(
         # aspects may need a fallback when the primary witness's joint image
         # is still unresolved at this depth
         candidates = sorted(
-            (leaf_by_path[p] for p in aspect.leaf_paths),
-            key=lambda lf: (-lf.box.area, lf.index),
+            (row_of[p] for p in aspect.leaf_paths), key=lambda i: (-areas[i], i)
         )
         entry = None
         failure = None
-        for leaf in candidates:
-            wx, wy = leaf.box.x.mid, leaf.box.y.mid
+        for i in candidates:
+            # the leaf box's Interval.mid
+            x0, x1, y0, y1 = (float(v[i]) for v in (t.x_lo, t.x_hi, t.y_lo, t.y_hi))
+            wx, wy = x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2
             res = ikp_box(Box2.point(wx, wy), g, combo.wm)
             sol = res.solution_for(combo.wm) if res.status is Ternary.VALID else None
             if sol is None:
@@ -335,8 +344,10 @@ def aspect_report(sets: list[AspectSet]) -> AspectReport:
     """Summaries plus the serial-aspect overlap matrix per assembly mode.
 
     The joint-space overlap between two working modes is the necessary
-    condition for a trajectory that changes working mode once; it is read
-    off the rasterized joint-space grids, which all share the same box.
+    condition for a trajectory that changes working mode once. Its area is
+    the count of finest-grid cells Black in both joint-space trees, found
+    by walking the two trees together (they all share the same box), times
+    the area of one cell.
     """
     combos = tuple(
         ComboSummary(
@@ -349,11 +360,8 @@ def aspect_report(sets: list[AspectSet]) -> AspectReport:
         )
         for s in sets
     )
-    masks = {}
     cell_areas = {}
     for s in sets:
-        raster = rasterize(s.jointspace)
-        masks[s.combo] = raster.kinds == CODE_BLACK
         box = s.jointspace.root_box
         n = 2**s.jointspace.max_depth
         cell_areas[s.combo] = (box.x.width / n) * (box.y.width / n)
@@ -364,9 +372,8 @@ def aspect_report(sets: list[AspectSet]) -> AspectReport:
     for am, group in by_am.items():
         for sa in group:
             for sb in group:
-                area = float(
-                    (masks[sa.combo] & masks[sb.combo]).sum() * cell_areas[sa.combo]
-                )
+                cells = shared_black_cells(sa.jointspace, sb.jointspace)
+                area = float(cells * cell_areas[sa.combo])
                 overlaps.append(
                     OverlapEntry(str(am), str(sa.combo.wm), str(sb.combo.wm), area)
                 )

@@ -8,13 +8,19 @@ Subcommands:
   render      render a saved quadtree file to SVG
   verify      sample Black boxes and check them against the point oracle
 
-Exit codes: 0 success, 1 I/O error, 2 usage error.
+Exit codes: 0 success, 1 runtime error (I/O, malformed input, failed
+pairing), 2 usage error.
+
+argparse drops an option value of exactly "--", so the working mode "--"
+cannot be passed as ``--working-mode=--``; every working mode may also be
+spelled with p (plus) and m (minus), and "--" is written ``mm``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,6 +35,13 @@ from .interval import Box2
 from .render import RenderStyle, render_svg
 
 MECHANISMS = {"m1": mech.M1, "m2": mech.M2}
+# letter spellings of the working modes; "mm" is the only way to pass "--"
+WORKING_MODE_LETTERS = {"pp": "++", "pm": "+-", "mp": "-+", "mm": "--"}
+WORKING_MODE_CHOICES = ["++", "+-", "-+", "--", *WORKING_MODE_LETTERS]
+WORKING_MODE_HELP = (
+    "signs of u_z, v_z: ++, +-, -+, -- or pp, pm, mp, mm "
+    "(argparse drops a '--' value: write mm)"
+)
 
 
 def _add_geometry_args(p: argparse.ArgumentParser) -> None:
@@ -73,16 +86,22 @@ def _parse_box(spec: str, parser) -> Box2:
     if len(parts) != 4:
         parser.error("--box needs xlo,xhi,ylo,yhi")
     try:
-        return Box2.from_bounds(*(float(v) for v in parts))
+        box = Box2.from_bounds(*(float(v) for v in parts))
     except ValueError as exc:
         parser.error(f"bad --box: {exc}")
+    for side in (box.x, box.y):
+        if not 0 < side.width < math.inf:
+            parser.error(f"bad --box: side [{side.lo}, {side.hi}] must have a positive finite width")
+    return box
 
 
 def _parse_modes(args, parser) -> tuple[Optional[mech.WorkingMode], Optional[mech.AssemblyMode]]:
     wm = am = None
     if args.working_mode is not None:
         try:
-            wm = mech.WorkingMode.from_str(args.working_mode)
+            wm = mech.WorkingMode.from_str(
+                WORKING_MODE_LETTERS.get(args.working_mode, args.working_mode)
+            )
         except ValueError as exc:
             parser.error(str(exc))
     if args.assembly_mode is not None:
@@ -231,6 +250,8 @@ def cmd_render(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     g, _ = _geometry(args, parser)
     depth = _depth(args, parser)
+    if args.samples < 0:
+        parser.error("--samples must be >= 0")
     wm, am = _parse_modes(args, parser)
     space = args.space
     classify = _space_classifier(space, g, wm, am, parser)
@@ -262,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         _add_geometry_args(p)
         p.add_argument("--depth", type=int, required=True, help="quadtree depth (1-14)")
-        p.add_argument("--working-mode", choices=["++", "+-", "-+", "--"])
+        p.add_argument("--working-mode", choices=WORKING_MODE_CHOICES, help=WORKING_MODE_HELP)
         p.add_argument("--assembly-mode", choices=["+", "-"])
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--format", choices=["qt", "svg"], default="qt")
@@ -301,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_args(p)
     p.add_argument("--space", choices=["jointspace", "workspace"], required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--working-mode", choices=["++", "+-", "-+", "--"])
+    p.add_argument("--working-mode", choices=WORKING_MODE_CHOICES, help=WORKING_MODE_HELP)
     p.add_argument("--assembly-mode", choices=["+", "-"])
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -316,10 +337,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except qt.ParseError as exc:
+    # ParseError and DomainError are ValueErrors
+    except (OSError, ValueError, asp.PairingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,15 @@ maximal depth; leaves are Black (valid), White (invalid) or Undetermined
 certified-invalid space with the same machinery (Black/White swapped),
 which lets a model be refined to a higher depth without retesting boxes
 that were already decided.
+
+Everything that reads a finished tree (labeling, seams, rendering,
+sampling, areas, pairing) reads its leaf table: one row per leaf, in
+preorder, walked once per tree.
 """
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -25,7 +30,12 @@ UNDETERMINED = "U"
 GRAY = "G"
 
 KIND_CODE = {WHITE: 0, BLACK: 1, UNDETERMINED: 2}
+KIND_LETTER = {code: kind for kind, code in KIND_CODE.items()}
 CODE_WHITE, CODE_BLACK, CODE_UNDET = 0, 1, 2
+
+# Deepest tree a model may have. The leaf table addresses cells of the
+# 2^d x 2^d grid by Morton keys of 2d bits, which must fit int64.
+MAX_DEPTH = 31
 
 Classifier = Callable[[Box2], int]
 
@@ -99,6 +109,10 @@ class QuadtreeModel:
     max_depth: int
     root: QuadNode
     stats: TreeStats = field(default_factory=TreeStats)
+    # (root, root_box, max_depth, LeafTable) of the last leaf_table() call
+    _leaf_table: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def accuracy(self) -> float:
@@ -162,8 +176,8 @@ def build(
     ``jobs > 1`` evaluates the four top-level subtrees concurrently; the
     classifier must be pure, so the result is identical either way.
     """
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    if not 1 <= d_max <= MAX_DEPTH:
+        raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     r = classify(box)
     calls = 1
     if r > 0:
@@ -220,6 +234,8 @@ def refine(
     """
     if d_max <= m.max_depth:
         raise ValueError("refinement depth must exceed the model's depth")
+    if d_max > MAX_DEPTH:
+        raise ValueError(f"d_max must be <= {MAX_DEPTH}")
     root, calls = _regrow(m.root, m.root_box, 0, d_max, classify)
     stats = TreeStats(calls=m.stats.calls + calls)
     _count_kinds(root, stats)
@@ -231,6 +247,111 @@ def refine(
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class LeafTable:
+    """Linear quadtree: every leaf of a model, one row each, in preorder.
+
+    Preorder is Morton (Z) order, so ``keys`` (the Morton keys of the
+    leaves' low corners) increase strictly and ``find`` locates the leaf of
+    any finest-grid cell with one binary search. Leaf ``i`` covers cells
+    ``[ix[i], ix[i] + s) x [iy[i], iy[i] + s)``, ``s = 2^(depth - level[i])``,
+    of the ``2^depth x 2^depth`` grid; its bounds are the exact floats of
+    ``Box2.subdivide``.
+    """
+
+    depth: int  # maximal depth of the model
+    level: np.ndarray  # int64, depth of each leaf
+    ix: np.ndarray  # int64, first finest-grid column (from x_lo)
+    iy: np.ndarray  # int64, first finest-grid row (from y_lo)
+    kind: np.ndarray  # int8, KIND_CODE values
+    paths: list[str]  # quadrant digits '0'..'3' from the root
+    x_lo: np.ndarray
+    x_hi: np.ndarray
+    y_lo: np.ndarray
+    y_hi: np.ndarray
+    keys: np.ndarray  # int64 Morton keys of (ix, iy)
+
+    @property
+    def area(self) -> np.ndarray:
+        """``Box2.area`` of each leaf, with the same float operations."""
+        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
+
+    def find(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """Rows of the leaves containing the finest-grid cells (cx, cy)."""
+        return np.searchsorted(self.keys, _morton(cx, cy), side="right") - 1
+
+
+def _spread_bits(v: np.ndarray) -> np.ndarray:
+    # bit k of v moves to bit 2k; v < 2^31, so the result fits int64
+    v = v.astype(np.int64)
+    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
+    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
+    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v << 2)) & 0x3333333333333333
+    return (v | (v << 1)) & 0x5555555555555555
+
+
+def _morton(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    # quadrant digit = x bit + 2 * y bit, as in Box2.subdivide's order
+    return _spread_bits(cx) | (_spread_bits(cy) << 1)
+
+
+def _walk(m: QuadtreeModel) -> LeafTable:
+    d = m.max_depth
+    # typed arrays hold 1-8 bytes per entry where a list holds a boxed number
+    level, ix, iy, kind = array("q"), array("q"), array("q"), array("b")
+    x_lo, x_hi, y_lo, y_hi = array("d"), array("d"), array("d"), array("d")
+    paths = []
+    b = m.root_box
+    stack = [(m.root, 0, 0, 0, "", b.x.lo, b.x.hi, b.y.lo, b.y.hi)]
+    while stack:
+        node, lev, cx, cy, path, x0, x1, y0, y1 = stack.pop()
+        if node.children is None:
+            level.append(lev)
+            ix.append(cx)
+            iy.append(cy)
+            kind.append(KIND_CODE[node.kind])
+            paths.append(path)
+            x_lo.append(x0)
+            x_hi.append(x1)
+            y_lo.append(y0)
+            y_hi.append(y1)
+            continue
+        # the shared midpoints of Box2.subdivide
+        xm = x0 + (x1 - x0) / 2
+        ym = y0 + (y1 - y0) / 2
+        h = 1 << (d - lev - 1)
+        c = node.children
+        lev += 1
+        # pushed in reverse so that quadrant 0 is visited first
+        stack += (
+            (c[3], lev, cx + h, cy + h, path + "3", xm, x1, ym, y1),
+            (c[2], lev, cx, cy + h, path + "2", x0, xm, ym, y1),
+            (c[1], lev, cx + h, cy, path + "1", xm, x1, y0, ym),
+            (c[0], lev, cx, cy, path + "0", x0, xm, y0, ym),
+        )
+    cols = [
+        np.frombuffer(col, dtype=dtype)
+        for col, dtype in (
+            (level, np.int64), (ix, np.int64), (iy, np.int64), (kind, np.int8),
+            (x_lo, np.float64), (x_hi, np.float64), (y_lo, np.float64),
+            (y_hi, np.float64),
+        )
+    ]
+    cols.append(_morton(cols[1], cols[2]))
+    for col in cols:
+        col.flags.writeable = False  # the table is shared by every reader
+    return LeafTable(d, *cols[:4], paths, *cols[4:])
+
+
+def leaf_table(m: QuadtreeModel) -> LeafTable:
+    """The model's leaf table, walked once and kept until the tree changes."""
+    c = m._leaf_table
+    if c is None or c[0] is not m.root or c[1] is not m.root_box or c[2] != m.max_depth:
+        c = m._leaf_table = (m.root, m.root_box, m.max_depth, _walk(m))
+    return c[3]
+
+
 @dataclass(frozen=True)
 class LeafInfo:
     index: int  # preorder leaf number
@@ -240,17 +361,13 @@ class LeafInfo:
 
 
 def collect_leaves(m: QuadtreeModel) -> list[LeafInfo]:
-    leaves: list[LeafInfo] = []
-
-    def visit(node: QuadNode, box: Box2, path: str) -> None:
-        if node.is_leaf:
-            leaves.append(LeafInfo(len(leaves), path, box, node.kind))
-            return
-        for i, (child, child_box) in enumerate(zip(node.children, box.subdivide())):
-            visit(child, child_box, path + str(i))
-
-    visit(m.root, m.root_box, "")
-    return leaves
+    """The rows of the leaf table as objects, in preorder."""
+    t = leaf_table(m)
+    bounds = zip(t.x_lo.tolist(), t.x_hi.tolist(), t.y_lo.tolist(), t.y_hi.tolist())
+    return [
+        LeafInfo(i, path, Box2.from_bounds(*b), KIND_LETTER[k])
+        for i, (path, b, k) in enumerate(zip(t.paths, bounds, t.kind.tolist()))
+    ]
 
 
 def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
@@ -308,8 +425,8 @@ def deserialize(text: str) -> QuadtreeModel:
         bounds = [float(f) for f in fields[2:]]
     except ValueError as exc:
         raise ParseError(f"bad header number: {exc}", 0) from None
-    if d_max < 1:
-        raise ParseError("d_max must be >= 1", 4)
+    if not 1 <= d_max <= MAX_DEPTH:
+        raise ParseError(f"d_max must be in [1, {MAX_DEPTH}]", 4)
     try:
         box = Box2.from_bounds(*bounds)
     except ValueError as exc:
@@ -349,49 +466,8 @@ def deserialize(text: str) -> QuadtreeModel:
 
 
 # --------------------------------------------------------------------------
-# Rasterization and region labeling
+# Region labeling and Black-space queries
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class Raster:
-    """Per-cell view of the tree at resolution 2^d x 2^d.
-
-    Arrays are indexed [ix, iy] with ix counting cells from x_lo and iy
-    from y_lo; each cell carries the leaf containing its center.
-    """
-
-    kinds: np.ndarray  # int8, KIND_CODE values
-    leaf_index: np.ndarray  # int32, preorder leaf numbers
-    regions: Optional[np.ndarray] = None  # int32, -1 outside Black regions
-
-
-def rasterize(m: QuadtreeModel, labels: Optional["RegionLabeling"] = None) -> Raster:
-    n = 2**m.max_depth
-    kinds = np.empty((n, n), dtype=np.int8)
-    leaf_index = np.empty((n, n), dtype=np.int32)
-    counter = [0]
-
-    def visit(node: QuadNode, ix: int, iy: int, size: int) -> None:
-        if node.is_leaf:
-            kinds[ix : ix + size, iy : iy + size] = KIND_CODE[node.kind]
-            leaf_index[ix : ix + size, iy : iy + size] = counter[0]
-            counter[0] += 1
-            return
-        h = size // 2
-        visit(node.children[0], ix, iy, h)
-        visit(node.children[1], ix + h, iy, h)
-        visit(node.children[2], ix, iy + h, h)
-        visit(node.children[3], ix + h, iy + h, h)
-
-    visit(m.root, 0, 0, n)
-    regions = None
-    if labels is not None:
-        lut = np.full(counter[0], -1, dtype=np.int32)
-        for leaf_idx, region_id in labels.leaf_index_to_region.items():
-            lut[leaf_idx] = region_id
-        regions = lut[leaf_index]
-    return Raster(kinds, leaf_index, regions)
 
 
 class UnionFind:
@@ -433,71 +509,114 @@ class RegionLabeling:
 def label_regions(m: QuadtreeModel) -> RegionLabeling:
     """Connected components of the Black space under edge (4-)adjacency.
 
-    Adjacency is read off the rasterized leaf grid; region ids are assigned
-    in order of each region's smallest preorder leaf, so labeling is
-    deterministic.
+    Adjacency is read off the leaf table. Each Black leaf looks up the
+    cells just past its high x and high y edges (at its low corner) and
+    just before its low edges; a hit that is Black and at least as large
+    shares that whole edge. Together the two directions find every shared
+    edge of positive length, each once. Region ids are assigned in order of
+    each region's smallest preorder leaf, so labeling is deterministic.
     """
-    leaves = collect_leaves(m)
-    raster = rasterize(m)
-    black = raster.kinds == CODE_BLACK
-    uf = UnionFind(len(leaves))
+    t = leaf_table(m)
+    black = np.flatnonzero(t.kind == CODE_BLACK)
+    # union-find over positions in `black`, which keep the preorder
+    uf = UnionFind(len(black))
+    a, b = _black_edges(t, black)
+    for i, j in zip(a.tolist(), b.tolist()):
+        uf.union(i, j)
 
-    grid = raster.leaf_index
-    for a, b, mask in (
-        (grid[:-1, :], grid[1:, :], black[:-1, :] & black[1:, :]),
-        (grid[:, :-1], grid[:, 1:], black[:, :-1] & black[:, 1:]),
-    ):
-        pairs = np.stack([a[mask], b[mask]], axis=1)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if len(pairs):
-            for i, j in np.unique(pairs, axis=0):
-                uf.union(int(i), int(j))
-
+    rows = black.tolist()
+    areas = t.area[black].tolist()
     leaf_to_region: dict[str, int] = {}
     leaf_index_to_region: dict[int, int] = {}
     root_to_region: dict[int, int] = {}
-    members: list[list[LeafInfo]] = []
-    for leaf in leaves:
-        if leaf.kind != BLACK:
-            continue
-        root = uf.find(leaf.index)
+    members: list[list[int]] = []
+    for k, row in enumerate(rows):
+        root = uf.find(k)
         if root not in root_to_region:
             root_to_region[root] = len(members)
             members.append([])
         rid = root_to_region[root]
-        members[rid].append(leaf)
-        leaf_to_region[leaf.path] = rid
-        leaf_index_to_region[leaf.index] = rid
+        members[rid].append(k)
+        leaf_to_region[t.paths[row]] = rid
+        leaf_index_to_region[row] = rid
 
     regions = []
-    for rid, leafs in enumerate(members):
-        area = sum(leaf.box.area for leaf in leafs)
-        largest = max(leafs, key=lambda lf: (lf.box.area, -lf.index))
-        regions.append(
-            RegionInfo(rid, area, tuple(lf.path for lf in leafs), largest.path)
-        )
+    for rid, ks in enumerate(members):
+        area = sum(areas[k] for k in ks)
+        largest = max(ks, key=lambda k: (areas[k], -k))
+        regions.append(RegionInfo(
+            rid, area, tuple(t.paths[rows[k]] for k in ks), t.paths[rows[largest]]
+        ))
     return RegionLabeling(
         len(members), leaf_to_region, leaf_index_to_region, tuple(regions)
     )
 
 
+def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of positions in ``black`` (sorted Black rows) whose leaves share
+    an edge of positive length, each pair once."""
+    n = 1 << t.depth
+    is_black = t.kind == CODE_BLACK
+    x, y, lev = t.ix[black], t.iy[black], t.level[black]
+    s = np.left_shift(1, t.depth - lev)  # side in finest-grid cells
+    own, other = [], []
+    # an equal-sized pair is found from its low leaf's high-edge probe, so
+    # the low-edge probes keep strictly larger neighbors only
+    for cx, cy, inside, larger in (
+        (x + s, y, x + s < n, np.less_equal),
+        (x, y + s, y + s < n, np.less_equal),
+        (x - 1, y, x > 0, np.less),
+        (x, y - 1, y > 0, np.less),
+    ):
+        pos = np.flatnonzero(inside)
+        hit = t.find(cx[pos], cy[pos])
+        keep = is_black[hit] & larger(t.level[hit], lev[pos])
+        own.append(pos[keep])
+        other.append(np.searchsorted(black, hit[keep]))
+    return np.concatenate(own), np.concatenate(other)
+
+
 def black_area(m: QuadtreeModel) -> float:
-    return sum(leaf.box.area for leaf in collect_leaves(m) if leaf.kind == BLACK)
+    t = leaf_table(m)
+    return sum(t.area[t.kind == CODE_BLACK].tolist())
 
 
 def sample_black_points(
     m: QuadtreeModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n points uniform over the Black leaves (empty array if there are none)."""
-    black = [leaf for leaf in collect_leaves(m) if leaf.kind == BLACK]
-    if not black:
+    t = leaf_table(m)
+    black = t.kind == CODE_BLACK
+    if not black.any():
         return np.empty((0, 2))
-    areas = np.array([leaf.box.area for leaf in black])
-    picks = rng.choice(len(black), size=n, p=areas / areas.sum())
+    x_lo, y_lo = t.x_lo[black], t.y_lo[black]
+    width = t.x_hi[black] - x_lo
+    height = t.y_hi[black] - y_lo
+    areas = width * height
+    picks = rng.choice(len(areas), size=n, p=areas / areas.sum())
     u = rng.random((n, 2))
     out = np.empty((n, 2))
-    for i, k in enumerate(picks):
-        box = black[k].box
-        out[i, 0] = box.x.lo + u[i, 0] * box.x.width
-        out[i, 1] = box.y.lo + u[i, 1] * box.y.width
+    out[:, 0] = x_lo[picks] + u[:, 0] * width[picks]
+    out[:, 1] = y_lo[picks] + u[:, 1] * height[picks]
     return out
+
+
+def shared_black_cells(a: QuadtreeModel, b: QuadtreeModel) -> int:
+    """Finest-grid cells that are Black in both models (same box and depth)."""
+    if a.max_depth != b.max_depth:
+        raise ValueError("models of different depth do not share a grid")
+    return _shared_black(a.root, b.root, 4**a.max_depth)
+
+
+def _shared_black(a: QuadNode, b: QuadNode, cells: int) -> int:
+    # co-walk of two trees over the same box; `cells` is the cell count of it
+    if a.is_leaf and a.kind != BLACK or b.is_leaf and b.kind != BLACK:
+        return 0
+    if a.is_leaf and b.is_leaf:
+        return cells
+    q = cells // 4
+    if a.is_leaf:
+        return sum(_shared_black(a, c, q) for c in b.children)
+    if b.is_leaf:
+        return sum(_shared_black(c, b, q) for c in a.children)
+    return sum(_shared_black(ca, cb, q) for ca, cb in zip(a.children, b.children))

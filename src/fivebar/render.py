@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .quadtree import BLACK, UNDETERMINED, QuadtreeModel, RegionLabeling, collect_leaves
+import numpy as np
+
+from .quadtree import (
+    CODE_BLACK,
+    CODE_UNDET,
+    QuadtreeModel,
+    RegionLabeling,
+    leaf_table,
+)
 
 DEFAULT_PALETTE = (
     "#1f77b4",
@@ -58,23 +66,28 @@ def render_svg(
     stroke_attr = ""
     if style.stroke != "none" and style.stroke_width > 0:
         stroke_attr = f' stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}"'
-    for leaf in collect_leaves(m):
-        if leaf.kind == BLACK:
-            if labels is not None:
-                rid = labels.leaf_to_region[leaf.path]
-                fill = style.palette[rid % len(style.palette)]
-            else:
-                fill = style.palette[0]
-        elif leaf.kind == UNDETERMINED and style.show_undetermined:
+    t = leaf_table(m)
+    shown = t.kind == CODE_BLACK
+    if style.show_undetermined:
+        shown |= t.kind == CODE_UNDET
+    rows = np.flatnonzero(shown)
+    # flip y: the svg y of a rect is measured from the top of the viewBox
+    y_svg = y_lo + (y_hi - t.y_hi[rows])
+    width = t.x_hi[rows] - t.x_lo[rows]
+    height = t.y_hi[rows] - t.y_lo[rows]
+    for i, kind, x, y, w, h in zip(
+        rows.tolist(), t.kind[rows].tolist(), t.x_lo[rows].tolist(),
+        y_svg.tolist(), width.tolist(), height.tolist(),
+    ):
+        if kind != CODE_BLACK:
             fill = style.undetermined_fill
+        elif labels is not None:
+            rid = labels.leaf_to_region[t.paths[i]]
+            fill = style.palette[rid % len(style.palette)]
         else:
-            continue
-        b = leaf.box
-        # flip y: the svg y of a rect is measured from the top of the viewBox
-        y_svg = y_lo + (y_hi - b.y.hi)
+            fill = style.palette[0]
         out.append(
-            f'<rect x="{_fmt(b.x.lo)}" y="{_fmt(y_svg)}" '
-            f'width="{_fmt(b.x.width)}" height="{_fmt(b.y.width)}" '
+            f'<rect x="{x!r}" y="{y!r}" width="{w!r}" height="{h!r}" '
             f'fill="{fill}"{stroke_attr}/>'
         )
     out.append("</svg>")

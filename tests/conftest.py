@@ -4,9 +4,9 @@ import time
 import pytest
 
 from fivebar.aspects import all_mode_combos, jointspace_classifier, workspace_classifier
-from fivebar.bench import JOINTSPACE, WORKSPACE, space_box
+from fivebar.bench import JOINTSPACE, WORKSPACE, space_box, space_classifier
 from fivebar.mechanism import M1, M2
-from fivebar.quadtree import build
+from fivebar.quadtree import build, refine
 
 CRITERIA = {
     1: "every Black box sampled at random points agrees with the scalar classifier",
@@ -54,3 +54,20 @@ def combo_trees_d8():
                 space_box(g, WORKSPACE), 8, workspace_classifier(combo, g), jobs=4
             )
     return trees, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def modefree_chains():
+    """Refined chains d=5..10 of the plain (mode-free) spaces."""
+    chains = {}
+    for name, g in (("m1", M1), ("m2", M2)):
+        for space in (JOINTSPACE, WORKSPACE):
+            classify = space_classifier(g, space)
+            per_depth = {}
+            model = build(space_box(g, space), 5, classify, jobs=4)
+            per_depth[5] = model
+            for d in range(6, 11):
+                model = refine(model, d, classify, jobs=4)
+                per_depth[d] = model
+            chains[(name, space)] = per_depth
+    return chains

@@ -1,9 +1,15 @@
 """Shared test utilities: tight-enclosure assertions, deterministic random
-trees, and a flood-fill region oracle independent of the library's labeling."""
+trees, and a flood-fill region oracle independent of the library's labeling.
+
+The oracle reads its own raster, filled by a recursive walk of the tree
+nodes; it shares no code with the library's leaf table.
+"""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -11,10 +17,11 @@ from scipy import ndimage
 from fivebar.interval import Box2
 from fivebar.quadtree import (
     CODE_BLACK,
+    KIND_CODE,
+    QuadNode,
     QuadtreeModel,
     RegionLabeling,
     build,
-    rasterize,
 )
 
 
@@ -51,6 +58,47 @@ def random_models(count: int, d_max: int = 4) -> list[QuadtreeModel]:
     """`count` deterministic pseudo-random canonical trees."""
     box = Box2.from_bounds(0.0, 1.0, 0.0, 1.0)
     return [build(box, d_max, hash_classifier(seed)) for seed in range(count)]
+
+
+@dataclass
+class Raster:
+    """Per-cell view of the tree at resolution 2^d x 2^d.
+
+    Arrays are indexed [ix, iy] with ix counting cells from x_lo and iy
+    from y_lo; each cell carries the leaf containing its center.
+    """
+
+    kinds: np.ndarray  # int8, KIND_CODE values
+    leaf_index: np.ndarray  # int32, preorder leaf numbers
+    regions: Optional[np.ndarray] = None  # int32, -1 outside Black regions
+
+
+def rasterize(m: QuadtreeModel, labels: Optional[RegionLabeling] = None) -> Raster:
+    n = 2**m.max_depth
+    kinds = np.empty((n, n), dtype=np.int8)
+    leaf_index = np.empty((n, n), dtype=np.int32)
+    counter = [0]
+
+    def visit(node: QuadNode, ix: int, iy: int, size: int) -> None:
+        if node.is_leaf:
+            kinds[ix : ix + size, iy : iy + size] = KIND_CODE[node.kind]
+            leaf_index[ix : ix + size, iy : iy + size] = counter[0]
+            counter[0] += 1
+            return
+        h = size // 2
+        visit(node.children[0], ix, iy, h)
+        visit(node.children[1], ix + h, iy, h)
+        visit(node.children[2], ix, iy + h, h)
+        visit(node.children[3], ix + h, iy + h, h)
+
+    visit(m.root, 0, 0, n)
+    regions = None
+    if labels is not None:
+        lut = np.full(counter[0], -1, dtype=np.int32)
+        for leaf_idx, region_id in labels.leaf_index_to_region.items():
+            lut[leaf_idx] = region_id
+        regions = lut[leaf_index]
+    return Raster(kinds, leaf_index, regions)
 
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])

@@ -58,25 +58,8 @@ MECHANISMS = (("m1", M1), ("m2", M2))
 
 
 # ---------------------------------------------------------------------------
-# Shared fixtures (combo_trees_d8 lives in conftest.py)
+# Shared fixtures (combo_trees_d8 and modefree_chains live in conftest.py)
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="session")
-def modefree_chains():
-    """Refined chains d=5..10 of the plain (mode-free) spaces."""
-    chains = {}
-    for name, g in MECHANISMS:
-        for space in (JOINTSPACE, WORKSPACE):
-            classify = space_classifier(g, space)
-            per_depth = {}
-            model = build(space_box(g, space), 5, classify, jobs=4)
-            per_depth[5] = model
-            for d in range(6, 11):
-                model = refine(model, d, classify, jobs=4)
-                per_depth[d] = model
-            chains[(name, space)] = per_depth
-    return chains
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,9 @@ from fivebar.bench import (
     space_classifier,
 )
 from fivebar.mechanism import M1, M2
-from fivebar.quadtree import CODE_BLACK, CODE_UNDET, build, rasterize
+from fivebar.quadtree import CODE_BLACK, CODE_UNDET, build
+
+from helpers import rasterize
 
 
 def test_n_disc_formula():

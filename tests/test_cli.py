@@ -4,9 +4,12 @@ import re
 
 import pytest
 
+from fivebar import aspects as asp
 from fivebar import quadtree as qt
-from fivebar.bench import parse_table
+from fivebar.bench import WORKSPACE, parse_table, space_box
 from fivebar.cli import main
+from fivebar.interval import DomainError
+from fivebar.mechanism import M2, AssemblyMode, WorkingMode
 
 
 def run(argv):
@@ -192,6 +195,74 @@ def test_render_malformed_input_is_io_error(tmp_path, capsys):
     bad.write_text("not a tree\n")
     code = run(["render", str(bad), "--out", str(tmp_path / "o.svg")])
     assert code == 1
+
+
+def test_render_depth_above_bound_is_one_line_error(tmp_path, capsys):
+    deep = tmp_path / "deep.qt"
+    deep.write_text(f"QT1 {qt.MAX_DEPTH + 9} 0.0 1.0 0.0 1.0\nGBBBB\n")
+    code = run(["render", str(deep), "--out", str(tmp_path / "o.svg"), "--label-regions"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: d_max must be in [1, ")
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_negative_samples_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--space", "jointspace", "--depth", "5", "--samples", "-1"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "fivebar: error: --samples must be >= 0"
+
+
+@pytest.mark.parametrize("box", ["0,0,0,1", "0,1,2,2", "-1e308,1e308,0,1"])
+def test_degenerate_box_is_usage_error(tmp_path, capsys, box):
+    out = tmp_path / "w.qt"
+    with pytest.raises(SystemExit) as exc:
+        run(["workspace", "--depth", "3", f"--box={box}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("fivebar: error: bad --box: ")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        asp.PairingError("witness landed on a W leaf"),
+        DomainError("point outside the root box"),
+        ValueError("bad value"),
+    ],
+)
+def test_library_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(asp, "compute_aspects", fail)
+    code = run(["aspects", "--mechanism", "m2", "--depth", "3", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_working_mode_minus_minus_spelled_mm(tmp_path, capsys):
+    out = tmp_path / "w.qt"
+    assert run(
+        [
+            "workspace",
+            "--mechanism", "m2",
+            "--depth", "3",
+            "--working-mode", "mm",
+            "--assembly-mode=+",
+            "--out", str(out),
+        ]
+    ) == 0
+    combo = asp.ModeCombo(WorkingMode(-1, -1), AssemblyMode(1))
+    expected = qt.build(space_box(M2, WORKSPACE), 3, asp.workspace_classifier(combo, M2))
+    assert out.read_text() == qt.serialize(expected)
+    with pytest.raises(SystemExit):
+        run(["workspace", "--help"])
+    assert "mm" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Quadtree building, refinement, serialization, rasterization, location,
+"""Quadtree building, refinement, serialization, the leaf table, location,
 and connected-component labeling (checked against a scipy flood fill)."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from fivebar.quadtree import (
     CODE_UNDET,
     CODE_WHITE,
     GRAY,
+    KIND_CODE,
+    MAX_DEPTH,
     UNDETERMINED,
     WHITE,
     ParseError,
@@ -24,17 +27,20 @@ from fivebar.quadtree import (
     collect_leaves,
     deserialize,
     label_regions,
+    leaf_table,
     locate,
-    rasterize,
     refine,
     sample_black_points,
     serialize,
+    shared_black_cells,
 )
+from fivebar.render import render_svg
 
 from helpers import (
     assert_labeling_matches_flood_fill,
     hash_classifier,
     random_models,
+    rasterize,
 )
 
 UNIT = Box2.from_bounds(0.0, 1.0, 0.0, 1.0)
@@ -309,6 +315,99 @@ def test_complement_black_spaces_are_disjoint_and_cover():
 
 
 # ---------------------------------------------------------------------------
+# leaf table
+# ---------------------------------------------------------------------------
+
+
+def _node_walk(m):
+    """(path, level, ix, iy, kind code, bounds) per leaf, by recursion."""
+    rows = []
+
+    def visit(node, box, path, ix, iy):
+        level = len(path)
+        if node.is_leaf:
+            bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+            rows.append((path, level, ix, iy, KIND_CODE[node.kind], bounds))
+            return
+        h = 2 ** (m.max_depth - level - 1)
+        offsets = ((0, 0), (h, 0), (0, h), (h, h))
+        for i, (child, child_box) in enumerate(zip(node.children, box.subdivide())):
+            visit(child, child_box, path + str(i), ix + offsets[i][0], iy + offsets[i][1])
+
+    visit(m.root, m.root_box, "", 0, 0)
+    return rows
+
+
+def test_leaf_table_rows_match_recursive_walk():
+    for m in random_models(20, d_max=5) + [build(UNIT, 1, lambda box: 1)]:
+        t = leaf_table(m)
+        rows = list(zip(
+            t.paths, t.level.tolist(), t.ix.tolist(), t.iy.tolist(), t.kind.tolist(),
+            zip(t.x_lo.tolist(), t.x_hi.tolist(), t.y_lo.tolist(), t.y_hi.tolist()),
+        ))
+        assert rows == _node_walk(m)
+        assert (np.diff(t.keys) > 0).all()  # preorder is Morton order
+
+
+def test_leaf_table_find_agrees_with_raster():
+    for m in random_models(10, d_max=4):
+        raster = rasterize(m)
+        n = 2**m.max_depth
+        cx, cy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        found = leaf_table(m).find(cx.ravel(), cy.ravel()).reshape(n, n)
+        assert (found == raster.leaf_index).all()
+
+
+def test_leaf_table_follows_a_replaced_root():
+    m = build(UNIT, 2, lambda box: 1)
+    assert leaf_table(m).paths == [""]
+    m.root = deserialize("QT1 2 0.0 1.0 0.0 1.0\nGBWWB\n").root
+    assert leaf_table(m).paths == ["0", "1", "2", "3"]
+
+
+def test_shared_black_cells_match_raster():
+    models = random_models(6, d_max=4)
+    for a in models:
+        for b in models:
+            both = (rasterize(a).kinds == CODE_BLACK) & (rasterize(b).kinds == CODE_BLACK)
+            assert shared_black_cells(a, b) == int(both.sum())
+
+
+def _sparse_text(depth: int) -> str:
+    """A depth-`depth` tree: one chain of Gray nodes down quadrant 0, with
+    Black quadrants 1 and 3 (one edge-connected region) beside each link."""
+    body = "G" * (depth - 1) + "GUBWB" + "BWB" * (depth - 1)
+    return f"QT1 {depth} 0.0 1.0 0.0 1.0\n{body}\n"
+
+
+def test_sparse_deep_tree_labels_and_renders_in_little_memory():
+    m = deserialize(_sparse_text(20))
+    tracemalloc.start()
+    try:
+        labels = label_regions(m)
+        svg = render_svg(m, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2^20 x 2^20 raster of this tree would take about 5 GB
+    assert peak < 4 * 2**20
+    assert labels.region_count == 1
+    assert len(labels.leaf_to_region) == 40
+    assert svg.count("<rect") == 40
+
+
+def test_deserialize_depth_bound():
+    m = deserialize(_sparse_text(MAX_DEPTH))
+    assert m.max_depth == MAX_DEPTH
+    assert label_regions(m).region_count == 1
+    assert shared_black_cells(m, m) == 2 * sum(4 ** (MAX_DEPTH - k) for k in range(1, MAX_DEPTH + 1))
+    with pytest.raises(ParseError):
+        deserialize(_sparse_text(MAX_DEPTH + 1))
+    with pytest.raises(ValueError):
+        build(UNIT, MAX_DEPTH + 1, lambda box: 1)
+
+
+# ---------------------------------------------------------------------------
 # region labeling
 # ---------------------------------------------------------------------------
 
@@ -371,6 +470,25 @@ def test_sample_black_points_land_in_black_leaves():
     for x, y in pts:
         kind, _ = locate(m, x, y)
         assert kind == BLACK
+
+
+def test_sample_black_points_match_per_leaf_loop():
+    # the per-point loop over leaf boxes that the vectorised sampler replaced
+    for seed, m in enumerate(random_models(10, d_max=5)):
+        black = [row for row in _node_walk(m) if row[4] == CODE_BLACK]
+        if not black:
+            continue
+        areas = np.array([(b[1] - b[0]) * (b[3] - b[2]) for *_, b in black])
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(black), size=300, p=areas / areas.sum())
+        u = rng.random((300, 2))
+        expected = np.empty((300, 2))
+        for i, k in enumerate(picks):
+            x_lo, x_hi, y_lo, y_hi = black[k][5]
+            expected[i, 0] = x_lo + u[i, 0] * (x_hi - x_lo)
+            expected[i, 1] = y_lo + u[i, 1] * (y_hi - y_lo)
+        got = sample_black_points(m, 300, np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_sample_black_points_empty_without_black_leaves():
