@@ -219,7 +219,6 @@ def compute_aspects(
     g: FiveBarGeometry,
     combo: ModeCombo,
     d_max: int,
-    jobs: int = 1,
     workspace_box: Optional[Box2] = None,
     jointspace_box: Optional[Box2] = None,
 ) -> AspectSet:
@@ -233,13 +232,11 @@ def compute_aspects(
         workspace_box or default_workspace_box(g),
         d_max,
         workspace_classifier(combo, g),
-        jobs,
     )
     q_model = build(
         jointspace_box or default_jointspace_box(),
         d_max,
         jointspace_classifier(combo, g),
-        jobs,
     )
     w_labels = label_regions(w_model)
     q_labels = label_regions(q_model)

@@ -68,7 +68,6 @@ def run_bench(
     space: str,
     depths: Sequence[int],
     mechanism: str = "custom",
-    jobs: int = 1,
 ) -> list[BenchRow]:
     if not depths or any(d < 1 for d in depths):
         raise ValueError("depths must be a nonempty list of integers >= 1")
@@ -76,7 +75,7 @@ def run_bench(
     classify = space_classifier(g, space)
     rows = []
     for d in depths:
-        model = build(box, d, classify, jobs)
+        model = build(box, d, classify)
         rows.append(BenchRow(space, mechanism, d, model.stats.calls))
     return rows
 

@@ -95,6 +95,10 @@ def _parse_box(spec: str, parser) -> Box2:
     return box
 
 
+def _box_text(box: Box2) -> str:
+    return f"{box.x.lo!r},{box.x.hi!r},{box.y.lo!r},{box.y.hi!r}"
+
+
 def _parse_modes(args, parser) -> tuple[Optional[mech.WorkingMode], Optional[mech.AssemblyMode]]:
     wm = am = None
     if args.working_mode is not None:
@@ -139,9 +143,14 @@ def _cmd_space(args, parser, space: str) -> int:
             parser.error(
                 f"--depth must exceed the input model depth {model.max_depth}"
             )
-        model = qt.refine(model, depth, classify, args.jobs)
+        if model.root_box != box:
+            parser.error(
+                f"--refine-from box {_box_text(model.root_box)} differs from "
+                f"the {space} box {_box_text(box)}"
+            )
+        model = qt.refine(model, depth, classify)
     else:
-        model = qt.build(box, depth, classify, args.jobs)
+        model = qt.build(box, depth, classify)
 
     out = Path(args.out)
     if args.format == "svg":
@@ -171,7 +180,7 @@ def cmd_aspects(args, parser) -> int:
 
     sets = []
     for combo in asp.all_mode_combos():
-        aset = asp.compute_aspects(g, combo, depth, jobs=args.jobs)
+        aset = asp.compute_aspects(g, combo, depth)
         sets.append(aset)
         stem = f"aspect_{combo.label}"
         _write_text(out_dir / f"{stem}_workspace.qt", qt.serialize(aset.workspace))
@@ -230,7 +239,7 @@ def cmd_bench(args, parser) -> int:
     spaces = bench_mod.SPACES if args.space == "both" else (args.space,)
     rows = []
     for space in spaces:
-        rows.extend(bench_mod.run_bench(g, space, depths, name, args.jobs))
+        rows.extend(bench_mod.run_bench(g, space, depths, name))
     text = bench_mod.emit_table(rows)
     if args.out:
         _write_text(Path(args.out), text)
@@ -252,10 +261,12 @@ def cmd_verify(args, parser) -> int:
     depth = _depth(args, parser)
     if args.samples < 0:
         parser.error("--samples must be >= 0")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     wm, am = _parse_modes(args, parser)
     space = args.space
     classify = _space_classifier(space, g, wm, am, parser)
-    model = qt.build(bench_mod.space_box(g, space), depth, classify, args.jobs)
+    model = qt.build(bench_mod.space_box(g, space), depth, classify)
 
     combo = (wm, am) if wm is not None and am is not None else None
     classify_point = (
@@ -289,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["qt", "svg"], default="qt")
         p.add_argument("--box", metavar="XLO,XHI,YLO,YHI", help="override initial box")
         p.add_argument("--refine-from", metavar="FILE", help="refine an existing .qt file")
-        p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(func=func)
         return p
 
@@ -300,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_args(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_aspects)
 
     p = sub.add_parser("bench", help="cost-comparison table")
@@ -308,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=["jointspace", "workspace", "both"], default="both")
     p.add_argument("--depths", default="5,6,7,8,9,10", metavar="D1,D2,...")
     p.add_argument("--out", help="CSV output file (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("render", help="render a quadtree file to SVG")
@@ -326,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assembly-mode", choices=["+", "-"])
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

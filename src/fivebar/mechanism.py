@@ -205,17 +205,6 @@ def default_workspace_box(g: FiveBarGeometry) -> Box2:
     return Box2.from_bounds(-s, s, -s, s)
 
 
-def elbow_positions(box: Box2, g: FiveBarGeometry) -> tuple[IVec2, IVec2]:
-    """Elbow enclosures B1 = A1 + L1*(cos t1, sin t1), B2 = A2 + L2*(cos t2, sin t2)."""
-    t1, t2 = box.x, box.y
-    b1 = (iv.scale(iv.cos(t1), g.L1), iv.scale(iv.sin(t1), g.L1))
-    b2 = (
-        iv.shift(iv.scale(iv.cos(t2), g.L2), g.L0),
-        iv.scale(iv.sin(t2), g.L2),
-    )
-    return b1, b2
-
-
 def _clip_unit(a: Interval) -> Interval:
     """Intersect with [-1, 1] (the cosine range of assembled configurations)."""
     return Interval(max(a.lo, -1.0), min(a.hi, 1.0))

@@ -3,10 +3,11 @@
 A classifier maps a box to +1 (every point valid), -1 (no point valid) or
 0 (undecided). The builder recursively subdivides undecided boxes up to a
 maximal depth; leaves are Black (valid), White (invalid) or Undetermined
-(still undecided at maximal depth). The complementary tree records the
-certified-invalid space with the same machinery (Black/White swapped),
-which lets a model be refined to a higher depth without retesting boxes
-that were already decided.
+(still undecided at maximal depth). Refining a model to a higher depth
+is the same recursion started from its Undetermined leaves, which are
+known to be undecided, so no decided box is ever retested. The
+complementary tree (Black/White swapped) records the certified-invalid
+space.
 
 Everything that reads a finished tree (labeling, seams, rendering,
 sampling, areas, pairing) reads its leaf table: one row per leaf, in
@@ -15,10 +16,10 @@ preorder, walked once per tree.
 
 from __future__ import annotations
 
+import math
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -151,82 +152,57 @@ def _count_kinds(node: QuadNode, stats: TreeStats) -> None:
             _count_kinds(c, stats)
 
 
-def _grow(box: Box2, depth: int, d_max: int, classify: Classifier) -> tuple[QuadNode, int]:
-    r = classify(box)
-    if r > 0:
-        return BLACK_LEAF, 1
-    if r < 0:
-        return WHITE_LEAF, 1
-    if depth == d_max:
-        return UNDET_LEAF, 1
-    calls = 1
+# the absent old children of a box that was never tested
+_UNTESTED = (None, None, None, None)
+
+
+def _grow(
+    old: Optional[QuadNode], box: Box2, depth: int, d_max: int, classify: Classifier
+) -> tuple[QuadNode, int]:
+    """Grow the subtree of ``box`` down to ``d_max``; returns it and its calls.
+
+    ``old`` is what an earlier tree knows of the box: None (never tested, so
+    classify it), a Black/White leaf (kept), an Undetermined leaf (known to
+    be undecided, so subdivided without a retest) or a Gray node (recursed).
+    """
+    if old is None:
+        r = classify(box)
+        if r > 0:
+            return BLACK_LEAF, 1
+        if r < 0:
+            return WHITE_LEAF, 1
+        if depth == d_max:
+            return UNDET_LEAF, 1
+        calls, olds = 1, _UNTESTED
+    elif old.children is not None:
+        calls, olds = 0, old.children
+    elif old.kind == UNDETERMINED:
+        calls, olds = 0, _UNTESTED
+    else:
+        return old, 0
     children = []
-    for child_box in box.subdivide():
-        node, n = _grow(child_box, depth + 1, d_max, classify)
+    for child, child_box in zip(olds, box.subdivide()):
+        node, n = _grow(child, child_box, depth + 1, d_max, classify)
         children.append(node)
         calls += n
     return _merge(tuple(children)), calls
 
 
-def build(
-    box: Box2, d_max: int, classify: Classifier, jobs: int = 1
-) -> QuadtreeModel:
-    """Build a quadtree model of the region accepted by ``classify``.
-
-    ``jobs > 1`` evaluates the four top-level subtrees concurrently; the
-    classifier must be pure, so the result is identical either way.
-    """
-    if not 1 <= d_max <= MAX_DEPTH:
-        raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
-    r = classify(box)
-    calls = 1
-    if r > 0:
-        root = BLACK_LEAF
-    elif r < 0:
-        root = WHITE_LEAF
-    else:
-        quads = box.subdivide()
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(
-                    pool.map(lambda b: _grow(b, 1, d_max, classify), quads)
-                )
-        else:
-            results = [_grow(b, 1, d_max, classify) for b in quads]
-        calls += sum(n for _, n in results)
-        root = _merge(tuple(node for node, _ in results))
+def _model(box: Box2, d_max: int, root: QuadNode, calls: int) -> QuadtreeModel:
     stats = TreeStats(calls=calls)
     _count_kinds(root, stats)
     return QuadtreeModel(box, d_max, root, stats)
 
 
-def _regrow(
-    node: QuadNode, box: Box2, depth: int, d_max: int, classify: Classifier
-) -> tuple[QuadNode, int]:
-    if node.is_leaf:
-        if node.kind != UNDETERMINED:
-            return node, 0
-        # previously undecided: we already know classify(box) == 0, so go
-        # straight to the children without retesting this box
-        calls = 0
-        children = []
-        for child_box in box.subdivide():
-            child, n = _grow(child_box, depth + 1, d_max, classify)
-            children.append(child)
-            calls += n
-        return _merge(tuple(children)), calls
-    calls = 0
-    children = []
-    for child, child_box in zip(node.children, box.subdivide()):
-        new_child, n = _regrow(child, child_box, depth + 1, d_max, classify)
-        children.append(new_child)
-        calls += n
-    return _merge(tuple(children)), calls
+def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
+    """Build a quadtree model of the region accepted by ``classify``."""
+    if not 1 <= d_max <= MAX_DEPTH:
+        raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
+    root, calls = _grow(None, box, 0, d_max, classify)
+    return _model(box, d_max, root, calls)
 
 
-def refine(
-    m: QuadtreeModel, d_max: int, classify: Classifier, jobs: int = 1
-) -> QuadtreeModel:
+def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Deepen a model, re-expanding only its Undetermined leaves.
 
     For a deterministic classifier the result equals a fresh build at the
@@ -236,10 +212,8 @@ def refine(
         raise ValueError("refinement depth must exceed the model's depth")
     if d_max > MAX_DEPTH:
         raise ValueError(f"d_max must be <= {MAX_DEPTH}")
-    root, calls = _regrow(m.root, m.root_box, 0, d_max, classify)
-    stats = TreeStats(calls=m.stats.calls + calls)
-    _count_kinds(root, stats)
-    return QuadtreeModel(m.root_box, d_max, root, stats)
+    root, calls = _grow(m.root, m.root_box, 0, d_max, classify)
+    return _model(m.root_box, d_max, root, m.stats.calls + calls)
 
 
 # --------------------------------------------------------------------------
@@ -427,10 +401,17 @@ def deserialize(text: str) -> QuadtreeModel:
         raise ParseError(f"bad header number: {exc}", 0) from None
     if not 1 <= d_max <= MAX_DEPTH:
         raise ParseError(f"d_max must be in [1, {MAX_DEPTH}]", 4)
+    bounds_pos = len(fields[0]) + len(fields[1]) + 2
     try:
         box = Box2.from_bounds(*bounds)
     except ValueError as exc:
-        raise ParseError(str(exc), len(fields[0]) + len(fields[1]) + 2) from None
+        raise ParseError(str(exc), bounds_pos) from None
+    for side in (box.x, box.y):
+        if not 0 < side.width < math.inf:
+            raise ParseError(
+                f"root box side [{side.lo}, {side.hi}] must have a positive finite width",
+                bounds_pos,
+            )
 
     body = lines[1]
     offset = len(lines[0]) + 1
@@ -460,9 +441,7 @@ def deserialize(text: str) -> QuadtreeModel:
     root = parse(0)
     if pos != len(body):
         raise ParseError("trailing characters after node string", offset + pos)
-    stats = TreeStats()
-    _count_kinds(root, stats)
-    return QuadtreeModel(box, d_max, root, stats)
+    return _model(box, d_max, root, 0)
 
 
 # --------------------------------------------------------------------------

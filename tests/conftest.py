@@ -48,10 +48,10 @@ def combo_trees_d8():
     for name, g in (("m1", M1), ("m2", M2)):
         for combo in all_mode_combos():
             trees[(name, JOINTSPACE, combo)] = build(
-                space_box(g, JOINTSPACE), 8, jointspace_classifier(combo, g), jobs=4
+                space_box(g, JOINTSPACE), 8, jointspace_classifier(combo, g)
             )
             trees[(name, WORKSPACE, combo)] = build(
-                space_box(g, WORKSPACE), 8, workspace_classifier(combo, g), jobs=4
+                space_box(g, WORKSPACE), 8, workspace_classifier(combo, g)
             )
     return trees, time.monotonic() - t0
 
@@ -64,10 +64,10 @@ def modefree_chains():
         for space in (JOINTSPACE, WORKSPACE):
             classify = space_classifier(g, space)
             per_depth = {}
-            model = build(space_box(g, space), 5, classify, jobs=4)
+            model = build(space_box(g, space), 5, classify)
             per_depth[5] = model
             for d in range(6, 11):
-                model = refine(model, d, classify, jobs=4)
+                model = refine(model, d, classify)
                 per_depth[d] = model
             chains[(name, space)] = per_depth
     return chains

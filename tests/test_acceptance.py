@@ -69,7 +69,7 @@ def aspect_sets_d9_d10():
     for name, g in MECHANISMS:
         for combo in all_mode_combos():
             for d in (9, 10):
-                sets[(name, str(combo), d)] = compute_aspects(g, combo, d, jobs=4)
+                sets[(name, str(combo), d)] = compute_aspects(g, combo, d)
     return sets
 
 
@@ -155,7 +155,7 @@ def test_criterion_4_cost_ratio_trend():
     t0 = time.monotonic()
     for name, g in MECHANISMS:
         for space in (JOINTSPACE, WORKSPACE):
-            rows = run_bench(g, space, [6, 7, 8, 9, 10], name, jobs=4)
+            rows = run_bench(g, space, [6, 7, 8, 9, 10], name)
             ratios = [r.k_ratio for r in rows]
             assert all(
                 a > b for a, b in zip(ratios, ratios[1:])
@@ -225,8 +225,8 @@ def test_criterion_6_refine_equals_fresh_build():
     for name, g in MECHANISMS:
         classify = space_classifier(g, JOINTSPACE)
         box = space_box(g, JOINTSPACE)
-        chain = refine(build(box, 5, classify, jobs=4), 8, classify, jobs=4)
-        fresh = build(box, 8, classify, jobs=4)
+        chain = refine(build(box, 5, classify), 8, classify)
+        fresh = build(box, 8, classify)
         assert serialize(chain) == serialize(fresh)
 
 

@@ -213,7 +213,7 @@ def test_aspect_ids_ordered_by_descending_area():
 
 @pytest.fixture(scope="module")
 def m2_aspects_d6() -> list[AspectSet]:
-    return [compute_aspects(M2, combo, 6, jobs=4) for combo in all_mode_combos()]
+    return [compute_aspects(M2, combo, 6) for combo in all_mode_combos()]
 
 
 def test_compute_aspects_pairing_is_total_and_functional(m2_aspects_d6):

@@ -68,7 +68,7 @@ def test_frozen_call_counts_small_depths():
     }
     for (name, space), counts in expected.items():
         g = M1 if name == "m1" else M2
-        rows = run_bench(g, space, [5, 6, 7], name, jobs=4)
+        rows = run_bench(g, space, [5, 6, 7], name)
         assert [r.n_quadtree for r in rows] == counts
 
 

@@ -178,6 +178,56 @@ def test_refine_from_depth_not_deeper_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def _usage_error(capsys) -> str:
+    """The one `error:` line of a usage error, which argparse prints last."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line for line in err if "error:" in line] == err[-1:]
+    return err[-1]
+
+
+def test_refine_from_other_space_is_usage_error(tmp_path, capsys):
+    w3 = tmp_path / "w3.qt"
+    j4 = tmp_path / "j4.qt"
+    assert run(["workspace", "--mechanism", "m2", "--depth", "3", "--out", str(w3)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(
+            [
+                "jointspace", "--mechanism", "m2", "--depth", "4",
+                "--refine-from", str(w3), "--out", str(j4),
+            ]
+        )
+    assert exc.value.code == 2
+    assert not j4.exists()
+    assert _usage_error(capsys).startswith(
+        "fivebar: error: --refine-from box -4.6,4.6,-4.6,4.6 differs from the jointspace box "
+    )
+
+
+def test_refine_from_other_box_is_usage_error(tmp_path, capsys):
+    shallow = tmp_path / "d3.qt"
+    run(["workspace", "--mechanism", "m2", "--depth", "3", "--box", "0,1,0,1", "--out", str(shallow)])
+    capsys.readouterr()
+    # the same --box refines; a different one, or none, is refused
+    assert run(
+        [
+            "workspace", "--mechanism", "m2", "--depth", "4", "--box", "0,1,0,1",
+            "--refine-from", str(shallow), "--out", str(tmp_path / "d4.qt"),
+        ]
+    ) == 0
+    capsys.readouterr()
+    for box in (["--box", "0,2,0,1"], []):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                [
+                    "workspace", "--mechanism", "m2", "--depth", "4", *box,
+                    "--refine-from", str(shallow), "--out", str(tmp_path / "x.qt"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "differs from the workspace box" in _usage_error(capsys)
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.qt"
     code = run(["jointspace", "--mechanism", "m2", "--depth", "3", "--out", str(missing_dir)])
@@ -208,12 +258,30 @@ def test_render_depth_above_bound_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "o.svg").exists()
 
 
+def test_render_zero_width_root_box_is_one_line_error(tmp_path, capsys):
+    flat = tmp_path / "flat.qt"
+    flat.write_text("QT1 3 0.0 0.0 0.0 1.0\nGBBWB\n")
+    code = run(["render", str(flat), "--out", str(tmp_path / "o.svg")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: root box side [0.0, 0.0] must have a positive finite width")
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_negative_samples_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--space", "jointspace", "--depth", "5", "--samples", "-1"])
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last == "fivebar: error: --samples must be >= 0"
+
+
+def test_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--space", "jointspace", "--depth", "3", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert _usage_error(capsys) == "fivebar: error: --seed must be >= 0"
 
 
 @pytest.mark.parametrize("box", ["0,0,0,1", "0,1,2,2", "-1e308,1e308,0,1"])
@@ -364,7 +432,7 @@ def test_verify_with_mode_combo(capsys):
 def test_aspects_writes_all_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "aspects"
     assert run(
-        ["aspects", "--mechanism", "m2", "--depth", "6", "--jobs", "4", "--out", str(out_dir)]
+        ["aspects", "--mechanism", "m2", "--depth", "6", "--out", str(out_dir)]
     ) == 0
     trees = sorted(p.name for p in out_dir.glob("*.qt"))
     assert len(trees) == 16  # 8 combos x 2 spaces
@@ -379,3 +447,22 @@ def test_aspects_writes_all_artifacts(tmp_path, capsys):
     assert len(overlap) == 1 + 32
     stdout = capsys.readouterr().out
     assert stdout.count("combo ") == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aspects", "--mechanism", "m2", "--depth", "6", "--out", "unused"],
+        ["jointspace", "--depth", "3", "--out", "unused.qt"],
+        ["workspace", "--depth", "3", "--out", "unused.qt"],
+        ["bench", "--depths", "3"],
+        ["verify", "--space", "jointspace", "--depth", "3"],
+    ],
+)
+def test_jobs_option_is_gone(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--jobs", "4"])
+    assert exc.value.code == 2
+    assert _usage_error(capsys) == "fivebar: error: unrecognized arguments: --jobs 4"
+    assert not any(tmp_path.iterdir())

@@ -19,7 +19,6 @@ from fivebar.mechanism import (
     configuration_at,
     coincidence_configurations,
     dkp_box,
-    elbow_positions,
     ikp_box,
     point_classify_joint,
     point_classify_workspace,
@@ -93,20 +92,21 @@ def test_mode_parsing_and_formatting():
 
 def test_elbows_at_right_angles():
     box = Box2.point(PI / 2, PI / 2)
-    b1, b2 = elbow_positions(box, M1)
+    res = dkp_box(box, M1)
+    b1, b2 = res.b1, res.b2
     for component, expected in zip((*b1, *b2), (0.0, 8.0, 9.0, 5.0)):
         assert abs(component.mid - expected) < 1e-12
         assert component.width < 1e-12
 
 
 def test_elbow_zero_angle():
-    b1, _ = elbow_positions(Box2.point(0.0, 0.0), M2)
+    b1 = dkp_box(Box2.point(0.0, 0.0), M2).b1
     assert b1[0].contains(M2.L1) and b1[1].contains(0.0)
 
 
 def test_elbow_full_circle_range():
     box = Box2(iv.full_angle(), iv.full_angle())
-    b1, _ = elbow_positions(box, M1)
+    b1 = dkp_box(box, M1).b1
     assert b1[0].lo <= -M1.L1 and b1[0].hi >= M1.L1
     assert b1[1].lo <= -M1.L1 and b1[1].hi >= M1.L1
 
@@ -155,7 +155,7 @@ def test_dkp_box_out_of_reach_is_invalid():
     res = dkp_box(box, M1)
     assert res.status is Ternary.INVALID
     # the elbows are certifiably farther apart than L3 + L4
-    b1, b2 = elbow_positions(box, M1)
+    b1, b2 = res.b1, res.b2
     dist = iv.norm2(iv.sub(b2[0], b1[0]), iv.sub(b2[1], b1[1]))
     assert dist.lo > M1.L3 + M1.L4
 

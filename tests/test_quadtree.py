@@ -104,14 +104,6 @@ def test_build_undetermined_only_at_max_depth():
             assert len(leaf.path) == m.max_depth
 
 
-def test_build_parallel_jobs_identical():
-    classify = hash_classifier(99)
-    a = build(UNIT, 4, classify, jobs=1)
-    b = build(UNIT, 4, classify, jobs=4)
-    assert serialize(a) == serialize(b)
-    assert a.stats.calls == b.stats.calls
-
-
 def test_accuracy_rule():
     m = build(UNIT, 5, half_plane)
     assert m.accuracy == 1.0 / 2**5
@@ -133,18 +125,27 @@ def test_refine_equals_fresh_build():
     assert serialize(m7.complement_model()) == serialize(fresh.complement_model())
 
 
+_HASHED = hash_classifier(7, p_black=20, p_white=20)
+
+
+def hashed_below_depth_3(box: Box2) -> int:
+    """Undecided above depth 3, pseudo-random (20% Black, 20% White) below."""
+    return 0 if box.x.width > 0.125 else _HASHED(box)
+
+
 def test_refine_call_accounting():
-    m5 = build(UNIT, 5, half_plane)
-    m8 = refine(m5, 8, half_plane)
-    fresh = build(UNIT, 8, half_plane)
-    assert serialize(m8) == serialize(fresh)
-    # the refined counter is cumulative over the whole chain and, for a
-    # deterministic classifier, totals exactly the fresh-build count: every
-    # box is classified once either way. The saving is that the refinement
-    # step itself re-tests nothing that was already decided:
-    new_calls = m8.stats.calls - m5.stats.calls
-    assert 0 < new_calls < fresh.stats.calls
-    assert m8.stats.calls == fresh.stats.calls
+    for classify in (half_plane, hashed_below_depth_3):
+        m5 = build(UNIT, 5, classify)
+        m8 = refine(m5, 8, classify)
+        fresh = build(UNIT, 8, classify)
+        assert serialize(m8) == serialize(fresh)
+        # the refined counter is cumulative over the whole chain and, for a
+        # deterministic classifier, totals exactly the fresh-build count:
+        # every box is classified once either way. The saving is that the
+        # refinement step itself re-tests nothing that was already decided:
+        new_calls = m8.stats.calls - m5.stats.calls
+        assert 0 < new_calls < fresh.stats.calls
+        assert m8.stats.calls == fresh.stats.calls
 
 
 def test_refine_all_black_tree_is_free():
@@ -276,6 +277,10 @@ def test_deserialize_errors():
         deserialize("QT1 1 0.0 1.0 0.0 1.0\nBW\n")  # trailing characters
     with pytest.raises(ParseError):
         deserialize("QT1 1 0.0 1.0 0.0 1.0\nX\n")  # unknown letter
+    # a side of zero or overflowing width: leaves without area
+    for bounds in ("0.0 0.0 0.0 1.0", "0.0 1.0 2.0 2.0", "-1e308 1e308 0.0 1.0"):
+        with pytest.raises(ParseError, match="positive finite width"):
+            deserialize(f"QT1 3 {bounds}\nGBBWB\n")
     err = None
     try:
         deserialize("QT1 1 0.0 1.0 0.0 1.0\nGBWXB\n")
