@@ -28,20 +28,20 @@ import numpy as np
 
 from .interval import Box2
 from .mechanism import (
+    JOINTSPACE,
+    WORKSPACE,
     AssemblyMode,
+    BoxClassifier,
     FiveBarGeometry,
     Ternary,
     WorkingMode,
     default_jointspace_box,
     default_workspace_box,
     ikp_box,
-    joint_verdict,
-    workspace_verdict,
 )
 from .quadtree import (
     BLACK,
     CODE_BLACK,
-    Classifier,
     QuadtreeModel,
     RegionLabeling,
     UnionFind,
@@ -81,24 +81,24 @@ def all_mode_combos() -> list[ModeCombo]:
     ]
 
 
-def jointspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> Classifier:
+def jointspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> BoxClassifier:
     """Box classifier for the serial aspect of a mode combo.
 
     A joint-space box is valid when the DKP branch for the assembly mode is
     certified nonsingular and the elbow cross products at that branch carry
     the combo's working-mode signs over the whole box.
     """
-    return lambda box: joint_verdict(box, g, combo.am, combo.wm)
+    return BoxClassifier(JOINTSPACE, g, combo.wm, combo.am)
 
 
-def workspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> Classifier:
+def workspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> BoxClassifier:
     """Box classifier for the parallel aspect of a mode combo.
 
     A workspace box is valid when the working mode's IKP solution is
     certified over the whole box and its det(A) cross product carries the
     combo's assembly-mode sign.
     """
-    return lambda box: workspace_verdict(box, g, combo.wm, combo.am)
+    return BoxClassifier(WORKSPACE, g, combo.wm, combo.am)
 
 
 def wrap_angle(t: float) -> float:

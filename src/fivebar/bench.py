@@ -14,19 +14,18 @@ from typing import Sequence
 
 from .interval import Box2
 from .mechanism import (
+    JOINTSPACE,
+    WORKSPACE,
+    BoxClassifier,
     FiveBarGeometry,
     default_jointspace_box,
     default_workspace_box,
-    joint_verdict,
     point_classify_joint,
     point_classify_workspace,
-    workspace_verdict,
     VALID,
 )
-from .quadtree import Classifier, build
+from .quadtree import build
 
-JOINTSPACE = "jointspace"
-WORKSPACE = "workspace"
 SPACES = (JOINTSPACE, WORKSPACE)
 
 
@@ -54,13 +53,9 @@ def space_box(g: FiveBarGeometry, space: str) -> Box2:
     raise ValueError(f"unknown space {space!r}")
 
 
-def space_classifier(g: FiveBarGeometry, space: str) -> Classifier:
+def space_classifier(g: FiveBarGeometry, space: str) -> BoxClassifier:
     """The mode-free classifier: plain assemblability / reachability."""
-    if space == JOINTSPACE:
-        return lambda box: joint_verdict(box, g)
-    if space == WORKSPACE:
-        return lambda box: workspace_verdict(box, g)
-    raise ValueError(f"unknown space {space!r}")
+    return BoxClassifier(space, g)
 
 
 def run_bench(

@@ -116,14 +116,13 @@ def _parse_modes(args, parser) -> tuple[Optional[mech.WorkingMode], Optional[mec
     return wm, am
 
 
-def _space_classifier(space, g, wm, am, parser) -> qt.Classifier:
+def _space_classifier(space, g, wm, am, parser) -> mech.BoxClassifier:
     if space == bench_mod.JOINTSPACE:
         if wm is not None and am is None:
             parser.error("--working-mode in the joint space also needs --assembly-mode")
-        return lambda box: mech.joint_verdict(box, g, am, wm)
-    if am is not None and wm is None:
+    elif am is not None and wm is None:
         parser.error("--assembly-mode in the workspace also needs --working-mode")
-    return lambda box: mech.workspace_verdict(box, g, wm, am)
+    return mech.BoxClassifier(space, g, wm, am)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -147,6 +146,13 @@ def _cmd_space(args, parser, space: str) -> int:
             parser.error(
                 f"--refine-from box {_box_text(model.root_box)} differs from "
                 f"the {space} box {_box_text(box)}"
+            )
+        # a tree of another mechanism or mode setting would keep its leaves
+        mismatched = qt.mismatched_leaves(model, classify)
+        if mismatched:
+            parser.error(
+                f"--refine-from tree does not match this {space} classifier: "
+                f"{mismatched} of {model.stats.nodes - model.stats.gray} leaves differ"
             )
         model = qt.refine(model, depth, classify)
     else:

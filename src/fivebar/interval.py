@@ -5,6 +5,14 @@ every computed bound is widened outward by two ulps (``math.nextafter``),
 which keeps results sound (the interval always encloses the exact range)
 at the cost of a little tightness. That trade is fine here: the quadtree
 builder subdivides anything it cannot certify.
+
+Two forms share these rules. `Interval` and its functions work on one
+interval; the quadtree classifiers use the array forms (``vadd``, ``vmul``,
+...), which work on an interval array: a pair ``(lo, hi)`` of float64
+arrays, one interval per row. Each array function repeats its scalar
+twin's float operations in the same order, so every row is bit for bit
+the scalar result. The endpoint values of sin, cos and hypot come from
+`math` mapped over the rows, because numpy's own may round differently.
 """
 
 from __future__ import annotations
@@ -12,7 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 HALF_PI = math.pi / 2
+# outward slack of the quarter-period test of sin and cos, so that a
+# borderline extremum is included rather than missed
+TRIG_SLACK = 1e-9
 
 
 class DomainError(ValueError):
@@ -164,11 +177,9 @@ def sqrt(a: Interval) -> Interval:
 
 
 def _trig_quarters(a: Interval) -> tuple[int, int]:
-    # integers k such that k*pi/2 might lie in a, with outward slack so a
-    # borderline extremum is included rather than missed
-    slack = 1e-9
-    k0 = math.ceil(a.lo / HALF_PI - slack)
-    k1 = math.floor(a.hi / HALF_PI + slack)
+    # integers k such that k*pi/2 might lie in a, widened by TRIG_SLACK
+    k0 = math.ceil(a.lo / HALF_PI - TRIG_SLACK)
+    k1 = math.floor(a.hi / HALF_PI + TRIG_SLACK)
     return k0, k1
 
 
@@ -268,6 +279,128 @@ def norm2(dx: Interval, dy: Interval) -> Interval:
 def cross_z(ux: Interval, uy: Interval, vx: Interval, vy: Interval) -> Interval:
     """Enclosure of the z component of the planar cross product u x v."""
     return sub(mul(ux, vy), mul(uy, vx))
+
+
+# --------------------------------------------------------------------------
+# Interval arrays: (lo, hi) pairs of float64 arrays
+# --------------------------------------------------------------------------
+
+IArray = tuple[np.ndarray, np.ndarray]
+
+
+def _vdown(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+
+
+def _vup(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, np.inf), np.inf)
+
+
+def _vmap(f, *xs: np.ndarray) -> np.ndarray:
+    # a scalar math function over the rows, for results numpy may round otherwise
+    return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=np.float64)
+
+
+def vadd(a: IArray, b: IArray) -> IArray:
+    return _vdown(a[0] + b[0]), _vup(a[1] + b[1])
+
+
+def vsub(a: IArray, b: IArray) -> IArray:
+    return _vdown(a[0] - b[1]), _vup(a[1] - b[0])
+
+
+def vshift(a: IArray, k: float) -> IArray:
+    return _vdown(a[0] + k), _vup(a[1] + k)
+
+
+def vscale(a: IArray, k: float) -> IArray:
+    if k >= 0.0:
+        return _vdown(a[0] * k), _vup(a[1] * k)
+    return _vdown(a[1] * k), _vup(a[0] * k)
+
+
+def vneg(a: IArray) -> IArray:
+    return -a[1], -a[0]
+
+
+def _corners(p1, p2, p3, p4) -> IArray:
+    # np.minimum/np.maximum may pick the other zero of a tie -0.0 == 0.0,
+    # which the widening maps to the same bound
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return _vdown(lo), _vup(hi)
+
+
+def vmul(a: IArray, b: IArray) -> IArray:
+    return _corners(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
+def vdiv(a: IArray, b: IArray) -> IArray:
+    if np.any((b[0] <= 0.0) & (0.0 <= b[1])):
+        raise DomainError("division by an interval containing zero")
+    return _corners(a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+
+
+def vsqr(a: IArray) -> IArray:
+    lo2 = a[0] * a[0]
+    hi2 = a[1] * a[1]
+    straddle = (a[0] <= 0.0) & (0.0 <= a[1])
+    lo = np.where(straddle, 0.0, np.maximum(0.0, _vdown(np.minimum(lo2, hi2))))
+    return lo, _vup(np.maximum(lo2, hi2))
+
+
+def vsqrt(a: IArray) -> IArray:
+    if np.any(a[1] < 0.0):
+        raise DomainError("sqrt of a negative interval")
+    pos = a[0] > 0.0
+    lo = np.where(pos, np.maximum(0.0, _vdown(np.sqrt(np.where(pos, a[0], 0.0)))), 0.0)
+    return lo, _vup(np.sqrt(a[1]))
+
+
+def _vtrig(a: IArray, e_lo: np.ndarray, e_hi: np.ndarray, k_max: int, k_min: int) -> IArray:
+    """Bounds of sin (k_max, k_min = 1, 3) or cos (0, 2) from the endpoint
+    values: an extremum at k*pi/2 counts when some k with k % 4 == k_max
+    (k_min) lies in the range of `_trig_quarters`."""
+    k0 = np.ceil(a[0] / HALF_PI - TRIG_SLACK)
+    k1 = np.floor(a[1] / HALF_PI + TRIG_SLACK)
+    # the first k >= k0 of a residue is k0 + (r - k0 % 4) % 4; both mods are
+    # exact in floats, and so is comparing that offset (0..3) with k1 - k0
+    r0 = np.mod(k0, 4.0)
+    span = k1 - k0
+    full = a[1] - a[0] >= math.tau
+    at_max = full | (np.mod(k_max - r0, 4.0) <= span)
+    at_min = full | (np.mod(k_min - r0, 4.0) <= span)
+    lo = np.where(at_min, -1.0, np.maximum(-1.0, _vdown(np.minimum(e_lo, e_hi))))
+    hi = np.where(at_max, 1.0, np.minimum(1.0, _vup(np.maximum(e_lo, e_hi))))
+    return lo, hi
+
+
+def vsin(a: IArray) -> IArray:
+    return _vtrig(a, _vmap(math.sin, a[0]), _vmap(math.sin, a[1]), 1, 3)
+
+
+def vcos(a: IArray) -> IArray:
+    return _vtrig(a, _vmap(math.cos, a[0]), _vmap(math.cos, a[1]), 0, 2)
+
+
+def vnorm2(dx: IArray, dy: IArray) -> IArray:
+    """Rows of `norm2`: enclosures of sqrt(dx^2 + dy^2)."""
+    mig = [
+        np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        for lo, hi in (dx, dy)
+    ]
+    mag = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in (dx, dy)]
+    lo = np.where(
+        (mig[0] == 0.0) & (mig[1] == 0.0),
+        0.0,
+        np.maximum(0.0, _vdown(_vmap(math.hypot, *mig))),
+    )
+    return lo, _vup(_vmap(math.hypot, *mag))
+
+
+def vsign(a: IArray) -> np.ndarray:
+    """Rows of `Interval.sign`: +1 / -1 where 0 is strictly excluded, else 0."""
+    return np.where(a[0] > 0.0, 1, np.where(a[1] < 0.0, -1, 0))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,18 @@ invalid, or indeterminate, including certification of the assembly mode
 (sign of det A, via the cross product (B1-P) x (B2-P)) and the working
 mode (signs of the elbow cross products u_z, v_z).
 
-There are two kinds of box routine. The verdict functions `joint_verdict`
-and `workspace_verdict` return only the sign (+1 / -1 / 0) and compute
-only the enclosures it reads; every quadtree classifier goes through them.
-The full solvers `dkp_box` and `ikp_box` return every solution enclosure;
-they serve witness points and inspection. Both kinds share their formulas,
-so they agree on every box.
+There are two kinds of box routine. The batch verdicts `joint_verdicts`
+and `workspace_verdicts` are the classification kernel: they classify a
+whole array of boxes at once with the interval arrays of `interval`, and
+return only the verdict (+1 / -1 / 0) of each, computing only the
+enclosures it reads. Each early return of a box-by-box verdict is a mask
+over the rows still undecided, so every row gets the verdict its box
+would get alone. Every quadtree classifier is a `BoxClassifier`, which
+calls them. The full solvers `dkp_box` and `ikp_box` work on one box of
+`Interval` objects and return every solution enclosure; they serve
+witness points and inspection, and the tests hold the verdicts against
+them box by box. Both kinds use the same formulas with the same float
+operations, so they agree on every box.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import interval as iv
 from .interval import Box2, Interval
@@ -221,7 +229,7 @@ def _unit_sine(c: Interval) -> Interval:
 
 
 def _dkp_triangle(box: Box2, g: FiveBarGeometry):
-    """Front half of the DKP, shared by `dkp_box` and `joint_verdict`.
+    """Front half of the DKP (`dkp_box`; `joint_verdicts` repeats it on arrays).
 
     Encloses the base-angle cosines/sines, the elbows B1, B2, the gap
     B2 - B1 = (dx, dy), its length |B1B2| and cos(alpha), the angle at B1 of
@@ -303,8 +311,8 @@ def dkp_box(
     """Solve the direct kinematic problem over a box of joint angles.
 
     The full solver: both branches with P, det(A), u_z and v_z, for witness
-    points and for inspection. Quadtree builds use `joint_verdict`, which
-    returns the same verdict without the enclosures it does not read.
+    points and for inspection. Quadtree builds use `joint_verdicts`, which
+    return the same verdict without the enclosures it does not read.
 
     Without a mode the test is assemblability alone (the plain joint space).
     With a mode, validity additionally requires a solution branch whose
@@ -348,60 +356,13 @@ def dkp_box(
     return DkpResult(Ternary.INDETERMINATE, solutions, b1, b2)
 
 
-def joint_verdict(
-    box: Box2,
-    g: FiveBarGeometry,
-    am: Optional[AssemblyMode] = None,
-    wm: Optional[WorkingMode] = None,
-) -> int:
-    """Sign-only classification of a joint-space box: +1 / -1 / 0.
-
-    Mode-free: assemblable and never stretched or folded. With ``am``: the
-    branch of that assembly mode is certified nonsingular. With ``am`` and
-    ``wm``: in addition u_z and v_z of that branch carry the working-mode
-    signs (-1 when one of them certainly carries the other sign).
-
-    The verdict equals the status of `dkp_box` (plus that sign test), from
-    the same enclosures, but computes only those it reads: it stops after
-    cos(alpha) when mode-free, after sin(alpha) with ``am`` alone, and with
-    a full combo solves the one branch ``am``, without P.
-    """
-    if wm is not None and am is None:
-        raise ValueError("a working mode in the joint space needs an assembly mode")
-    status, trig, _, _, _, _, dist, cos_alpha = _dkp_triangle(box, g)
-    if status is not None:
-        return int(status)
-    if cos_alpha.lo <= -1.0 or cos_alpha.hi >= 1.0:
-        return 0  # stretched/folded configuration within the box
-    if am is None:
-        return 1
-    # cos(alpha) lies strictly inside (-1, 1) here: clipping is the identity
-    sin_alpha = _unit_sine(cos_alpha)
-    if sin_alpha.lo <= 0.0:
-        return 0
-    if wm is None:
-        return 1
-    branch = int(am)
-    if iv.scale(iv.mul(dist, sin_alpha), branch * g.L3).sign() != branch:
-        return 0
-    ((u_z, v_z),) = _dkp_elbow_crosses(
-        box, trig, g, dist, cos_alpha, sin_alpha, (branch,)
-    )
-    su, sv = u_z.sign(), v_z.sign()
-    if su == wm.s1 and sv == wm.s2:
-        return 1
-    if (su != 0 and su != wm.s1) or (sv != 0 and sv != wm.s2):
-        return -1
-    return 0
-
-
 # --------------------------------------------------------------------------
 # Inverse kinematics over workspace boxes
 # --------------------------------------------------------------------------
 
 
 def _ikp_legs(box: Box2, g: FiveBarGeometry):
-    """Front half of the IKP, shared by `ikp_box` and `workspace_verdict`.
+    """Front half of the IKP (`ikp_box`; `workspace_verdicts` repeats it on arrays).
 
     Encloses the leg distances M1 = |A1P|, M2 = |A2P| and the cosines c1, c2
     of the angles at A1 and A2 between the base-to-P line and the proximal
@@ -483,7 +444,7 @@ def ikp_box(
 
     The full solver: all four solutions with joint angles, elbows, u_z, v_z
     and det(A), for witness points and for inspection. Quadtree builds use
-    `workspace_verdict`, which returns the same verdict without the
+    `workspace_verdicts`, which return the same verdict without the
     enclosures it does not read.
 
     Validity requires strict containment of both leg distances in their
@@ -547,53 +508,278 @@ def ikp_box(
     return IkpResult(Ternary.INDETERMINATE, solutions)
 
 
-def workspace_verdict(
-    box: Box2,
+# --------------------------------------------------------------------------
+# Batch verdicts: the quadtree classification kernel
+# --------------------------------------------------------------------------
+
+
+class _Batch:
+    """The verdicts of a batch of boxes, settled stage by stage.
+
+    Every early return of a box-by-box verdict becomes one case of
+    `settle`: the rows still open where the case holds get its verdict and
+    leave the batch. Later stages compute only on the open rows; `rows`
+    maps them to their place in the batch.
+    """
+
+    def __init__(self, n: int):
+        self.verdict = np.zeros(n, dtype=np.int8)
+        self.rows = np.arange(n)
+
+    def settle(self, *cases: tuple[np.ndarray, int]) -> np.ndarray:
+        """Apply the cases in order (the first that holds wins); returns the
+        mask of the rows that stay open, to compress the stage's arrays."""
+        done = np.zeros(len(self.rows), dtype=bool)
+        for hit, v in cases:
+            hit = hit & ~done
+            self.verdict[self.rows[hit]] = v
+            done |= hit
+        keep = ~done
+        self.rows = self.rows[keep]
+        return keep
+
+    def finish(self, v: int) -> np.ndarray:
+        self.verdict[self.rows] = v
+        return self.verdict
+
+
+def _take(rows: np.ndarray, *arrays: iv.IArray) -> list[iv.IArray]:
+    """The ``rows`` (a mask or indices) of each interval array."""
+    return [(lo[rows], hi[rows]) for lo, hi in arrays]
+
+
+def _vclip_unit(a: iv.IArray) -> iv.IArray:
+    return np.maximum(a[0], -1.0), np.minimum(a[1], 1.0)
+
+
+def _vunit_sine(c: iv.IArray) -> iv.IArray:
+    return iv.vsqrt(iv.vshift(iv.vneg(iv.vsqr(c)), 1.0))
+
+
+def joint_verdicts(
+    x_lo: np.ndarray,
+    x_hi: np.ndarray,
+    y_lo: np.ndarray,
+    y_hi: np.ndarray,
+    g: FiveBarGeometry,
+    am: Optional[AssemblyMode] = None,
+    wm: Optional[WorkingMode] = None,
+) -> np.ndarray:
+    """Verdicts (+1 / -1 / 0, int8) of the joint-space boxes
+    [x_lo, x_hi] x [y_lo, y_hi] of base angles (theta1, theta2).
+
+    Mode-free: assemblable and never stretched or folded. With ``am``: the
+    branch of that assembly mode is certified nonsingular. With ``am`` and
+    ``wm``: in addition u_z and v_z of that branch carry the working-mode
+    signs (-1 when one of them certainly carries the other sign).
+
+    Each row is the status of `dkp_box` on its box (plus that sign test),
+    from the same formulas, but only the enclosures the verdict reads are
+    computed: nothing past cos(alpha) mode-free, past sin(alpha) with
+    ``am`` alone, and with a full combo the one branch ``am``, without P.
+    """
+    if wm is not None and am is None:
+        raise ValueError("a working mode in the joint space needs an assembly mode")
+    b = _Batch(len(x_lo))
+    t1, t2 = (x_lo, x_hi), (y_lo, y_hi)
+    c1t, s1t, c2t, s2t = iv.vcos(t1), iv.vsin(t1), iv.vcos(t2), iv.vsin(t2)
+    # the gap B2 - B1 between the elbows
+    dx = iv.vsub(iv.vshift(iv.vscale(c2t, g.L2), g.L0), iv.vscale(c1t, g.L1))
+    dy = iv.vsub(iv.vscale(s2t, g.L2), iv.vscale(s1t, g.L1))
+    dist = iv.vnorm2(dx, dy)
+    keep = b.settle(
+        ((dist[0] > g.L3 + g.L4) | (dist[1] < abs(g.L3 - g.L4)), -1),
+        # possible B1 = B2 coincidence: P would rotate freely around B1
+        (dist[0] <= 0.0, 0),
+    )
+    (dist,) = _take(keep, dist)
+    # cos(alpha), the angle at B1 of the triangle (B1, B2, P)
+    num = iv.vshift(iv.vsqr(dist), g.L3 * g.L3 - g.L4 * g.L4)
+    cos_a = iv.vdiv(num, iv.vscale(dist, 2.0 * g.L3))
+    keep = b.settle(
+        ((cos_a[0] > 1.0) | (cos_a[1] < -1.0), -1),
+        # a stretched/folded configuration within the box
+        ((cos_a[0] <= -1.0) | (cos_a[1] >= 1.0), 0),
+    )
+    if am is None:
+        return b.finish(1)
+    # cos(alpha) lies strictly inside (-1, 1) here: clipping is the identity
+    dist, cos_a = _take(keep, dist, cos_a)
+    sin_a = _vunit_sine(cos_a)
+    keep = b.settle((sin_a[0] <= 0.0, 0))
+    if wm is None:
+        return b.finish(1)
+    branch = int(am)
+    dist, cos_a, sin_a = _take(keep, dist, cos_a, sin_a)
+    det_a = iv.vscale(iv.vmul(dist, sin_a), branch * g.L3)
+    keep = b.settle((iv.vsign(det_a) != branch, 0))
+    dist, cos_a, sin_a = _take(keep, dist, cos_a, sin_a)
+    u_z, v_z = _vdkp_elbow_crosses(
+        *_take(b.rows, t1, t2, c1t, s1t, c2t, s2t), g, dist, cos_a, sin_a, branch
+    )
+    su, sv = iv.vsign(u_z), iv.vsign(v_z)
+    b.settle(
+        ((su == wm.s1) & (sv == wm.s2), 1),
+        (((su != 0) & (su != wm.s1)) | ((sv != 0) & (sv != wm.s2)), -1),
+    )
+    return b.verdict
+
+
+def _vdkp_elbow_crosses(t1, t2, c1t, s1t, c2t, s2t, g, dist, c, sin_a, branch):
+    """Rows of `_dkp_elbow_crosses` for one branch: (u_z, v_z)."""
+    num2 = iv.vshift(iv.vsqr(dist), g.L4 * g.L4 - g.L3 * g.L3)
+    c_prime = _vclip_unit(iv.vdiv(num2, iv.vscale(dist, 2.0 * g.L4)))
+    s_prime = iv.vscale(sin_a, g.L3 / g.L4)
+    t21 = iv.vsub(t2, t1)
+    s21, c21 = iv.vsin(t21), iv.vcos(t21)
+    g1 = iv.vsub(iv.vscale(s21, g.L2), iv.vscale(s1t, g.L0))
+    h1 = iv.vshift(iv.vadd(iv.vscale(c1t, g.L0), iv.vscale(c21, g.L2)), -g.L1)
+    g2 = iv.vsub(iv.vscale(s21, g.L1), iv.vscale(s2t, g.L0))
+    h2 = iv.vshift(iv.vsub(iv.vscale(c2t, g.L0), iv.vscale(c21, g.L1)), g.L2)
+    u_num = iv.vadd(iv.vmul(g1, c), iv.vscale(iv.vmul(h1, sin_a), branch))
+    v_num = iv.vadd(
+        iv.vneg(iv.vmul(g2, c_prime)), iv.vscale(iv.vmul(h2, s_prime), branch)
+    )
+    u_z = iv.vscale(iv.vdiv(u_num, dist), g.L1 * g.L3)
+    v_z = iv.vscale(iv.vdiv(v_num, dist), g.L2 * g.L4)
+    return u_z, v_z
+
+
+def workspace_verdicts(
+    x_lo: np.ndarray,
+    x_hi: np.ndarray,
+    y_lo: np.ndarray,
+    y_hi: np.ndarray,
     g: FiveBarGeometry,
     wm: Optional[WorkingMode] = None,
     am: Optional[AssemblyMode] = None,
-) -> int:
-    """Sign-only classification of a workspace box: +1 / -1 / 0.
+) -> np.ndarray:
+    """Verdicts (+1 / -1 / 0, int8) of the workspace boxes
+    [x_lo, x_hi] x [y_lo, y_hi] of end-point positions.
 
     Mode-free: strictly reachable by both legs. With ``wm``: in addition the
     working-mode signs are certified. With ``wm`` and ``am``: in addition
     det(A) of the solution of working mode ``wm`` carries the assembly-mode
     sign (-1 when it certainly carries the other sign).
 
-    The verdict equals the status of `ikp_box` (plus that sign test), from
-    the same enclosures, but computes only those it reads: it stops after
-    c1, c2 when mode-free, after the sines with ``wm`` alone, and with a full
-    combo evaluates u_z, v_z and the one det(A) of elbow branches
-    (-wm.s1, -wm.s2), without angles or elbows.
+    Each row is the status of `ikp_box` on its box (plus that sign test),
+    from the same formulas, but only the enclosures the verdict reads are
+    computed: nothing past c1, c2 mode-free, past the sines with ``wm``
+    alone, and with a full combo u_z, v_z and the one det(A) of elbow
+    branches (-wm.s1, -wm.s2), without angles or elbows.
     """
     if am is not None and wm is None:
         raise ValueError("an assembly mode in the workspace needs a working mode")
-    status, m1, m2, c1, c2 = _ikp_legs(box, g)
-    if status is not None:
-        return int(status)
-    if c1.lo < -1.0 or c1.hi > 1.0 or c2.lo < -1.0 or c2.hi > 1.0:
-        return 0
+    b = _Batch(len(x_lo))
+    px, py = (x_lo, x_hi), (y_lo, y_hi)
+    m1 = iv.vnorm2(px, py)
+    m2 = iv.vnorm2(iv.vshift(px, -g.L0), py)
+    r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
+    r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
+    # r_in >= 0, so strictness also keeps A1 and A2 out of the box
+    strict = (m1[0] > r1_in) & (m2[0] > r2_in) & (m1[1] < r1_out) & (m2[1] < r2_out)
+    keep = b.settle(
+        ((m1[0] > r1_out) | (m2[0] > r2_out), -1),
+        ((m1[1] < r1_in) | (m2[1] < r2_in), -1),
+        (~strict, 0),
+    )
+    m1, m2 = _take(keep, m1, m2)
+    c1 = iv.vdiv(
+        iv.vshift(iv.vsqr(m1), g.L1 * g.L1 - g.L3 * g.L3), iv.vscale(m1, 2.0 * g.L1)
+    )
+    c2 = iv.vdiv(
+        iv.vshift(iv.vsqr(m2), g.L2 * g.L2 - g.L4 * g.L4), iv.vscale(m2, 2.0 * g.L2)
+    )
+    keep = b.settle(
+        ((c1[0] > 1.0) | (c1[1] < -1.0) | (c2[0] > 1.0) | (c2[1] < -1.0), -1),
+        ((c1[0] < -1.0) | (c1[1] > 1.0) | (c2[0] < -1.0) | (c2[1] > 1.0), 0),
+    )
     if wm is None:
-        return 1
+        return b.finish(1)
     # c1 and c2 lie within [-1, 1] here: clipping is the identity
-    s1, s2 = _unit_sine(c1), _unit_sine(c2)
-    if s1.lo <= 0.0 or s2.lo <= 0.0:
-        return 0
+    m1, m2, c1, c2 = _take(keep, m1, m2, c1, c2)
+    s1, s2 = _vunit_sine(c1), _vunit_sine(c2)
+    keep = b.settle(((s1[0] <= 0.0) | (s2[0] <= 0.0), 0))
     if am is None:
-        return 1
+        return b.finish(1)
+    m1, m2, s1, s2 = _take(keep, m1, m2, s1, s2)
     # u_z = -i L1 |A1P| sin(beta1), v_z = -j L2 |A2P| sin(beta2)
     i, j = -wm.s1, -wm.s2
-    if (
-        iv.scale(iv.mul(m1, s1), -i * g.L1).sign() != wm.s1
-        or iv.scale(iv.mul(m2, s2), -j * g.L2).sign() != wm.s2
-    ):
-        return 0
-    s = _ikp_det_a(box, g, m1, m2, s1, s2)(i, j).sign()
-    if s == int(am):
-        return 1
-    if s != 0:
-        return -1
-    return 0
+    keep = b.settle((
+        (iv.vsign(iv.vscale(iv.vmul(m1, s1), -i * g.L1)) != wm.s1)
+        | (iv.vsign(iv.vscale(iv.vmul(m2, s2), -j * g.L2)) != wm.s2),
+        0,
+    ))
+    m1, m2, s1, s2 = _take(keep, m1, m2, s1, s2)
+    px, py = _take(b.rows, px, py)
+    s = iv.vsign(_vikp_det_a(px, py, g, m1, m2, s1, s2, i, j))
+    b.settle((s == int(am), 1), (s != 0, -1))
+    return b.verdict
+
+
+def _vikp_det_a(px, py, g, m1, m2, s1, s2, i, j):
+    """Rows of `_ikp_det_a` at elbow branches (i, j)."""
+    cd1 = _vclip_unit(iv.vdiv(
+        iv.vshift(iv.vsqr(m1), g.L3 * g.L3 - g.L1 * g.L1), iv.vscale(m1, 2.0 * g.L3)
+    ))
+    cd2 = _vclip_unit(iv.vdiv(
+        iv.vshift(iv.vsqr(m2), g.L4 * g.L4 - g.L2 * g.L2), iv.vscale(m2, 2.0 * g.L4)
+    ))
+    sd1 = iv.vscale(s1, g.L1 / g.L3)
+    sd2 = iv.vscale(s2, g.L2 / g.L4)
+    s_quad = iv.vadd(
+        iv.vshift(iv.vsqr(iv.vshift(px, -g.L0 / 2)), -g.L0 * g.L0 / 4), iv.vsqr(py)
+    )
+    cc = iv.vmul(cd1, cd2)
+    ss = iv.vmul(sd1, sd2)
+    cs = iv.vmul(cd2, sd1)
+    sc = iv.vmul(cd1, sd2)
+    n = iv.vadd(
+        iv.vscale(iv.vmul(py, iv.vadd(cc, iv.vscale(ss, i * j))), g.L0),
+        iv.vmul(s_quad, iv.vsub(iv.vscale(cs, i), iv.vscale(sc, j))),
+    )
+    return iv.vscale(iv.vdiv(n, iv.vmul(m1, m2)), g.L3 * g.L4)
+
+
+JOINTSPACE = "jointspace"
+WORKSPACE = "workspace"
+
+
+@dataclass(frozen=True)
+class BoxClassifier:
+    """The quadtree classifier of one space and mode setting.
+
+    ``batch(x_lo, x_hi, y_lo, y_hi)`` returns the verdicts of many boxes
+    at once, and calling it with a `Box2` classifies one box (a batch of
+    one). A working mode needs an assembly mode in the joint space, and an
+    assembly mode needs a working mode in the workspace (ValueError).
+    """
+
+    space: str
+    g: FiveBarGeometry
+    wm: Optional[WorkingMode] = None
+    am: Optional[AssemblyMode] = None
+
+    def __post_init__(self):
+        if self.space == JOINTSPACE:
+            if self.wm is not None and self.am is None:
+                raise ValueError("a working mode in the joint space needs an assembly mode")
+        elif self.space == WORKSPACE:
+            if self.am is not None and self.wm is None:
+                raise ValueError("an assembly mode in the workspace needs a working mode")
+        else:
+            raise ValueError(f"unknown space {self.space!r}")
+
+    def batch(
+        self, x_lo: np.ndarray, x_hi: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
+    ) -> np.ndarray:
+        if self.space == JOINTSPACE:
+            return joint_verdicts(x_lo, x_hi, y_lo, y_hi, self.g, self.am, self.wm)
+        return workspace_verdicts(x_lo, x_hi, y_lo, y_hi, self.g, self.wm, self.am)
+
+    def __call__(self, box: Box2) -> int:
+        bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+        return int(self.batch(*(np.array([v]) for v in bounds))[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,21 @@
 """Quadtree region model built by a box classifier.
 
 A classifier maps a box to +1 (every point valid), -1 (no point valid) or
-0 (undecided). The builder recursively subdivides undecided boxes up to a
-maximal depth; leaves are Black (valid), White (invalid) or Undetermined
-(still undecided at maximal depth). Refining a model to a higher depth
-is the same recursion started from its Undetermined leaves, which are
-known to be undecided, so no decided box is ever retested. The
-complementary tree (Black/White swapped) records the certified-invalid
-space.
+0 (undecided). The builder subdivides undecided boxes up to a maximal
+depth; leaves are Black (valid), White (invalid) or Undetermined (still
+undecided at maximal depth). The complementary tree (Black/White swapped)
+records the certified-invalid space.
+
+The build is level-synchronous. The frontier of boxes to test at one
+depth is four float64 arrays; it is classified CHUNK boxes at a time
+through the classifier's ``batch`` method (a plain function is called
+once per box), and its undecided boxes split into the next frontier.
+The tree is assembled bottom-up from the verdicts of every level, with
+the same canonical merge as a depth-first recursion, so it is that
+recursion's tree with the same number of classifier calls. Refining a
+model to a higher depth starts the frontier at the children of its
+Undetermined leaves, which are known to be undecided, so no decided box
+is ever retested.
 
 Everything that reads a finished tree (labeling, seams, rendering,
 sampling, areas, pairing) reads its leaf table: one row per leaf, in
@@ -38,6 +46,8 @@ CODE_WHITE, CODE_BLACK, CODE_UNDET = 0, 1, 2
 # 2^d x 2^d grid by Morton keys of 2d bits, which must fit int64.
 MAX_DEPTH = 31
 
+# A box classifier. One with a method ``batch(x_lo, x_hi, y_lo, y_hi)``,
+# returning the verdicts of many boxes as one array, is called through it.
 Classifier = Callable[[Box2], int]
 
 
@@ -152,40 +162,82 @@ def _count_kinds(node: QuadNode, stats: TreeStats) -> None:
             _count_kinds(c, stats)
 
 
-# the absent old children of a box that was never tested
-_UNTESTED = (None, None, None, None)
+# boxes per classifier batch: bounds the kernel's temporary arrays
+CHUNK = 4096
+
+
+def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
+    """Verdicts of the boxes [x_lo, x_hi] x [y_lo, y_hi], CHUNK at a time
+    through ``classify.batch``; a plain function is called once per box."""
+    batch = getattr(classify, "batch", None)
+    if batch is None:
+        boxes = zip(x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist())
+        return np.array([classify(Box2.from_bounds(*b)) for b in boxes], dtype=np.int64)
+    return np.concatenate([
+        batch(x_lo[i:i + CHUNK], x_hi[i:i + CHUNK], y_lo[i:i + CHUNK], y_hi[i:i + CHUNK])
+        for i in range(0, len(x_lo), CHUNK)
+    ] or [np.zeros(0, dtype=np.int8)])
+
+
+def _split(x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
+    """The quadrants of each box, in `Box2.subdivide` order and with its
+    shared midpoints; the children of box i are rows 4i..4i+3."""
+    xm = x_lo + (x_hi - x_lo) / 2
+    ym = y_lo + (y_hi - y_lo) / 2
+    return tuple(
+        np.stack(cols, axis=1).ravel()
+        for cols in (
+            (x_lo, xm, x_lo, xm), (xm, x_hi, xm, x_hi),
+            (y_lo, y_lo, ym, ym), (ym, ym, y_hi, y_hi),
+        )
+    )
 
 
 def _grow(
-    old: Optional[QuadNode], box: Box2, depth: int, d_max: int, classify: Classifier
-) -> tuple[QuadNode, int]:
-    """Grow the subtree of ``box`` down to ``d_max``; returns it and its calls.
-
-    ``old`` is what an earlier tree knows of the box: None (never tested, so
-    classify it), a Black/White leaf (kept), an Undetermined leaf (known to
-    be undecided, so subdivided without a retest) or a Gray node (recursed).
-    """
-    if old is None:
-        r = classify(box)
-        if r > 0:
-            return BLACK_LEAF, 1
-        if r < 0:
-            return WHITE_LEAF, 1
+    x_lo, x_hi, y_lo, y_hi, depth: int, d_max: int, classify: Classifier
+) -> tuple[list[QuadNode], int]:
+    """Classify a frontier of boxes at ``depth`` and grow the undecided ones
+    level by level down to ``d_max``; returns the subtree of each box, in
+    order, and the number of classifier calls."""
+    levels = []
+    while len(x_lo):
+        v = _verdicts(classify, x_lo, x_hi, y_lo, y_hi)
+        levels.append(v)
         if depth == d_max:
-            return UNDET_LEAF, 1
-        calls, olds = 1, _UNTESTED
-    elif old.children is not None:
-        calls, olds = 0, old.children
-    elif old.kind == UNDETERMINED:
-        calls, olds = 0, _UNTESTED
-    else:
-        return old, 0
-    children = []
-    for child, child_box in zip(olds, box.subdivide()):
-        node, n = _grow(child, child_box, depth + 1, d_max, classify)
-        children.append(node)
-        calls += n
-    return _merge(tuple(children)), calls
+            break
+        open_ = v == 0
+        x_lo, x_hi, y_lo, y_hi = _split(x_lo[open_], x_hi[open_], y_lo[open_], y_hi[open_])
+        depth += 1
+    # bottom-up: an undecided box is the merge of its four children, or an
+    # Undetermined leaf on the deepest level, which has none
+    nodes: list[QuadNode] = []
+    for v in reversed(levels):
+        parents = iter(_merged(nodes))
+        nodes = [
+            BLACK_LEAF if r > 0 else WHITE_LEAF if r < 0 else next(parents, UNDET_LEAF)
+            for r in v.tolist()
+        ]
+    return nodes, sum(map(len, levels))
+
+
+def _merged(nodes: list[QuadNode]) -> list[QuadNode]:
+    """The parents of consecutive quadruples of ``nodes``."""
+    return [_merge(tuple(nodes[i:i + 4])) for i in range(0, len(nodes), 4)]
+
+
+def _regrow(x_lo, x_hi, y_lo, y_hi, depth: int, d_max: int, classify: Classifier):
+    """`_grow` for boxes at ``depth`` known to be undecided: their frontier
+    starts at their children. Returns the subtree of each box and the calls."""
+    nodes, calls = _grow(*_split(x_lo, x_hi, y_lo, y_hi), depth + 1, d_max, classify)
+    return _merged(nodes), calls
+
+
+def _substitute(node: QuadNode, subtrees) -> QuadNode:
+    """``node`` with its Undetermined leaves replaced, in preorder, by the
+    next of ``subtrees``, merged back into canonical form."""
+    if node.children is not None:
+        return _merge(tuple(_substitute(c, subtrees) for c in node.children))
+    return next(subtrees) if node.kind == UNDETERMINED else node
 
 
 def _model(box: Box2, d_max: int, root: QuadNode, calls: int) -> QuadtreeModel:
@@ -198,22 +250,55 @@ def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Build a quadtree model of the region accepted by ``classify``."""
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
-    root, calls = _grow(None, box, 0, d_max, classify)
+    bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+    (root,), calls = _grow(*(np.array([v]) for v in bounds), 0, d_max, classify)
     return _model(box, d_max, root, calls)
 
 
 def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Deepen a model, re-expanding only its Undetermined leaves.
 
-    For a deterministic classifier the result equals a fresh build at the
-    new depth, at a fraction of the classifier calls.
+    The frontier starts at the children of the Undetermined leaves, which
+    are known to be undecided, so no box is tested twice. For a
+    deterministic classifier the result equals a fresh build at the new
+    depth, at a fraction of the classifier calls.
     """
     if d_max <= m.max_depth:
         raise ValueError("refinement depth must exceed the model's depth")
     if d_max > MAX_DEPTH:
         raise ValueError(f"d_max must be <= {MAX_DEPTH}")
-    root, calls = _grow(m.root, m.root_box, 0, d_max, classify)
+    t = leaf_table(m)
+    u = t.kind == CODE_UNDET
+    subtrees, calls = _regrow(
+        t.x_lo[u], t.x_hi[u], t.y_lo[u], t.y_hi[u], m.max_depth, d_max, classify
+    )
+    root = _substitute(m.root, iter(subtrees))
     return _model(m.root_box, d_max, root, m.stats.calls + calls)
+
+
+def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
+    """Leaves of ``m`` that ``classify`` would not grow again.
+
+    Every leaf is classified in one batch: a Black leaf must get +1, a
+    White one -1 and an Undetermined one 0. A Black or White leaf above
+    maximal depth may also be the merge of four equal children of a box
+    the classifier leaves undecided; such a leaf is grown again to the
+    model's depth and must come back as the same leaf.
+    """
+    t = leaf_table(m)
+    v = _verdicts(classify, t.x_lo, t.x_hi, t.y_lo, t.y_hi)
+    want = np.select([t.kind == CODE_BLACK, t.kind == CODE_WHITE], [1, -1], 0)
+    bad = np.sign(v) != want
+    merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < m.max_depth)
+    for level in np.unique(t.level[merged]).tolist():
+        rows = np.flatnonzero(merged & (t.level == level))
+        subtrees, _ = _regrow(
+            t.x_lo[rows], t.x_hi[rows], t.y_lo[rows], t.y_hi[rows],
+            level, m.max_depth, classify,
+        )
+        kinds = [KIND_LETTER[k] for k in t.kind[rows].tolist()]
+        bad[rows] = [n is not _LEAF[k] for n, k in zip(subtrees, kinds)]
+    return int(bad.sum())
 
 
 # --------------------------------------------------------------------------

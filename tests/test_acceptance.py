@@ -269,15 +269,28 @@ def _random_interval(rng, lo=-10.0, hi=10.0) -> Interval:
     return Interval(float(a), float(b))
 
 
+def _rows(intervals) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([a.lo for a in intervals]), np.array([a.hi for a in intervals])
+
+
+def _same_rows(got, want) -> bool:
+    exp = _rows(want)
+    return all(
+        np.array_equal(g.view(np.int64), e.view(np.int64)) for g, e in zip(got, exp)
+    )
+
+
 def test_criterion_7_inclusion_isotonicity():
     rng = np.random.default_rng(71)
     n = 10_000
     violations = 0
+    drawn = []
     for _ in range(100):
         a = _random_interval(rng)
         b = _random_interval(rng)
         c = _random_interval(rng)
         d = _random_interval(rng)
+        drawn.append((a, b))
         xs = rng.uniform(a.lo, a.hi, n)
         ys = rng.uniform(b.lo, b.hi, n)
         us = rng.uniform(c.lo, c.hi, n)
@@ -306,3 +319,20 @@ def test_criterion_7_inclusion_isotonicity():
             violations += int((values < enclosure.lo).sum())
             violations += int((values > enclosure.hi).sum())
     assert violations == 0
+
+    # the interval arrays of the classification kernel give the same
+    # enclosures, bit for bit, so the isotonicity above covers them too
+    a_s, b_s = zip(*drawn)
+    a_arr, b_arr = _rows(a_s), _rows(b_s)
+    for vector, scalar in ((iv.vadd, iv.add), (iv.vsub, iv.sub), (iv.vmul, iv.mul),
+                           (iv.vnorm2, iv.norm2)):
+        assert _same_rows(vector(a_arr, b_arr), [scalar(x, y) for x, y in drawn])
+    for vector, scalar in ((iv.vsin, iv.sin), (iv.vcos, iv.cos), (iv.vsqr, iv.sqr)):
+        assert _same_rows(vector(a_arr), [scalar(x) for x in a_s])
+    divisible = [(x, y) for x, y in drawn if not y.contains_zero()]
+    x_s, y_s = zip(*divisible)
+    assert _same_rows(
+        iv.vdiv(_rows(x_s), _rows(y_s)), [iv.div(x, y) for x, y in divisible]
+    )
+    rooted = [x for x in a_s if x.hi >= 0.0]
+    assert _same_rows(iv.vsqrt(_rows(rooted)), [iv.sqrt(x) for x in rooted])

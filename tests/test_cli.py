@@ -1,12 +1,16 @@
 """Command-line interface: files written, exit codes, determinism."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fivebar import aspects as asp
 from fivebar import quadtree as qt
-from fivebar.bench import WORKSPACE, parse_table, space_box
+from fivebar.bench import WORKSPACE, parse_table, space_box, space_classifier
 from fivebar.cli import main
 from fivebar.interval import DomainError
 from fivebar.mechanism import M2, AssemblyMode, WorkingMode
@@ -202,6 +206,67 @@ def test_refine_from_other_space_is_usage_error(tmp_path, capsys):
     assert _usage_error(capsys).startswith(
         "fivebar: error: --refine-from box -4.6,4.6,-4.6,4.6 differs from the jointspace box "
     )
+
+
+def test_refine_from_other_mode_setting_is_usage_error(tmp_path, capsys):
+    # a mode-free tree refined by a combo classifier kept its mode-free
+    # Black leaves: a Black area of 13.92 against 2.94 for a fresh build
+    a = tmp_path / "a.qt"
+    b = tmp_path / "b.qt"
+    assert run(["jointspace", "--mechanism", "m1", "--depth", "5", "--out", str(a)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["--working-mode", "++", "--assembly-mode", "+"],
+        ["--mechanism", "m2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(["jointspace", "--mechanism", "m1", "--depth", "6", "--refine-from", str(a),
+                 "--out", str(b), *argv])
+        assert exc.value.code == 2
+        assert not b.exists()
+        assert re.fullmatch(
+            r"fivebar: error: --refine-from tree does not match this jointspace "
+            r"classifier: \d+ of \d+ leaves differ",
+            _usage_error(capsys),
+        )
+
+
+def test_refine_from_same_mode_setting_equals_fresh(tmp_path):
+    modes = ["--working-mode=-+", "--assembly-mode=-"]
+    shallow, refined, fresh = (tmp_path / n for n in ("d4.qt", "d6.qt", "f6.qt"))
+    run(["workspace", "--mechanism", "m1", "--depth", "4", *modes, "--out", str(shallow)])
+    assert run(
+        ["workspace", "--mechanism", "m1", "--depth", "6", *modes,
+         "--refine-from", str(shallow), "--out", str(refined)]
+    ) == 0
+    run(["workspace", "--mechanism", "m1", "--depth", "6", *modes, "--out", str(fresh)])
+    assert refined.read_bytes() == fresh.read_bytes()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(qt.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "fivebar", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: fivebar ")
+    out = tmp_path / "w.qt"
+    done = subprocess.run(
+        [sys.executable, "-m", "fivebar", "workspace", "--mechanism", "m2",
+         "--depth", "3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    expected = qt.build(space_box(M2, WORKSPACE), 3, space_classifier(M2, WORKSPACE))
+    assert out.read_text() == qt.serialize(expected)
+    done = subprocess.run(
+        [sys.executable, "-m", "fivebar", "workspace", "--depth", "0", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
 
 
 def test_refine_from_other_box_is_usage_error(tmp_path, capsys):

@@ -29,6 +29,7 @@ from fivebar.quadtree import (
     label_regions,
     leaf_table,
     locate,
+    mismatched_leaves,
     refine,
     sample_black_points,
     serialize,
@@ -168,6 +169,55 @@ def test_refine_equals_fresh_on_kinematic_classifier():
     chain = refine(build(box, 4, classify), 6, classify)
     fresh = build(box, 6, classify)
     assert serialize(chain) == serialize(fresh)
+
+
+def test_mismatched_leaves_zero_for_own_classifier_of_every_mode_setting():
+    from fivebar.aspects import all_mode_combos
+
+    for g in (mech.M1, mech.M2):
+        settings = [(bench.JOINTSPACE, None, None), (bench.WORKSPACE, None, None)]
+        settings += [(bench.JOINTSPACE, None, am) for am in mech.AssemblyMode]
+        settings += [
+            (space, c.wm, c.am)
+            for c in all_mode_combos()[::3]
+            for space in bench.SPACES
+        ]
+        for space, wm, am in settings:
+            classify = mech.BoxClassifier(space, g, wm, am)
+            m = build(bench.space_box(g, space), 6, classify)
+            assert mismatched_leaves(m, classify) == 0, (space, wm, am)
+
+
+def test_mismatched_leaves_regrows_merged_leaves():
+    # merged Black leaves: the classifier leaves their box undecided but
+    # certifies each of its four quadrants
+    g = mech.M1
+    classify = bench.space_classifier(g, bench.WORKSPACE)
+    m = build(bench.space_box(g, bench.WORKSPACE), 6, classify)
+    t = leaf_table(m)
+    verdicts = classify.batch(t.x_lo, t.x_hi, t.y_lo, t.y_hi)
+    merged = (t.kind == CODE_BLACK) & (verdicts == 0)
+    assert merged.any()
+    # a tree whose merged leaves are White instead is not reproduced
+    kinds = list(serialize(m).splitlines()[1])
+    leaf_chars = [i for i, c in enumerate(kinds) if c != GRAY]
+    for row in np.flatnonzero(merged).tolist():
+        kinds[leaf_chars[row]] = WHITE
+    header = serialize(m).splitlines()[0]
+    forged = deserialize(header + "\n" + "".join(kinds) + "\n")
+    assert mismatched_leaves(forged, classify) == int(merged.sum())
+
+
+def test_mismatched_leaves_of_another_classifier():
+    box = bench.space_box(mech.M1, bench.JOINTSPACE)
+    m = build(box, 5, bench.space_classifier(mech.M1, bench.JOINTSPACE))
+    combo = mech.BoxClassifier(
+        bench.JOINTSPACE, mech.M1, mech.WorkingMode(1, 1), mech.AssemblyMode(1)
+    )
+    assert mismatched_leaves(m, combo) > 0
+    assert mismatched_leaves(m, bench.space_classifier(mech.M2, bench.JOINTSPACE)) > 0
+    # a plain per-box function is checked the same way
+    assert mismatched_leaves(m, lambda b: combo(b)) == mismatched_leaves(m, combo)
 
 
 # ---------------------------------------------------------------------------

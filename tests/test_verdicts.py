@@ -1,7 +1,10 @@
-"""Box-by-box agreement of the sign-only verdicts with the full solvers.
+"""Row-by-row agreement of the batch verdicts with the full solvers.
 
 The reference is the verdict the box classifiers computed from the full
-solution sets of `dkp_box` / `ikp_box` before the verdict functions existed.
+solution sets of `dkp_box` / `ikp_box`, box by box with scalar intervals,
+before the verdict functions existed. The batch kernel shares no code
+with it. Also covered: batches that straddle the CHUNK seams of a build,
+the per-box call of a classifier, and builds through the per-box fallback.
 """
 
 import math
@@ -9,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from fivebar import quadtree as qt
 from fivebar.aspects import all_mode_combos
 from fivebar.bench import JOINTSPACE, WORKSPACE, space_box
 from fivebar.interval import Box2
@@ -16,15 +20,16 @@ from fivebar.mechanism import (
     M1,
     M2,
     AssemblyMode,
+    BoxClassifier,
     Ternary,
     WorkingMode,
     coincidence_configurations,
     dkp_box,
     ikp_box,
-    joint_verdict,
-    workspace_verdict,
+    joint_verdicts,
+    workspace_verdicts,
 )
-from fivebar.quadtree import build
+from fivebar.quadtree import CHUNK, build, refine, serialize
 
 GEOMETRIES = {"m1": M1, "m2": M2}
 WORKING_MODES = [WorkingMode(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
@@ -73,19 +78,40 @@ def reference_workspace(box, g, wm, am):
 
 
 SPACES = {
-    JOINTSPACE: (joint_verdict, reference_joint, JOINT_MODES),
-    WORKSPACE: (workspace_verdict, reference_workspace, WORKSPACE_MODES),
+    JOINTSPACE: (joint_verdicts, reference_joint, JOINT_MODES),
+    WORKSPACE: (workspace_verdicts, reference_workspace, WORKSPACE_MODES),
 }
 
 
+def _bounds(boxes) -> tuple[np.ndarray, ...]:
+    return tuple(
+        np.array(col, dtype=np.float64)
+        for col in zip(*((b.x.lo, b.x.hi, b.y.lo, b.y.hi) for b in boxes))
+    )
+
+
+def _boxes(x_lo, x_hi, y_lo, y_hi) -> list[Box2]:
+    cols = (x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist())
+    return [Box2.from_bounds(*b) for b in zip(*cols)]
+
+
+def _assert_rows_agree(space, g, a, b, bounds, verdicts) -> None:
+    reference = SPACES[space][1]
+    assert verdicts.dtype == np.int8 and len(verdicts) == len(bounds[0])
+    for box, v in zip(_boxes(*bounds), verdicts.tolist()):
+        assert v == reference(box, g, a, b), (box, a, b)
+
+
 def _assert_agree(space, g, boxes) -> set[int]:
-    verdict, reference, modes = SPACES[space]
+    """One batch per mode setting over all ``boxes``, row by row against
+    the reference; returns the verdicts seen."""
+    verdict, _, modes = SPACES[space]
+    bounds = _bounds(list(boxes))
     seen = set()
-    for box in boxes:
-        for a, b in modes:
-            v = verdict(box, g, a, b)
-            assert v == reference(box, g, a, b), (box, a, b)
-            seen.add(v)
+    for a, b in modes:
+        v = verdict(*bounds, g, a, b)
+        _assert_rows_agree(space, g, a, b, bounds, v)
+        seen.update(v.tolist())
     return seen
 
 
@@ -112,22 +138,31 @@ def _ulp_scan(points, n=64):
             y = math.nextafter(y, math.inf)
 
 
+class _CheckedBatches:
+    """A batch classifier that checks every row it returns against the
+    reference and records the size of each batch."""
+
+    def __init__(self, space, g, a, b):
+        self.space, self.g, self.a, self.b = space, g, a, b
+        self.sizes = []
+
+    def batch(self, *bounds):
+        v = SPACES[self.space][0](*bounds, self.g, self.a, self.b)
+        _assert_rows_agree(self.space, self.g, self.a, self.b, bounds, v)
+        self.sizes.append(len(v))
+        return v
+
+
 @pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_verdicts_match_reference_on_every_built_box(name, space):
     g = GEOMETRIES[name]
-    verdict, reference, modes = SPACES[space]
-    for a, b in modes:
-        visited = []
-
-        def classify(box):
-            v = verdict(box, g, a, b)
-            assert v == reference(box, g, a, b), (box, a, b)
-            visited.append(v)
-            return v
-
+    for a, b in SPACES[space][2]:
+        classify = _CheckedBatches(space, g, a, b)
         model = build(space_box(g, space), 6, classify)
-        assert len(visited) == model.stats.calls > 1
+        # one batch per level: the frontiers stay below CHUNK at depth 6
+        assert len(classify.sizes) <= 7
+        assert sum(classify.sizes) == model.stats.calls > 1
 
 
 def test_verdicts_match_reference_at_elbow_coincidence():
@@ -189,8 +224,83 @@ def test_verdicts_match_reference_across_annulus_radii():
 
 
 def test_partial_modes_outside_their_space_are_rejected():
-    box = Box2.point(1.0, 2.0)
+    bounds = _bounds([Box2.point(1.0, 2.0)])
     with pytest.raises(ValueError):
-        joint_verdict(box, M1, None, WORKING_MODES[0])
+        joint_verdicts(*bounds, M1, None, WORKING_MODES[0])
     with pytest.raises(ValueError):
-        workspace_verdict(box, M1, None, AssemblyMode.POSITIVE)
+        workspace_verdicts(*bounds, M1, None, AssemblyMode.POSITIVE)
+    with pytest.raises(ValueError):
+        BoxClassifier(JOINTSPACE, M1, wm=WORKING_MODES[0])
+    with pytest.raises(ValueError):
+        BoxClassifier(WORKSPACE, M1, am=AssemblyMode.POSITIVE)
+    with pytest.raises(ValueError):
+        BoxClassifier("elsewhere", M1)
+
+
+def _random_bounds(space, g, n, rng) -> tuple[np.ndarray, ...]:
+    """n boxes across the space box, of widths from a point to 1/4 of it, so
+    that every verdict and every stage of the kernel occurs."""
+    root = space_box(g, space)
+    side = root.x.width
+    w = side * np.where(rng.random((2, n)) < 0.1, 0.0, 2.0 ** rng.uniform(-12, -2, (2, n)))
+    x_lo = rng.uniform(root.x.lo, root.x.hi - w[0])
+    y_lo = rng.uniform(root.y.lo, root.y.hi - w[1])
+    return x_lo, x_lo + w[0], y_lo, y_lo + w[1]
+
+
+# one (first, second) mode argument pair per space that runs every stage
+FULL_COMBO = {
+    JOINTSPACE: (AssemblyMode.POSITIVE, WorkingMode(1, -1)),
+    WORKSPACE: (WorkingMode(1, -1), AssemblyMode.POSITIVE),
+}
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
+def test_chunked_frontier_matches_reference(space, n):
+    # a build classifies a frontier CHUNK boxes at a time; the verdicts must
+    # not depend on where the seams fall
+    g = M1
+    a, b = FULL_COMBO[space]
+    bounds = _random_bounds(space, g, n, np.random.default_rng(n))
+    classify = _CheckedBatches(space, g, a, b)
+    v = qt._verdicts(classify, *bounds)
+    full, rest = divmod(n, CHUNK)
+    assert classify.sizes == [CHUNK] * full + ([rest] if rest else [])
+    assert v.tolist() == SPACES[space][0](*bounds, g, a, b).tolist()
+    assert {-1, 0, 1} <= set(v.tolist())
+
+
+@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
+def test_per_box_call_equals_batch(space):
+    rng = np.random.default_rng(34)
+    for name, g in sorted(GEOMETRIES.items()):
+        bounds = _random_bounds(space, g, 100, rng)
+        boxes = _boxes(*bounds)
+        for a, b in SPACES[space][2]:
+            wm, am = (b, a) if space == JOINTSPACE else (a, b)
+            classify = BoxClassifier(space, g, wm, am)
+            v = classify.batch(*bounds)
+            assert [classify(box) for box in boxes] == v.tolist(), (name, a, b)
+
+
+@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
+def test_per_box_fallback_builds_the_same_trees(space):
+    # a classifier without `batch` (a plain function) is called box by box;
+    # a batch of one costs some 100 numpy calls, so the trees stay small
+    modes = SPACES[space][2]
+    for name, g in sorted(GEOMETRIES.items()):
+        for a, b in (modes[0], modes[1], modes[-1]):
+            wm, am = (b, a) if space == JOINTSPACE else (a, b)
+            classify = BoxClassifier(space, g, wm, am)
+            per_box = lambda box: classify(box)  # noqa: E731
+            box = space_box(g, space)
+            fresh = build(box, 4, classify)
+            plain = build(box, 4, per_box)
+            assert serialize(plain) == serialize(fresh), (name, a, b)
+            assert plain.stats == fresh.stats
+            deeper = refine(fresh, 5, classify)
+            for first, then in ((fresh, per_box), (plain, classify)):
+                other = refine(first, 5, then)
+                assert serialize(other) == serialize(deeper), (name, a, b)
+                assert other.stats == deeper.stats
