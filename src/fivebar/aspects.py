@@ -47,7 +47,6 @@ from .quadtree import (
     UnionFind,
     build,
     label_regions,
-    leaf_table,
     locate,
     shared_black_cells,
 )
@@ -123,7 +122,7 @@ class AspectRegion:
 def _seam_pairs(model: QuadtreeModel, labels: RegionLabeling) -> list[tuple[int, int]]:
     """Raw region pairs whose Black leaves adjoin through opposite box edges."""
     root = model.root_box
-    t = leaf_table(model)
+    t = model.table
     black = t.kind == CODE_BLACK
     pairs = []
     for own_lo, own_hi, other_lo, other_hi, bounds in (
@@ -259,7 +258,7 @@ def pair_regions(
     q_labels: RegionLabeling,
     q_aspects: tuple[AspectRegion, ...],
 ) -> tuple[PairingEntry, ...]:
-    t = leaf_table(w_model)
+    t = w_model.table
     row_of = {path: i for i, path in enumerate(t.paths)}
     areas = t.area.tolist()
     serial_of = {

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["qt", "svg"], default="qt")
         p.add_argument("--box", metavar="XLO,XHI,YLO,YHI", help="override initial box")
         p.add_argument("--refine-from", metavar="FILE", help="refine an existing .qt file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     space_cmd("jointspace", cmd_jointspace, "build the joint-space quadtree")
@@ -316,21 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_args(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_aspects)
+    p.set_defaults(func=cmd_aspects, parser=p)
 
     p = sub.add_parser("bench", help="cost-comparison table")
     _add_geometry_args(p)
     p.add_argument("--space", choices=["jointspace", "workspace", "both"], default="both")
     p.add_argument("--depths", default="5,6,7,8,9,10", metavar="D1,D2,...")
     p.add_argument("--out", help="CSV output file (default: stdout)")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("render", help="render a quadtree file to SVG")
     p.add_argument("input", help="quadtree (.qt) file")
     p.add_argument("--out", required=True)
     p.add_argument("--show-undetermined", action="store_true")
     p.add_argument("--label-regions", action="store_true")
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=cmd_render, parser=p)
 
     p = sub.add_parser("verify", help="sample Black boxes against the point oracle")
     _add_geometry_args(p)
@@ -340,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assembly-mode", choices=["+", "-"])
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # each command reports usage errors through its own subparser
+        return args.func(args, args.parser)
     # ParseError and DomainError are ValueErrors
     except (OSError, ValueError, asp.PairingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,28 +6,33 @@ depth; leaves are Black (valid), White (invalid) or Undetermined (still
 undecided at maximal depth). The complementary tree (Black/White swapped)
 records the certified-invalid space.
 
-The build is level-synchronous. The frontier of boxes to test at one
-depth is four float64 arrays; it is classified CHUNK boxes at a time
-through the classifier's ``batch`` method (a plain function is called
-once per box), and its undecided boxes split into the next frontier.
-The tree is assembled bottom-up from the verdicts of every level, with
-the same canonical merge as a depth-first recursion, so it is that
-recursion's tree with the same number of classifier calls. Refining a
-model to a higher depth starts the frontier at the children of its
-Undetermined leaves, which are known to be undecided, so no decided box
-is ever retested.
+A model is its leaf table, a linear quadtree (Gargantini, CACM 25(12),
+1982): one row per leaf, in preorder, with the leaf's depth, the Morton
+key of its low corner, its kind and its exact bounds. There is no object
+tree; building, refining, the text format, location, labeling, seams,
+rendering, sampling, areas and pairing all produce or read table rows.
 
-Everything that reads a finished tree (labeling, seams, rendering,
-sampling, areas, pairing) reads its leaf table: one row per leaf, in
-preorder, walked once per tree.
+The build is level-synchronous. The frontier of boxes to test at one
+depth is four float64 arrays and their keys; it is classified CHUNK boxes
+at a time through the classifier's ``batch`` method (a plain function is
+called once per box). Decided boxes, and the undecided ones at maximal
+depth, become leaf rows; the other undecided boxes split into the next
+frontier. One canonical pass then sorts the rows by key and, deepest
+level first, collapses every four Black or White siblings of one kind into
+their parent, so the table is that of the depth-first recursion's
+canonical tree, with the same number of classifier calls. Refining a
+model to a higher depth keeps its Black and White rows and starts the
+frontier at the children of its Undetermined leaves, which are known to
+be undecided, so no decided box is ever retested.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +46,11 @@ GRAY = "G"
 KIND_CODE = {WHITE: 0, BLACK: 1, UNDETERMINED: 2}
 KIND_LETTER = {code: kind for kind, code in KIND_CODE.items()}
 CODE_WHITE, CODE_BLACK, CODE_UNDET = 0, 1, 2
+# indexed by kind code: its letter, and its kind in the complementary tree
+_LETTERS = np.frombuffer(b"WBU", dtype=np.uint8)
+_SWAPPED = np.array([CODE_BLACK, CODE_WHITE, CODE_UNDET], dtype=np.int8)
+# indexed by verdict + 1
+_VERDICT_CODE = np.array([CODE_WHITE, CODE_UNDET, CODE_BLACK], dtype=np.int8)
 
 # Deepest tree a model may have. The leaf table addresses cells of the
 # 2^d x 2^d grid by Morton keys of 2d bits, which must fit int64.
@@ -59,48 +69,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-class QuadNode:
-    __slots__ = ("kind", "children")
-
-    def __init__(self, kind: str, children: Optional[tuple] = None):
-        self.kind = kind
-        self.children = children
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QuadNode)
-            and self.kind == other.kind
-            and self.children == other.children
-        )
-
-    def __repr__(self) -> str:
-        return f"QuadNode({self.kind!r})"
-
-
-BLACK_LEAF = QuadNode(BLACK)
-WHITE_LEAF = QuadNode(WHITE)
-UNDET_LEAF = QuadNode(UNDETERMINED)
-_LEAF = {BLACK: BLACK_LEAF, WHITE: WHITE_LEAF, UNDETERMINED: UNDET_LEAF}
-
-
-def _merge(children: tuple[QuadNode, QuadNode, QuadNode, QuadNode]) -> QuadNode:
-    # canonical form: collapse quadruples of identical Black/White leaves.
-    # Undetermined quadruples stay under a Gray parent so that U leaves only
-    # ever sit at maximal depth (and keep their exact accuracy-sized boxes).
-    first = children[0]
-    if (
-        first.is_leaf
-        and first.kind in (BLACK, WHITE)
-        and all(c is first or (c.is_leaf and c.kind == first.kind) for c in children)
-    ):
-        return _LEAF[first.kind]
-    return QuadNode(GRAY, children)
-
-
 @dataclass
 class TreeStats:
     calls: int = 0
@@ -114,198 +82,6 @@ class TreeStats:
         return self.black + self.white + self.undetermined + self.gray
 
 
-@dataclass
-class QuadtreeModel:
-    root_box: Box2
-    max_depth: int
-    root: QuadNode
-    stats: TreeStats = field(default_factory=TreeStats)
-    # (root, root_box, max_depth, LeafTable) of the last leaf_table() call
-    _leaf_table: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def accuracy(self) -> float:
-        return self.root_box.x.width / 2**self.max_depth
-
-    @property
-    def complement(self) -> QuadNode:
-        """The complementary tree (Black/White swapped), derived on each access."""
-        return _swap(self.root)
-
-    def complement_model(self) -> "QuadtreeModel":
-        return QuadtreeModel(self.root_box, self.max_depth, self.complement, TreeStats())
-
-
-def _swap(node: QuadNode) -> QuadNode:
-    if node.is_leaf:
-        if node.kind == BLACK:
-            return WHITE_LEAF
-        if node.kind == WHITE:
-            return BLACK_LEAF
-        return UNDET_LEAF
-    return QuadNode(GRAY, tuple(_swap(c) for c in node.children))
-
-
-def _count_kinds(node: QuadNode, stats: TreeStats) -> None:
-    if node.is_leaf:
-        if node.kind == BLACK:
-            stats.black += 1
-        elif node.kind == WHITE:
-            stats.white += 1
-        else:
-            stats.undetermined += 1
-    else:
-        stats.gray += 1
-        for c in node.children:
-            _count_kinds(c, stats)
-
-
-# boxes per classifier batch: bounds the kernel's temporary arrays
-CHUNK = 4096
-
-
-def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
-    """Verdicts of the boxes [x_lo, x_hi] x [y_lo, y_hi], CHUNK at a time
-    through ``classify.batch``; a plain function is called once per box."""
-    batch = getattr(classify, "batch", None)
-    if batch is None:
-        boxes = zip(x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist())
-        return np.array([classify(Box2.from_bounds(*b)) for b in boxes], dtype=np.int64)
-    return np.concatenate([
-        batch(x_lo[i:i + CHUNK], x_hi[i:i + CHUNK], y_lo[i:i + CHUNK], y_hi[i:i + CHUNK])
-        for i in range(0, len(x_lo), CHUNK)
-    ] or [np.zeros(0, dtype=np.int8)])
-
-
-def _split(x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
-    """The quadrants of each box, in `Box2.subdivide` order and with its
-    shared midpoints; the children of box i are rows 4i..4i+3."""
-    xm = x_lo + (x_hi - x_lo) / 2
-    ym = y_lo + (y_hi - y_lo) / 2
-    return tuple(
-        np.stack(cols, axis=1).ravel()
-        for cols in (
-            (x_lo, xm, x_lo, xm), (xm, x_hi, xm, x_hi),
-            (y_lo, y_lo, ym, ym), (ym, ym, y_hi, y_hi),
-        )
-    )
-
-
-def _grow(
-    x_lo, x_hi, y_lo, y_hi, depth: int, d_max: int, classify: Classifier
-) -> tuple[list[QuadNode], int]:
-    """Classify a frontier of boxes at ``depth`` and grow the undecided ones
-    level by level down to ``d_max``; returns the subtree of each box, in
-    order, and the number of classifier calls."""
-    levels = []
-    while len(x_lo):
-        v = _verdicts(classify, x_lo, x_hi, y_lo, y_hi)
-        levels.append(v)
-        if depth == d_max:
-            break
-        open_ = v == 0
-        x_lo, x_hi, y_lo, y_hi = _split(x_lo[open_], x_hi[open_], y_lo[open_], y_hi[open_])
-        depth += 1
-    # bottom-up: an undecided box is the merge of its four children, or an
-    # Undetermined leaf on the deepest level, which has none
-    nodes: list[QuadNode] = []
-    for v in reversed(levels):
-        parents = iter(_merged(nodes))
-        nodes = [
-            BLACK_LEAF if r > 0 else WHITE_LEAF if r < 0 else next(parents, UNDET_LEAF)
-            for r in v.tolist()
-        ]
-    return nodes, sum(map(len, levels))
-
-
-def _merged(nodes: list[QuadNode]) -> list[QuadNode]:
-    """The parents of consecutive quadruples of ``nodes``."""
-    return [_merge(tuple(nodes[i:i + 4])) for i in range(0, len(nodes), 4)]
-
-
-def _regrow(x_lo, x_hi, y_lo, y_hi, depth: int, d_max: int, classify: Classifier):
-    """`_grow` for boxes at ``depth`` known to be undecided: their frontier
-    starts at their children. Returns the subtree of each box and the calls."""
-    nodes, calls = _grow(*_split(x_lo, x_hi, y_lo, y_hi), depth + 1, d_max, classify)
-    return _merged(nodes), calls
-
-
-def _substitute(node: QuadNode, subtrees) -> QuadNode:
-    """``node`` with its Undetermined leaves replaced, in preorder, by the
-    next of ``subtrees``, merged back into canonical form."""
-    if node.children is not None:
-        return _merge(tuple(_substitute(c, subtrees) for c in node.children))
-    return next(subtrees) if node.kind == UNDETERMINED else node
-
-
-def _model(box: Box2, d_max: int, root: QuadNode, calls: int) -> QuadtreeModel:
-    stats = TreeStats(calls=calls)
-    _count_kinds(root, stats)
-    return QuadtreeModel(box, d_max, root, stats)
-
-
-def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
-    """Build a quadtree model of the region accepted by ``classify``."""
-    if not 1 <= d_max <= MAX_DEPTH:
-        raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
-    bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
-    (root,), calls = _grow(*(np.array([v]) for v in bounds), 0, d_max, classify)
-    return _model(box, d_max, root, calls)
-
-
-def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
-    """Deepen a model, re-expanding only its Undetermined leaves.
-
-    The frontier starts at the children of the Undetermined leaves, which
-    are known to be undecided, so no box is tested twice. For a
-    deterministic classifier the result equals a fresh build at the new
-    depth, at a fraction of the classifier calls.
-    """
-    if d_max <= m.max_depth:
-        raise ValueError("refinement depth must exceed the model's depth")
-    if d_max > MAX_DEPTH:
-        raise ValueError(f"d_max must be <= {MAX_DEPTH}")
-    t = leaf_table(m)
-    u = t.kind == CODE_UNDET
-    subtrees, calls = _regrow(
-        t.x_lo[u], t.x_hi[u], t.y_lo[u], t.y_hi[u], m.max_depth, d_max, classify
-    )
-    root = _substitute(m.root, iter(subtrees))
-    return _model(m.root_box, d_max, root, m.stats.calls + calls)
-
-
-def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
-    """Leaves of ``m`` that ``classify`` would not grow again.
-
-    Every leaf is classified in one batch: a Black leaf must get +1, a
-    White one -1 and an Undetermined one 0. A Black or White leaf above
-    maximal depth may also be the merge of four equal children of a box
-    the classifier leaves undecided; such a leaf is grown again to the
-    model's depth and must come back as the same leaf.
-    """
-    t = leaf_table(m)
-    v = _verdicts(classify, t.x_lo, t.x_hi, t.y_lo, t.y_hi)
-    want = np.select([t.kind == CODE_BLACK, t.kind == CODE_WHITE], [1, -1], 0)
-    bad = np.sign(v) != want
-    merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < m.max_depth)
-    for level in np.unique(t.level[merged]).tolist():
-        rows = np.flatnonzero(merged & (t.level == level))
-        subtrees, _ = _regrow(
-            t.x_lo[rows], t.x_hi[rows], t.y_lo[rows], t.y_hi[rows],
-            level, m.max_depth, classify,
-        )
-        kinds = [KIND_LETTER[k] for k in t.kind[rows].tolist()]
-        bad[rows] = [n is not _LEAF[k] for n, k in zip(subtrees, kinds)]
-    return int(bad.sum())
-
-
-# --------------------------------------------------------------------------
-# Leaf inspection
-# --------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
 class LeafTable:
     """Linear quadtree: every leaf of a model, one row each, in preorder.
@@ -314,21 +90,47 @@ class LeafTable:
     leaves' low corners) increase strictly and ``find`` locates the leaf of
     any finest-grid cell with one binary search. Leaf ``i`` covers cells
     ``[ix[i], ix[i] + s) x [iy[i], iy[i] + s)``, ``s = 2^(depth - level[i])``,
-    of the ``2^depth x 2^depth`` grid; its bounds are the exact floats of
-    ``Box2.subdivide``.
+    of the ``2^depth x 2^depth`` grid, that is the keys
+    ``[keys[i], keys[i] + s^2)``; its bounds are the exact floats of
+    ``Box2.subdivide``. The cells and paths are derived from the keys when
+    first read.
     """
 
     depth: int  # maximal depth of the model
     level: np.ndarray  # int64, depth of each leaf
-    ix: np.ndarray  # int64, first finest-grid column (from x_lo)
-    iy: np.ndarray  # int64, first finest-grid row (from y_lo)
+    keys: np.ndarray  # int64 Morton keys of the low corners
     kind: np.ndarray  # int8, KIND_CODE values
-    paths: list[str]  # quadrant digits '0'..'3' from the root
     x_lo: np.ndarray
     x_hi: np.ndarray
     y_lo: np.ndarray
     y_hi: np.ndarray
-    keys: np.ndarray  # int64 Morton keys of (ix, iy)
+
+    def __post_init__(self):
+        for col in (self.level, self.keys, self.kind, self.x_lo, self.x_hi,
+                    self.y_lo, self.y_hi):
+            col.flags.writeable = False  # the table is shared by every reader
+
+    @cached_property
+    def ix(self) -> np.ndarray:
+        """int64, first finest-grid column (from x_lo)."""
+        return _compact_bits(self.keys)
+
+    @cached_property
+    def iy(self) -> np.ndarray:
+        """int64, first finest-grid row (from y_lo)."""
+        return _compact_bits(self.keys >> 1)
+
+    @cached_property
+    def paths(self) -> list[str]:
+        """Quadrant digits '0'..'3' of each leaf from the root."""
+        d = self.depth
+        # one byte per digit, NUL past the leaf's level: a fixed-width bytes
+        # field drops its trailing NULs
+        chars = np.zeros((len(self.keys), d), dtype=np.uint8)
+        for k in range(d):
+            digit = (self.keys >> 2 * (d - 1 - k)) & 3
+            chars[:, k] = np.where(self.level > k, digit + ord("0"), 0)
+        return chars.view(f"S{d}").ravel().astype(str).tolist()
 
     @property
     def area(self) -> np.ndarray:
@@ -350,100 +152,228 @@ def _spread_bits(v: np.ndarray) -> np.ndarray:
     return (v | (v << 1)) & 0x5555555555555555
 
 
+def _compact_bits(v: np.ndarray) -> np.ndarray:
+    # the inverse of _spread_bits: bit 2k of v moves to bit k
+    v = v & 0x5555555555555555
+    v = (v | (v >> 1)) & 0x3333333333333333
+    v = (v | (v >> 2)) & 0x0F0F0F0F0F0F0F0F
+    v = (v | (v >> 4)) & 0x00FF00FF00FF00FF
+    v = (v | (v >> 8)) & 0x0000FFFF0000FFFF
+    return (v | (v >> 16)) & 0x00000000FFFFFFFF
+
+
 def _morton(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     # quadrant digit = x bit + 2 * y bit, as in Box2.subdivide's order
     return _spread_bits(cx) | (_spread_bits(cy) << 1)
 
 
-def _walk(m: QuadtreeModel) -> LeafTable:
-    d = m.max_depth
-    # typed arrays hold 1-8 bytes per entry where a list holds a boxed number
-    level, ix, iy, kind = array("q"), array("q"), array("q"), array("b")
-    x_lo, x_hi, y_lo, y_hi = array("d"), array("d"), array("d"), array("d")
-    paths = []
-    b = m.root_box
-    stack = [(m.root, 0, 0, 0, "", b.x.lo, b.x.hi, b.y.lo, b.y.hi)]
-    while stack:
-        node, lev, cx, cy, path, x0, x1, y0, y1 = stack.pop()
-        if node.children is None:
-            level.append(lev)
-            ix.append(cx)
-            iy.append(cy)
-            kind.append(KIND_CODE[node.kind])
-            paths.append(path)
-            x_lo.append(x0)
-            x_hi.append(x1)
-            y_lo.append(y0)
-            y_hi.append(y1)
+@dataclass
+class QuadtreeModel:
+    root_box: Box2
+    table: LeafTable
+    stats: TreeStats
+
+    @property
+    def max_depth(self) -> int:
+        return self.table.depth
+
+    @property
+    def accuracy(self) -> float:
+        return self.root_box.x.width / 2**self.max_depth
+
+    def complement_model(self) -> "QuadtreeModel":
+        """The complementary tree: the same leaves with Black and White swapped."""
+        t = self.table
+        return _model(self.root_box, replace(t, kind=_SWAPPED[t.kind]), 0)
+
+
+def _model(box: Box2, table: LeafTable, calls: int) -> QuadtreeModel:
+    kinds = np.bincount(table.kind, minlength=3).tolist()
+    # every Gray node has four children, so a tree of n leaves has (n - 1) / 3
+    gray = (len(table.kind) - 1) // 3
+    stats = TreeStats(
+        calls, kinds[CODE_BLACK], kinds[CODE_WHITE], kinds[CODE_UNDET], gray
+    )
+    return QuadtreeModel(box, table, stats)
+
+
+# boxes per classifier batch: bounds the kernel's temporary arrays
+CHUNK = 4096
+
+
+def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
+    """Verdicts of the boxes [x_lo, x_hi] x [y_lo, y_hi], CHUNK at a time
+    through ``classify.batch``; a plain function is called once per box."""
+    batch = getattr(classify, "batch", None)
+    if batch is None:
+        boxes = zip(x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist())
+        return np.array([classify(Box2.from_bounds(*b)) for b in boxes], dtype=np.int64)
+    return np.concatenate([
+        batch(x_lo[i:i + CHUNK], x_hi[i:i + CHUNK], y_lo[i:i + CHUNK], y_hi[i:i + CHUNK])
+        for i in range(0, len(x_lo), CHUNK)
+    ] or [np.zeros(0, dtype=np.int8)])
+
+
+def _split(d: int, level: int, keys, x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
+    """The keys and bounds of the quadrants of each box at ``level`` of a
+    depth-``d`` grid, in `Box2.subdivide` order and with its shared
+    midpoints; the children of box i are rows 4i..4i+3."""
+    cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
+    xm = x_lo + (x_hi - x_lo) / 2
+    ym = y_lo + (y_hi - y_lo) / 2
+    return ((keys[:, None] + np.arange(4) * cells).ravel(),) + tuple(
+        np.stack(cols, axis=1).ravel()
+        for cols in (
+            (x_lo, xm, x_lo, xm), (xm, x_hi, xm, x_hi),
+            (y_lo, y_lo, ym, ym), (ym, ym, y_hi, y_hi),
+        )
+    )
+
+
+def _grow(depth: int, d_max: int, classify: Classifier, keys, *bounds) -> tuple[list, int]:
+    """Classify a frontier of boxes at ``depth`` and grow the undecided ones
+    level by level down to ``d_max``. Returns the leaf rows of each level,
+    as columns (level, keys, kind, x_lo, x_hi, y_lo, y_hi), and the number
+    of classifier calls."""
+    rows, calls = [], 0
+    while len(keys):
+        v = _verdicts(classify, *bounds)
+        calls += len(v)
+        leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
+        rows.append((
+            np.full(np.count_nonzero(leaf), depth), keys[leaf],
+            _VERDICT_CODE[np.sign(v[leaf]) + 1], *(b[leaf] for b in bounds),
+        ))
+        if depth == d_max:
+            break
+        open_ = ~leaf
+        keys, *bounds = _split(d_max, depth, keys[open_], *(b[open_] for b in bounds))
+        depth += 1
+    return rows, calls
+
+
+def _canonical(d: int, rows: list, top: int = 0) -> LeafTable:
+    """The table of leaf ``rows`` (per-level columns as from `_grow`): rows
+    sorted by key, and every quadruple of Black or White siblings of one
+    kind collapsed into their parent, deepest level first, down to parents
+    at level ``top``. The parent takes child 0's low and child 3's high
+    bounds."""
+    cols = [np.concatenate(c) for c in zip(*rows)]
+    order = np.argsort(cols[1])  # the keys are distinct
+    level, keys, kind, x_lo, x_hi, y_lo, y_hi = (c[order] for c in cols)
+    alive = np.arange(len(keys))  # sorted rows not yet collapsed into a parent
+    for lev in range(d, top, -1):
+        lv, kd = level[alive], kind[alive]
+        # quadrant-0 rows of this level with three more rows after them
+        p = np.flatnonzero(lv[:-3] == lev)
+        p = p[(keys[alive[p]] >> 2 * (d - lev)) & 3 == 0]
+        same = kd[p] != CODE_UNDET
+        for k in (1, 2, 3):
+            same &= (lv[p + k] == lev) & (kd[p + k] == kd[p])
+        p = p[same]
+        if not len(p):
             continue
-        # the shared midpoints of Box2.subdivide
-        xm = x0 + (x1 - x0) / 2
-        ym = y0 + (y1 - y0) / 2
-        h = 1 << (d - lev - 1)
-        c = node.children
-        lev += 1
-        # pushed in reverse so that quadrant 0 is visited first
-        stack += (
-            (c[3], lev, cx + h, cy + h, path + "3", xm, x1, ym, y1),
-            (c[2], lev, cx, cy + h, path + "2", x0, xm, ym, y1),
-            (c[1], lev, cx + h, cy, path + "1", xm, x1, y0, ym),
-            (c[0], lev, cx, cy, path + "0", x0, xm, y0, ym),
+        first, last = alive[p], alive[p + 3]
+        level[first] = lev - 1
+        x_hi[first] = x_hi[last]
+        y_hi[first] = y_hi[last]
+        keep = np.ones(len(alive), dtype=bool)
+        for k in (1, 2, 3):
+            keep[p + k] = False
+        alive = alive[keep]
+    return LeafTable(d, *(c[alive] for c in (level, keys, kind, x_lo, x_hi, y_lo, y_hi)))
+
+
+def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
+    """Build a quadtree model of the region accepted by ``classify``."""
+    if not 1 <= d_max <= MAX_DEPTH:
+        raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
+    bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+    rows, calls = _grow(
+        0, d_max, classify, np.zeros(1, dtype=np.int64), *(np.array([v]) for v in bounds)
+    )
+    return _model(box, _canonical(d_max, rows), calls)
+
+
+def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
+    """Deepen a model, re-expanding only its Undetermined leaves.
+
+    The frontier starts at the children of the Undetermined leaves, which
+    are known to be undecided, so no box is tested twice. For a
+    deterministic classifier the result equals a fresh build at the new
+    depth, at a fraction of the classifier calls.
+    """
+    if d_max <= m.max_depth:
+        raise ValueError("refinement depth must exceed the model's depth")
+    if d_max > MAX_DEPTH:
+        raise ValueError(f"d_max must be <= {MAX_DEPTH}")
+    t = m.table
+    d = m.max_depth
+    keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
+    u = t.kind == CODE_UNDET
+    children = _split(d_max, d, keys[u], t.x_lo[u], t.x_hi[u], t.y_lo[u], t.y_hi[u])
+    rows, calls = _grow(d + 1, d_max, classify, *children)
+    kept = tuple(c[~u] for c in (t.level, keys, t.kind, t.x_lo, t.x_hi, t.y_lo, t.y_hi))
+    return _model(m.root_box, _canonical(d_max, [kept] + rows), m.stats.calls + calls)
+
+
+def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
+    """Leaves of ``m`` that ``classify`` would not grow again.
+
+    Every leaf is classified in one batch: a Black leaf must get +1, a
+    White one -1 and an Undetermined one 0. A Black or White leaf above
+    maximal depth may also be the merge of four equal children of a box
+    the classifier leaves undecided; such a leaf is grown again to the
+    model's depth and must come back as one row of its kind at its level.
+    """
+    t = m.table
+    d = m.max_depth
+    v = _verdicts(classify, t.x_lo, t.x_hi, t.y_lo, t.y_hi)
+    want = np.select([t.kind == CODE_BLACK, t.kind == CODE_WHITE], [1, -1], 0)
+    bad = np.sign(v) != want
+    merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
+    for level in np.unique(t.level[merged]).tolist():
+        rows = np.flatnonzero(merged & (t.level == level))
+        children = _split(
+            d, level, t.keys[rows], t.x_lo[rows], t.x_hi[rows], t.y_lo[rows], t.y_hi[rows]
         )
-    cols = [
-        np.frombuffer(col, dtype=dtype)
-        for col, dtype in (
-            (level, np.int64), (ix, np.int64), (iy, np.int64), (kind, np.int8),
-            (x_lo, np.float64), (x_hi, np.float64), (y_lo, np.float64),
-            (y_hi, np.float64),
-        )
-    ]
-    cols.append(_morton(cols[1], cols[2]))
-    for col in cols:
-        col.flags.writeable = False  # the table is shared by every reader
-    return LeafTable(d, *cols[:4], paths, *cols[4:])
+        grown, _ = _grow(level + 1, d, classify, *children)
+        g = _canonical(d, grown, top=level)
+        # each box's rows start at its own key
+        first = np.searchsorted(g.keys, t.keys[rows])
+        bad[rows] = (g.level[first] != level) | (g.kind[first] != t.kind[rows])
+    return int(bad.sum())
 
 
-def leaf_table(m: QuadtreeModel) -> LeafTable:
-    """The model's leaf table, walked once and kept until the tree changes."""
-    c = m._leaf_table
-    if c is None or c[0] is not m.root or c[1] is not m.root_box or c[2] != m.max_depth:
-        c = m._leaf_table = (m.root, m.root_box, m.max_depth, _walk(m))
-    return c[3]
-
-
-@dataclass(frozen=True)
-class LeafInfo:
-    index: int  # preorder leaf number
-    path: str  # quadrant digits '0'..'3' from the root
-    box: Box2
-    kind: str
-
-
-def collect_leaves(m: QuadtreeModel) -> list[LeafInfo]:
-    """The rows of the leaf table as objects, in preorder."""
-    t = leaf_table(m)
-    bounds = zip(t.x_lo.tolist(), t.x_hi.tolist(), t.y_lo.tolist(), t.y_hi.tolist())
-    return [
-        LeafInfo(i, path, Box2.from_bounds(*b), KIND_LETTER[k])
-        for i, (path, b, k) in enumerate(zip(t.paths, bounds, t.kind.tolist()))
-    ]
+# --------------------------------------------------------------------------
+# Leaf inspection
+# --------------------------------------------------------------------------
 
 
 def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
     """Leaf (kind, path) containing the point; edge ties go to the lower leaf."""
-    if not m.root_box.contains(qx, qy):
+    b = m.root_box
+    if not b.contains(qx, qy):
         raise DomainError(f"point ({qx}, {qy}) outside the root box")
-    node = m.root
-    box = m.root_box
-    path = ""
-    while not node.is_leaf:
-        xm = box.x.lo + (box.x.hi - box.x.lo) / 2
-        ym = box.y.lo + (box.y.hi - box.y.lo) / 2
-        quadrant = (1 if qx > xm else 0) + (2 if qy > ym else 0)
-        node = node.children[quadrant]
-        box = box.subdivide()[quadrant]
-        path += str(quadrant)
-    return node.kind, path
+    x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
+    key = 0
+    # the finest cell containing the point, by the midpoints of Box2.subdivide
+    for _ in range(m.max_depth):
+        xm = x0 + (x1 - x0) / 2
+        ym = y0 + (y1 - y0) / 2
+        q = 0
+        if qx > xm:
+            x0, q = xm, 1
+        else:
+            x1 = xm
+        if qy > ym:
+            y0, q = ym, q + 2
+        else:
+            y1 = ym
+        key = key << 2 | q
+    t = m.table
+    row = int(t.keys.searchsorted(key, side="right")) - 1
+    return KIND_LETTER[int(t.kind[row])], t.paths[row]
 
 
 # --------------------------------------------------------------------------
@@ -458,18 +388,18 @@ def serialize(m: QuadtreeModel) -> str:
     decimals; node alphabet G/B/W/U, a G followed by its four children in
     quadrant order; U only at maximal depth.
     """
-    parts: list[str] = []
-
-    def visit(node: QuadNode) -> None:
-        parts.append(node.kind)
-        if not node.is_leaf:
-            for c in node.children:
-                visit(c)
-
-    visit(m.root)
+    t = m.table
+    # A leaf is the first leaf of one Gray node per trailing zero quadrant
+    # digit of its path, and follows their G's. The lowest set bit 2^j of
+    # the path number (j = 2 * digits + 0 or 1) is exact in float64.
+    p = t.keys >> 2 * (m.max_depth - t.level)
+    grays = np.where(p == 0, t.level, (np.frexp(p & -p)[1] - 1) // 2)
+    ends = np.cumsum(grays + 1)  # one past each leaf's letter
+    body = np.full(ends[-1], ord(GRAY), dtype=np.uint8)
+    body[ends - 1] = _LETTERS[t.kind]
     b = m.root_box
     header = f"QT1 {m.max_depth} {b.x.lo!r} {b.x.hi!r} {b.y.lo!r} {b.y.hi!r}"
-    return header + "\n" + "".join(parts) + "\n"
+    return header + "\n" + body.tobytes().decode("ascii") + "\n"
 
 
 def deserialize(text: str) -> QuadtreeModel:
@@ -500,33 +430,63 @@ def deserialize(text: str) -> QuadtreeModel:
 
     body = lines[1]
     offset = len(lines[0]) + 1
-    pos = 0
+    end = offset + len(body) + 1
+    if end < len(text):
+        raise ParseError("trailing text after the node line", end)
 
-    def parse(depth: int) -> QuadNode:
-        nonlocal pos
-        if pos >= len(body):
-            raise ParseError("unexpected end of node string", offset + pos)
-        c = body[pos]
-        pos += 1
-        if c in (BLACK, WHITE):
-            return _LEAF[c]
-        if c == UNDETERMINED:
-            if depth != d_max:
-                raise ParseError(
-                    f"'U' only legal at depth {d_max}, found at depth {depth}",
-                    offset + pos - 1,
-                )
-            return UNDET_LEAF
+    # preorder parse: `level` and `key` are those of the next node
+    level, key, done = 0, 0, False
+    cells = [1 << 2 * (d_max - k) for k in range(d_max + 1)]  # of a node at level k
+    levels, keys, kinds = array("q"), array("q"), array("b")
+    for pos, c in enumerate(body):
+        if done:
+            raise ParseError("trailing characters after node string", offset + pos)
         if c == GRAY:
-            if depth >= d_max:
-                raise ParseError("'G' below maximal depth", offset + pos - 1)
-            return QuadNode(GRAY, tuple(parse(depth + 1) for _ in range(4)))
-        raise ParseError(f"unexpected character {c!r}", offset + pos - 1)
+            if level >= d_max:
+                raise ParseError("'G' below maximal depth", offset + pos)
+            level += 1
+            continue
+        code = KIND_CODE.get(c)
+        if code is None:
+            raise ParseError(f"unexpected character {c!r}", offset + pos)
+        if code == CODE_UNDET and level != d_max:
+            raise ParseError(
+                f"'U' only legal at depth {d_max}, found at depth {level}", offset + pos
+            )
+        levels.append(level)
+        keys.append(key)
+        kinds.append(code)
+        key += cells[level]
+        # the leaf completes every Gray node whose last quadrant it ends
+        while level and key % cells[level - 1] == 0:
+            level -= 1
+        done = level == 0
+    if not done:
+        raise ParseError("unexpected end of node string", offset + len(body))
+    level_col = np.frombuffer(levels, dtype=np.int64)
+    key_col = np.frombuffer(keys, dtype=np.int64)
+    table = LeafTable(
+        d_max, level_col, key_col, np.frombuffer(kinds, dtype=np.int8),
+        *_bounds(box, d_max, level_col, key_col),
+    )
+    return _model(box, table, 0)
 
-    root = parse(0)
-    if pos != len(body):
-        raise ParseError("trailing characters after node string", offset + pos)
-    return _model(box, d_max, root, 0)
+
+def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exact bounds of the leaves: the midpoints of `Box2.subdivide`, taken
+    down each leaf's path."""
+    n = len(keys)
+    x_lo, x_hi = np.full(n, box.x.lo), np.full(n, box.x.hi)
+    y_lo, y_hi = np.full(n, box.y.lo), np.full(n, box.y.hi)
+    for k in range(int(level.max())):
+        q = np.where(level > k, (keys >> 2 * (d - 1 - k)) & 3, -1)
+        xm = x_lo + (x_hi - x_lo) / 2
+        ym = y_lo + (y_hi - y_lo) / 2
+        x_lo = np.where((q == 1) | (q == 3), xm, x_lo)
+        x_hi = np.where((q == 0) | (q == 2), xm, x_hi)
+        y_lo = np.where(q >= 2, ym, y_lo)
+        y_hi = np.where((q == 0) | (q == 1), ym, y_hi)
+    return x_lo, x_hi, y_lo, y_hi
 
 
 # --------------------------------------------------------------------------
@@ -580,7 +540,7 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
     edge of positive length, each once. Region ids are assigned in order of
     each region's smallest preorder leaf, so labeling is deterministic.
     """
-    t = leaf_table(m)
+    t = m.table
     black = np.flatnonzero(t.kind == CODE_BLACK)
     # union-find over positions in `black`, which keep the preorder
     uf = UnionFind(len(black))
@@ -641,7 +601,7 @@ def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def black_area(m: QuadtreeModel) -> float:
-    t = leaf_table(m)
+    t = m.table
     return sum(t.area[t.kind == CODE_BLACK].tolist())
 
 
@@ -649,7 +609,7 @@ def sample_black_points(
     m: QuadtreeModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n points uniform over the Black leaves (empty array if there are none)."""
-    t = leaf_table(m)
+    t = m.table
     black = t.kind == CODE_BLACK
     if not black.any():
         return np.empty((0, 2))
@@ -665,22 +625,30 @@ def sample_black_points(
     return out
 
 
+
+
 def shared_black_cells(a: QuadtreeModel, b: QuadtreeModel) -> int:
     """Finest-grid cells that are Black in both models (same box and depth)."""
     if a.max_depth != b.max_depth:
         raise ValueError("models of different depth do not share a grid")
-    return _shared_black(a.root, b.root, 4**a.max_depth)
-
-
-def _shared_black(a: QuadNode, b: QuadNode, cells: int) -> int:
-    # co-walk of two trees over the same box; `cells` is the cell count of it
-    if a.is_leaf and a.kind != BLACK or b.is_leaf and b.kind != BLACK:
+    a_lo, a_hi = _black_keys(a.table)
+    b_lo, b_hi = _black_keys(b.table)
+    if not len(a_lo) or not len(b_lo):
         return 0
-    if a.is_leaf and b.is_leaf:
-        return cells
-    q = cells // 4
-    if a.is_leaf:
-        return sum(_shared_black(a, c, q) for c in b.children)
-    if b.is_leaf:
-        return sum(_shared_black(c, b, q) for c in a.children)
-    return sum(_shared_black(ca, cb, q) for ca, cb in zip(a.children, b.children))
+    before = np.concatenate(([0], np.cumsum(b_hi - b_lo)))
+
+    def b_cells_below(key: np.ndarray) -> np.ndarray:
+        # b's Black ranges are sorted and disjoint: all those starting below
+        # `key`, less the part of the last one that reaches past it
+        j = np.searchsorted(b_lo, key)
+        past = np.where(j > 0, np.maximum(b_hi[j - 1] - key, 0), 0)
+        return before[j] - past
+
+    return int((b_cells_below(a_hi) - b_cells_below(a_lo)).sum())
+
+
+def _black_keys(t: LeafTable) -> tuple[np.ndarray, np.ndarray]:
+    """The key range [lo, hi) of the finest cells of each Black leaf."""
+    black = t.kind == CODE_BLACK
+    lo = t.keys[black]
+    return lo, lo + np.left_shift(1, 2 * (t.depth - t.level[black]))

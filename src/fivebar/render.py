@@ -17,7 +17,6 @@ from .quadtree import (
     CODE_UNDET,
     QuadtreeModel,
     RegionLabeling,
-    leaf_table,
 )
 
 DEFAULT_PALETTE = (
@@ -66,7 +65,7 @@ def render_svg(
     stroke_attr = ""
     if style.stroke != "none" and style.stroke_width > 0:
         stroke_attr = f' stroke="{style.stroke}" stroke-width="{_fmt(style.stroke_width)}"'
-    t = leaf_table(m)
+    t = m.table
     shown = t.kind == CODE_BLACK
     if style.show_undetermined:
         shown |= t.kind == CODE_UNDET

@@ -1,8 +1,8 @@
 """Shared test utilities: tight-enclosure assertions, deterministic random
 trees, and a flood-fill region oracle independent of the library's labeling.
 
-The oracle reads its own raster, filled by a recursive walk of the tree
-nodes; it shares no code with the library's leaf table.
+The oracle reads its own raster, filled by a recursive walk of the model's
+text form; it shares no code with the library's leaf table.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from scipy import ndimage
 from fivebar.interval import Box2
 from fivebar.quadtree import (
     CODE_BLACK,
+    GRAY,
     KIND_CODE,
-    QuadNode,
     QuadtreeModel,
     RegionLabeling,
     build,
+    serialize,
 )
 
 
@@ -73,28 +74,49 @@ class Raster:
     regions: Optional[np.ndarray] = None  # int32, -1 outside Black regions
 
 
+def text_leaves(m: QuadtreeModel) -> list[tuple[str, Box2, str]]:
+    """(path, box, kind letter) of every leaf, in preorder, by a recursive
+    walk of the model's text form with `Box2.subdivide`."""
+    body = serialize(m).splitlines()[1]
+    leaves = []
+    pos = 0
+
+    def visit(box: Box2, path: str) -> None:
+        nonlocal pos
+        c = body[pos]
+        pos += 1
+        if c != GRAY:
+            leaves.append((path, box, c))
+            return
+        for i, child in enumerate(box.subdivide()):
+            visit(child, path + str(i))
+
+    visit(m.root_box, "")
+    return leaves
+
+
+def leaf_cells(path: str, d_max: int) -> tuple[int, int, int]:
+    """(ix, iy, side) of a leaf in cells of the 2^d_max x 2^d_max grid."""
+    ix = iy = 0
+    for k, digit in enumerate(path):
+        h = 2 ** (d_max - k - 1)
+        ix += h * (int(digit) & 1)
+        iy += h * (int(digit) >> 1)
+    return ix, iy, 2 ** (d_max - len(path))
+
+
 def rasterize(m: QuadtreeModel, labels: Optional[RegionLabeling] = None) -> Raster:
     n = 2**m.max_depth
     kinds = np.empty((n, n), dtype=np.int8)
     leaf_index = np.empty((n, n), dtype=np.int32)
-    counter = [0]
-
-    def visit(node: QuadNode, ix: int, iy: int, size: int) -> None:
-        if node.is_leaf:
-            kinds[ix : ix + size, iy : iy + size] = KIND_CODE[node.kind]
-            leaf_index[ix : ix + size, iy : iy + size] = counter[0]
-            counter[0] += 1
-            return
-        h = size // 2
-        visit(node.children[0], ix, iy, h)
-        visit(node.children[1], ix + h, iy, h)
-        visit(node.children[2], ix, iy + h, h)
-        visit(node.children[3], ix + h, iy + h, h)
-
-    visit(m.root, 0, 0, n)
+    leaves = text_leaves(m)
+    for i, (path, _, kind) in enumerate(leaves):
+        ix, iy, size = leaf_cells(path, m.max_depth)
+        kinds[ix : ix + size, iy : iy + size] = KIND_CODE[kind]
+        leaf_index[ix : ix + size, iy : iy + size] = i
     regions = None
     if labels is not None:
-        lut = np.full(counter[0], -1, dtype=np.int32)
+        lut = np.full(len(leaves), -1, dtype=np.int32)
         for leaf_idx, region_id in labels.leaf_index_to_region.items():
             lut[leaf_idx] = region_id
         regions = lut[leaf_index]

@@ -42,7 +42,6 @@ from fivebar.quadtree import (
     BLACK,
     black_area,
     build,
-    collect_leaves,
     deserialize,
     label_regions,
     locate,
@@ -140,10 +139,11 @@ def test_criterion_3_point_hole_is_minimum_size_leaf(modefree_chains):
         model = leaves_by_depth[d]
         kind, path = locate(model, 0.0, 0.0)
         assert kind == "U", f"leaf at the base point is {kind} at depth {d}"
-        leaf = {l.path: l for l in collect_leaves(model)}[path]
+        t = model.table
+        row = t.paths.index(path)
         expected = 2.0 * (M2.L1 + M2.L3) / 2**d
-        assert leaf.box.x.width == expected
-        assert leaf.box.y.width == expected
+        assert t.x_hi[row] - t.x_lo[row] == expected
+        assert t.y_hi[row] - t.y_lo[row] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from fivebar.quadtree import (
     BLACK,
     black_area,
     build,
-    collect_leaves,
     label_regions,
     locate,
 )

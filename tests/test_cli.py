@@ -34,7 +34,9 @@ def test_jointspace_writes_tree_and_complement(tmp_path, capsys):
     model = qt.deserialize(out.read_text())
     comp = qt.deserialize(comp_path.read_text())
     assert model.max_depth == comp.max_depth == 4
-    assert comp.root == model.complement
+    # the complement is the same tree with Black and White swapped
+    body = out.read_text().splitlines()[1]
+    assert comp_path.read_text().splitlines()[1] == body.translate(str.maketrans("BW", "WB"))
     line = capsys.readouterr().out.strip()
     match = re.fullmatch(r"nodes=(\d+) black=(\d+) calls=(\d+)", line)
     assert match
@@ -149,7 +151,7 @@ def test_non_finite_or_out_of_range_lengths_usage_errors(tmp_path, capsys, space
     assert exc.value.code == 2
     assert not out.exists()
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last.startswith("fivebar: error: bad --lengths: ")
+    assert last.startswith(f"fivebar {space}: error: bad --lengths: ")
 
 
 def test_lengths_with_builtin_mechanism_is_usage_error(tmp_path):
@@ -189,6 +191,20 @@ def _usage_error(capsys) -> str:
     return err[-1]
 
 
+def test_subcommand_usage_error_prints_its_own_usage(tmp_path, capsys):
+    # a working mode without an assembly mode in the joint space
+    with pytest.raises(SystemExit) as exc:
+        run(["jointspace", "--mechanism", "m1", "--depth", "3", "--working-mode", "++",
+             "--out", str(tmp_path / "x.qt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("usage: fivebar jointspace ")
+    assert err[-1] == (
+        "fivebar jointspace: error: --working-mode in the joint space also needs --assembly-mode"
+    )
+    assert not (tmp_path / "x.qt").exists()
+
+
 def test_refine_from_other_space_is_usage_error(tmp_path, capsys):
     w3 = tmp_path / "w3.qt"
     j4 = tmp_path / "j4.qt"
@@ -204,7 +220,7 @@ def test_refine_from_other_space_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert not j4.exists()
     assert _usage_error(capsys).startswith(
-        "fivebar: error: --refine-from box -4.6,4.6,-4.6,4.6 differs from the jointspace box "
+        "fivebar jointspace: error: --refine-from box -4.6,4.6,-4.6,4.6 differs from the jointspace box "
     )
 
 
@@ -225,7 +241,7 @@ def test_refine_from_other_mode_setting_is_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
         assert not b.exists()
         assert re.fullmatch(
-            r"fivebar: error: --refine-from tree does not match this jointspace "
+            r"fivebar jointspace: error: --refine-from tree does not match this jointspace "
             r"classifier: \d+ of \d+ leaves differ",
             _usage_error(capsys),
         )
@@ -334,19 +350,30 @@ def test_render_zero_width_root_box_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "o.svg").exists()
 
 
+def test_render_text_after_node_line_is_one_line_error(tmp_path, capsys):
+    tail = tmp_path / "tail.qt"
+    tail.write_text("QT1 1 0.0 1.0 0.0 1.0\nB\ngarbage\n")
+    code = run(["render", str(tail), "--out", str(tmp_path / "o.svg")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: trailing text after the node line")
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_negative_samples_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--space", "jointspace", "--depth", "5", "--samples", "-1"])
     assert exc.value.code == 2
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last == "fivebar: error: --samples must be >= 0"
+    assert last == "fivebar verify: error: --samples must be >= 0"
 
 
 def test_negative_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--space", "jointspace", "--depth", "3", "--seed", "-1"])
     assert exc.value.code == 2
-    assert _usage_error(capsys) == "fivebar: error: --seed must be >= 0"
+    assert _usage_error(capsys) == "fivebar verify: error: --seed must be >= 0"
 
 
 @pytest.mark.parametrize("box", ["0,0,0,1", "0,1,2,2", "-1e308,1e308,0,1"])
@@ -357,7 +384,7 @@ def test_degenerate_box_is_usage_error(tmp_path, capsys, box):
     assert exc.value.code == 2
     assert not out.exists()
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last.startswith("fivebar: error: bad --box: ")
+    assert last.startswith("fivebar workspace: error: bad --box: ")
 
 
 @pytest.mark.parametrize(

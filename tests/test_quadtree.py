@@ -18,16 +18,15 @@ from fivebar.quadtree import (
     CODE_WHITE,
     GRAY,
     KIND_CODE,
+    KIND_LETTER,
     MAX_DEPTH,
     UNDETERMINED,
     WHITE,
     ParseError,
     black_area,
     build,
-    collect_leaves,
     deserialize,
     label_regions,
-    leaf_table,
     locate,
     mismatched_leaves,
     refine,
@@ -40,8 +39,10 @@ from fivebar.render import render_svg
 from helpers import (
     assert_labeling_matches_flood_fill,
     hash_classifier,
+    leaf_cells,
     random_models,
     rasterize,
+    text_leaves,
 )
 
 UNIT = Box2.from_bounds(0.0, 1.0, 0.0, 1.0)
@@ -63,18 +64,18 @@ def half_plane(box: Box2) -> int:
 
 def test_build_all_valid_single_black_root():
     m = build(UNIT, 3, lambda box: 1)
-    assert m.root.kind == BLACK and m.root.is_leaf
+    assert serialize(m).splitlines()[1] == BLACK
     assert m.stats.calls == 1
     assert m.stats.black == 1 and m.stats.white == 0
-    assert m.complement.kind == WHITE
+    assert serialize(m.complement_model()).splitlines()[1] == WHITE
 
 
 def test_build_all_invalid_single_white_root():
     m = build(UNIT, 3, lambda box: -1)
-    assert m.root.kind == WHITE and m.root.is_leaf
+    assert serialize(m).splitlines()[1] == WHITE
     assert m.stats.calls == 1
     # the complementary tree records the invalid space as its Black space
-    assert m.complement.kind == BLACK
+    assert serialize(m.complement_model()).splitlines()[1] == BLACK
 
 
 def test_build_requires_positive_depth():
@@ -100,17 +101,18 @@ def test_build_half_plane_structure():
 
 def test_build_undetermined_only_at_max_depth():
     m = build(UNIT, 4, half_plane)
-    for leaf in collect_leaves(m):
-        if leaf.kind == UNDETERMINED:
-            assert len(leaf.path) == m.max_depth
+    t = m.table
+    assert (t.kind == CODE_UNDET).any()
+    assert (t.level[t.kind == CODE_UNDET] == m.max_depth).all()
 
 
 def test_accuracy_rule():
     m = build(UNIT, 5, half_plane)
     assert m.accuracy == 1.0 / 2**5
-    for leaf in collect_leaves(m):
-        if len(leaf.path) == m.max_depth:
-            assert math.isclose(leaf.box.x.width, m.accuracy, rel_tol=1e-12)
+    t = m.table
+    finest = t.level == m.max_depth
+    for width in (t.x_hi - t.x_lo)[finest].tolist():
+        assert math.isclose(width, m.accuracy, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,22 @@ def test_refine_all_black_tree_is_free():
     assert r.stats.calls == m.stats.calls  # no new classifier calls
 
 
+def test_refine_merges_cascade_across_the_old_depth():
+    # every box is undecided down to depth 2 and Black below it: the new
+    # depth-3 leaves merge into their depth-2 parents, those with their
+    # depth-1 siblings' parents, and so on up to the root
+    def wide_undecided(box: Box2) -> int:
+        return 0 if box.x.width > 0.2 else 1
+
+    m = build(UNIT, 2, wide_undecided)
+    assert serialize(m).splitlines()[1] == "G" + "GUUUU" * 4
+    r = refine(m, 3, wide_undecided)
+    fresh = build(UNIT, 3, wide_undecided)
+    assert serialize(r) == serialize(fresh) == "QT1 3 0.0 1.0 0.0 1.0\nB\n"
+    assert r.stats.calls == fresh.stats.calls == 1 + 4 + 16 + 64
+    assert (r.stats.black, r.stats.gray) == (1, 0)
+
+
 def test_refine_requires_greater_depth():
     m = build(UNIT, 3, half_plane)
     with pytest.raises(ValueError):
@@ -194,7 +212,7 @@ def test_mismatched_leaves_regrows_merged_leaves():
     g = mech.M1
     classify = bench.space_classifier(g, bench.WORKSPACE)
     m = build(bench.space_box(g, bench.WORKSPACE), 6, classify)
-    t = leaf_table(m)
+    t = m.table
     verdicts = classify.batch(t.x_lo, t.x_hi, t.y_lo, t.y_hi)
     merged = (t.kind == CODE_BLACK) & (verdicts == 0)
     assert merged.any()
@@ -206,6 +224,15 @@ def test_mismatched_leaves_regrows_merged_leaves():
     header = serialize(m).splitlines()[0]
     forged = deserialize(header + "\n" + "".join(kinds) + "\n")
     assert mismatched_leaves(forged, classify) == int(merged.sum())
+    # a merged leaf whose box grows back split, though its first quadrant
+    # comes back as a leaf of its kind
+    def white_corner(box: Box2) -> int:
+        if box.x.width > 0.3:
+            return 0
+        return -1 if box.x.lo >= 0.75 and box.y.lo >= 0.75 else 1
+
+    assert serialize(build(UNIT, 2, white_corner)).splitlines()[1] == "GBBBGBBBW"
+    assert mismatched_leaves(deserialize("QT1 2 0.0 1.0 0.0 1.0\nGBBBB\n"), white_corner) == 1
 
 
 def test_mismatched_leaves_of_another_classifier():
@@ -227,8 +254,7 @@ def test_mismatched_leaves_of_another_classifier():
 
 def test_leaf_boxes_tile_root():
     for m in random_models(10, d_max=4):
-        leaves = collect_leaves(m)
-        total = sum(leaf.box.area for leaf in leaves)
+        total = sum(m.table.area.tolist())
         assert math.isclose(total, m.root_box.area, rel_tol=1e-12)
 
 
@@ -240,8 +266,8 @@ def test_locate_all_black_root():
 def test_locate_edge_tie_breaks_to_lower_leaf():
     m = build(UNIT, 3, half_plane)
     kind, path = locate(m, 0.5, 0.25)
-    leaf = {l.path: l for l in collect_leaves(m)}[path]
-    assert leaf.box.x.hi == 0.5  # the lower-coordinate leaf wins the tie
+    t = m.table
+    assert t.x_hi[t.paths.index(path)] == 0.5  # the lower-coordinate leaf wins the tie
 
 
 def test_locate_outside_root_raises():
@@ -255,7 +281,7 @@ def test_locate_agrees_with_rasterize():
     for m in random_models(5, d_max=4):
         raster = rasterize(m)
         n = 2**m.max_depth
-        leaves = collect_leaves(m)
+        leaves = text_leaves(m)
         for _ in range(200):
             qx, qy = rng.random(2)
             kind, path = locate(m, qx, qy)
@@ -264,9 +290,7 @@ def test_locate_agrees_with_rasterize():
             # cell centers are interior, so the raster lookup is tie-free;
             # compare through the leaf index only when q is off the edges
             if qx * n != ix and qy * n != iy:
-                leaf = leaves[raster.leaf_index[ix, iy]]
-                assert leaf.path == path
-                assert leaf.kind == kind
+                assert leaves[raster.leaf_index[ix, iy]][::2] == (path, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +312,7 @@ def test_serialize_preorder_example():
     text = "QT1 1 0.0 1.0 0.0 1.0\nGBWUB\n"
     m = deserialize(text)
     assert serialize(m) == text
-    kinds = [leaf.kind for leaf in collect_leaves(m)]
+    kinds = [KIND_LETTER[k] for k in m.table.kind.tolist()]
     assert kinds == [BLACK, WHITE, UNDETERMINED, BLACK]
 
 
@@ -298,8 +322,7 @@ def test_serialize_round_trip_random_trees():
         again = deserialize(text)
         assert serialize(again) == text
         assert again.max_depth == m.max_depth
-        assert again.root == m.root
-        assert again.complement == m.complement
+        assert serialize(again.complement_model()) == serialize(m.complement_model())
 
 
 def test_canonical_form_no_mergeable_quadruples():
@@ -327,6 +350,11 @@ def test_deserialize_errors():
         deserialize("QT1 1 0.0 1.0 0.0 1.0\nBW\n")  # trailing characters
     with pytest.raises(ParseError):
         deserialize("QT1 1 0.0 1.0 0.0 1.0\nX\n")  # unknown letter
+    for tail in ("garbage\n", "garbage", "\n", " "):
+        with pytest.raises(ParseError, match="after the node line"):
+            deserialize("QT1 1 0.0 1.0 0.0 1.0\nB\n" + tail)
+    # the final newline is optional
+    assert serialize(deserialize("QT1 1 0.0 1.0 0.0 1.0\nB")) == "QT1 1 0.0 1.0 0.0 1.0\nB\n"
     # a side of zero or overflowing width: leaves without area
     for bounds in ("0.0 0.0 0.0 1.0", "0.0 1.0 2.0 2.0", "-1e308 1e308 0.0 1.0"):
         with pytest.raises(ParseError, match="positive finite width"):
@@ -375,27 +403,19 @@ def test_complement_black_spaces_are_disjoint_and_cover():
 
 
 def _node_walk(m):
-    """(path, level, ix, iy, kind code, bounds) per leaf, by recursion."""
+    """(path, level, ix, iy, kind code, bounds) per leaf, by a recursive
+    walk of the text form."""
     rows = []
-
-    def visit(node, box, path, ix, iy):
-        level = len(path)
-        if node.is_leaf:
-            bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
-            rows.append((path, level, ix, iy, KIND_CODE[node.kind], bounds))
-            return
-        h = 2 ** (m.max_depth - level - 1)
-        offsets = ((0, 0), (h, 0), (0, h), (h, h))
-        for i, (child, child_box) in enumerate(zip(node.children, box.subdivide())):
-            visit(child, child_box, path + str(i), ix + offsets[i][0], iy + offsets[i][1])
-
-    visit(m.root, m.root_box, "", 0, 0)
+    for path, box, kind in text_leaves(m):
+        ix, iy, _ = leaf_cells(path, m.max_depth)
+        bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+        rows.append((path, len(path), ix, iy, KIND_CODE[kind], bounds))
     return rows
 
 
 def test_leaf_table_rows_match_recursive_walk():
     for m in random_models(20, d_max=5) + [build(UNIT, 1, lambda box: 1)]:
-        t = leaf_table(m)
+        t = m.table
         rows = list(zip(
             t.paths, t.level.tolist(), t.ix.tolist(), t.iy.tolist(), t.kind.tolist(),
             zip(t.x_lo.tolist(), t.x_hi.tolist(), t.y_lo.tolist(), t.y_hi.tolist()),
@@ -409,15 +429,8 @@ def test_leaf_table_find_agrees_with_raster():
         raster = rasterize(m)
         n = 2**m.max_depth
         cx, cy = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        found = leaf_table(m).find(cx.ravel(), cy.ravel()).reshape(n, n)
+        found = m.table.find(cx.ravel(), cy.ravel()).reshape(n, n)
         assert (found == raster.leaf_index).all()
-
-
-def test_leaf_table_follows_a_replaced_root():
-    m = build(UNIT, 2, lambda box: 1)
-    assert leaf_table(m).paths == [""]
-    m.root = deserialize("QT1 2 0.0 1.0 0.0 1.0\nGBWWB\n").root
-    assert leaf_table(m).paths == ["0", "1", "2", "3"]
 
 
 def test_shared_black_cells_match_raster():

@@ -4,10 +4,9 @@ import pytest
 
 from fivebar.interval import Box2
 from fivebar.quadtree import (
-    BLACK,
-    UNDETERMINED,
+    CODE_BLACK,
+    CODE_UNDET,
     build,
-    collect_leaves,
     deserialize,
     label_regions,
 )
@@ -30,9 +29,9 @@ def test_single_black_root_is_one_rect_covering_viewbox():
 
 def test_rect_count_equals_black_leaf_count():
     m = deserialize("QT1 2 0.0 1.0 0.0 1.0\nGBGBWUWWB\n")
-    leaves = collect_leaves(m)
-    n_black = sum(1 for l in leaves if l.kind == BLACK)
-    n_undet = sum(1 for l in leaves if l.kind == UNDETERMINED)
+    kinds = m.table.kind.tolist()
+    n_black = kinds.count(CODE_BLACK)
+    n_undet = kinds.count(CODE_UNDET)
     assert rect_count(render_svg(m)) == n_black
     shown = render_svg(m, style=RenderStyle(show_undetermined=True))
     assert rect_count(shown) == n_black + n_undet
