@@ -5,12 +5,8 @@ from .mechanism import (
     M1,
     M2,
     AssemblyMode,
-    Configuration,
     FiveBarGeometry,
-    Ternary,
     WorkingMode,
-    dkp_box,
-    ikp_box,
 )
 from .quadtree import ParseError, QuadtreeModel, build, deserialize, refine, serialize
 from .aspects import ModeCombo, PairingError, all_mode_combos, compute_aspects
@@ -24,12 +20,8 @@ __all__ = [
     "M1",
     "M2",
     "AssemblyMode",
-    "Configuration",
     "FiveBarGeometry",
-    "Ternary",
     "WorkingMode",
-    "dkp_box",
-    "ikp_box",
     "ParseError",
     "QuadtreeModel",
     "build",

@@ -33,11 +33,10 @@ from .mechanism import (
     AssemblyMode,
     BoxClassifier,
     FiveBarGeometry,
-    Ternary,
     WorkingMode,
     default_jointspace_box,
     default_workspace_box,
-    ikp_box,
+    ikp_witness,
 )
 from .quadtree import (
     BLACK,
@@ -279,15 +278,13 @@ def pair_regions(
             # the leaf box's Interval.mid
             x0, x1, y0, y1 = (float(v[i]) for v in (t.x_lo, t.x_hi, t.y_lo, t.y_hi))
             wx, wy = x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2
-            res = ikp_box(Box2.point(wx, wy), g, combo.wm)
-            sol = res.solution_for(combo.wm) if res.status is Ternary.VALID else None
-            if sol is None:
+            theta = ikp_witness(wx, wy, g, combo.wm)
+            if theta is None:
                 failure = failure or (
                     f"witness ({wx}, {wy}) has no certified IKP solution"
                 )
                 continue
-            t1 = wrap_angle(sol.theta1.mid)
-            t2 = wrap_angle(sol.theta2.mid)
+            t1, t2 = (wrap_angle(t) for t in theta)
             kind, path = locate(q_model, t1, t2)
             if kind != BLACK:
                 failure = failure or (

@@ -94,18 +94,6 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return add(self, other)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return sub(self, other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return mul(self, other)
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        return div(self, other)
-
     def __neg__(self) -> "Interval":
         return _iv(-self.hi, -self.lo)
 

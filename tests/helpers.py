@@ -1,20 +1,39 @@
 """Shared test utilities: tight-enclosure assertions, deterministic random
-trees, and a flood-fill region oracle independent of the library's labeling.
+trees, a flood-fill region oracle independent of the library's labeling,
+and the full box solvers that the kinematic verdicts are checked against.
 
 The oracle reads its own raster, filled by a recursive walk of the model's
 text form; it shares no code with the library's leaf table.
+
+The full solvers `dkp_box` and `ikp_box` work on one box of `Interval`
+objects and return every solution enclosure (P, joint angles, elbows,
+det(A), u_z, v_z) with a `Ternary` status. They are the box-by-box
+reference of `mechanism.joint_verdicts` / `workspace_verdicts` and of
+`mechanism.ikp_witness`: the same formulas with the same scalar float
+operations, sharing no code with the batch kernel. `configuration_at`,
+`scalar_signs` and `coincidence_configurations` are point helpers of the
+kinematic tests.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
 
-from fivebar.interval import Box2
+from fivebar import interval as iv
+from fivebar.interval import Box2, Interval
+from fivebar.mechanism import (
+    AssemblyMode,
+    FiveBarGeometry,
+    WorkingMode,
+    _cross,
+    _scalar_elbows,
+)
 from fivebar.quadtree import (
     CODE_BLACK,
     GRAY,
@@ -150,3 +169,435 @@ def assert_labeling_matches_flood_fill(
     assert len(pairs) == n
     assert len(set(pairs[:, 0])) == n
     assert len(set(pairs[:, 1])) == n
+
+
+# ---------------------------------------------------------------------------
+# Full box solvers and point helpers: the kinematic reference
+# ---------------------------------------------------------------------------
+
+IVec2 = tuple[Interval, Interval]
+
+
+class Ternary(enum.IntEnum):
+    VALID = 1
+    INDETERMINATE = 0
+    INVALID = -1
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """A fully determined point configuration (used by scalar utilities)."""
+
+    theta1: float
+    theta2: float
+    theta3: float
+    theta4: float
+    p: tuple[float, float]
+    b1: tuple[float, float]
+    b2: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class DkpSolution:
+    p: IVec2
+    det_a: Interval  # enclosure of the cross product (B1-P) x (B2-P)
+    u_z: Interval  # elbow cross product of leg 1 at this solution
+    v_z: Interval  # elbow cross product of leg 2 at this solution
+
+    @property
+    def sign(self) -> int:
+        return self.det_a.sign()
+
+
+@dataclass(frozen=True)
+class DkpResult:
+    status: Ternary
+    solutions: tuple[DkpSolution, ...]
+    b1: Optional[IVec2] = None
+    b2: Optional[IVec2] = None
+
+    def solution_for(self, mode: AssemblyMode) -> Optional[DkpSolution]:
+        for sol in self.solutions:
+            if sol.sign == int(mode):
+                return sol
+        return None
+
+
+@dataclass(frozen=True)
+class IkpSolution:
+    theta1: Interval
+    theta2: Interval
+    u_z: Interval
+    v_z: Interval
+    b1: IVec2
+    b2: IVec2
+    det_a: Interval  # enclosure of (B1-P) x (B2-P) at this solution
+
+    @property
+    def mode(self) -> Optional[WorkingMode]:
+        su, sv = self.u_z.sign(), self.v_z.sign()
+        if su == 0 or sv == 0:
+            return None
+        return WorkingMode(su, sv)
+
+
+@dataclass(frozen=True)
+class IkpResult:
+    status: Ternary
+    solutions: tuple[IkpSolution, ...]
+
+    def solution_for(self, mode: WorkingMode) -> Optional[IkpSolution]:
+        for sol in self.solutions:
+            if sol.mode == mode:
+                return sol
+        return None
+
+
+def _clip_unit(a: Interval) -> Interval:
+    """Intersect with [-1, 1] (the cosine range of assembled configurations)."""
+    return Interval(max(a.lo, -1.0), min(a.hi, 1.0))
+
+
+def _unit_sine(c: Interval) -> Interval:
+    """Enclosure of sqrt(1 - c^2) for a cosine enclosure c within [-1, 1]."""
+    return iv.sqrt(iv.shift(-iv.sqr(c), 1.0))
+
+
+# --------------------------------------------------------------------------
+# Direct kinematics over joint-space boxes
+# --------------------------------------------------------------------------
+
+
+def _dkp_triangle(box: Box2, g: FiveBarGeometry):
+    """Front half of the DKP (`dkp_box`; `joint_verdicts` repeats it on arrays).
+
+    Encloses the base-angle cosines/sines, the elbows B1, B2, the gap
+    B2 - B1 = (dx, dy), its length |B1B2| and cos(alpha), the angle at B1 of
+    the triangle (B1, B2, P) by the law of cosines. Returns
+    ``(status, trig, b1, b2, dx, dy, dist, cos_alpha)``: status is INVALID
+    when no point of the box can be assembled, INDETERMINATE at a possible
+    B1 = B2 coincidence (cos_alpha is then None), else None.
+    """
+    t1, t2 = box.x, box.y
+    trig = c1t, s1t, c2t, s2t = iv.cos(t1), iv.sin(t1), iv.cos(t2), iv.sin(t2)
+    b1 = (iv.scale(c1t, g.L1), iv.scale(s1t, g.L1))
+    b2 = (iv.shift(iv.scale(c2t, g.L2), g.L0), iv.scale(s2t, g.L2))
+    dx = iv.sub(b2[0], b1[0])
+    dy = iv.sub(b2[1], b1[1])
+    dist = iv.norm2(dx, dy)
+    if dist.lo > g.L3 + g.L4 or dist.hi < abs(g.L3 - g.L4):
+        return Ternary.INVALID, trig, b1, b2, dx, dy, dist, None
+    if dist.lo <= 0.0:
+        # possible B1 = B2 coincidence: P would rotate freely around B1
+        return Ternary.INDETERMINATE, trig, b1, b2, dx, dy, dist, None
+    num = iv.shift(iv.sqr(dist), g.L3 * g.L3 - g.L4 * g.L4)
+    cos_alpha = iv.div(num, iv.scale(dist, 2.0 * g.L3))
+    if cos_alpha.lo > 1.0 or cos_alpha.hi < -1.0:
+        return Ternary.INVALID, trig, b1, b2, dx, dy, dist, cos_alpha
+    return None, trig, b1, b2, dx, dy, dist, cos_alpha
+
+
+def _dkp_elbow_crosses(
+    box: Box2,
+    trig: tuple[Interval, Interval, Interval, Interval],
+    g: FiveBarGeometry,
+    dist: Interval,
+    c: Interval,
+    sin_alpha: Interval,
+    branches: tuple[int, ...],
+) -> list[tuple[Interval, Interval]]:
+    """Elbow cross products (u_z, v_z) of each requested DKP branch.
+
+    Tangential/radial projections of the base and opposite links give them
+    without reconstructing the elbow angles (far tighter over wide boxes):
+      u_z = L1 L3 / |B1B2| * (G1 cos a + branch H1 sin a)
+      v_z = L2 L4 / |B1B2| * (-G2 cos a' + branch H2 sin a')
+    where a' is the angle at B2 of the same triangle (B1, B2, P).
+    """
+    t1, t2 = box.x, box.y
+    c1t, s1t, c2t, s2t = trig
+    num2 = iv.shift(iv.sqr(dist), g.L4 * g.L4 - g.L3 * g.L3)
+    c_prime = _clip_unit(iv.div(num2, iv.scale(dist, 2.0 * g.L4)))
+    s_prime = iv.scale(sin_alpha, g.L3 / g.L4)
+    s21, c21 = iv.sin(iv.sub(t2, t1)), iv.cos(iv.sub(t2, t1))
+    g1 = iv.sub(iv.scale(s21, g.L2), iv.scale(s1t, g.L0))
+    h1 = iv.shift(iv.add(iv.scale(c1t, g.L0), iv.scale(c21, g.L2)), -g.L1)
+    g2 = iv.sub(iv.scale(s21, g.L1), iv.scale(s2t, g.L0))
+    h2 = iv.shift(iv.sub(iv.scale(c2t, g.L0), iv.scale(c21, g.L1)), g.L2)
+    crosses = []
+    for branch in branches:
+        u_z = iv.scale(
+            iv.div(
+                iv.add(iv.mul(g1, c), iv.scale(iv.mul(h1, sin_alpha), branch)), dist
+            ),
+            g.L1 * g.L3,
+        )
+        v_z = iv.scale(
+            iv.div(
+                iv.add(
+                    -iv.mul(g2, c_prime), iv.scale(iv.mul(h2, s_prime), branch)
+                ),
+                dist,
+            ),
+            g.L2 * g.L4,
+        )
+        crosses.append((u_z, v_z))
+    return crosses
+
+
+def dkp_box(
+    box: Box2, g: FiveBarGeometry, mode: Optional[AssemblyMode] = None
+) -> DkpResult:
+    """Solve the direct kinematic problem over a box of joint angles.
+
+    The full solver: both branches with P, det(A), u_z and v_z. Quadtree
+    builds use `joint_verdicts`, which return the same verdict without the
+    enclosures it does not read.
+
+    Without a mode the test is assemblability alone (the plain joint space).
+    With a mode, validity additionally requires a solution branch whose
+    det(A) cross-product enclosure strictly carries the requested sign.
+
+    Enclosures are kept tight with two exact identities: P - B1 is the unit
+    vector along B1->B2 rotated by +/- alpha and scaled by L3 (angle-sum
+    expansion, no trig round trip), and the det(A) cross product equals
+    branch * L3 * |B1B2| * sin(alpha).
+    """
+    status, trig, b1, b2, dx, dy, dist, cos_alpha = _dkp_triangle(box, g)
+    if status is not None:
+        return DkpResult(status, (), b1, b2)
+    c = _clip_unit(cos_alpha)
+    sin_alpha = _unit_sine(c)
+    crosses = _dkp_elbow_crosses(box, trig, g, dist, c, sin_alpha, (1, -1))
+    dxc, dyc = iv.mul(dx, c), iv.mul(dy, c)
+    dxs, dys = iv.mul(dx, sin_alpha), iv.mul(dy, sin_alpha)
+    solutions = []
+    for branch, (u_z, v_z) in zip((1, -1), crosses):
+        # (P - B1) = L3 / |B1B2| * Rot(branch * alpha) (dx, dy)
+        ux = iv.scale(iv.div(iv.sub(dxc, iv.scale(dys, branch)), dist), g.L3)
+        uy = iv.scale(iv.div(iv.add(dyc, iv.scale(dxs, branch)), dist), g.L3)
+        p = (iv.add(b1[0], ux), iv.add(b1[1], uy))
+        # identity: (B1-P) x (B2-P) = branch * L3 * |B1B2| * sin(alpha)
+        det_a = iv.scale(iv.mul(dist, sin_alpha), branch * g.L3)
+        solutions.append(DkpSolution(p, det_a, u_z, v_z))
+    solutions = tuple(solutions)
+
+    if cos_alpha.lo <= -1.0 or cos_alpha.hi >= 1.0:
+        # box reaches a stretched/folded (collinear B1, P, B2) configuration
+        return DkpResult(Ternary.INDETERMINATE, solutions, b1, b2)
+
+    if mode is None:
+        return DkpResult(Ternary.VALID, solutions, b1, b2)
+
+    # both branches always exist here, with det(A) signs +branch certified
+    # exactly when sin(alpha) is strictly positive over the box
+    if sin_alpha.lo > 0.0:
+        return DkpResult(Ternary.VALID, solutions, b1, b2)
+    return DkpResult(Ternary.INDETERMINATE, solutions, b1, b2)
+
+
+# --------------------------------------------------------------------------
+# Inverse kinematics over workspace boxes
+# --------------------------------------------------------------------------
+
+
+def _ikp_legs(box: Box2, g: FiveBarGeometry):
+    """Front half of the IKP (`ikp_box`; `workspace_verdicts` repeats it on arrays).
+
+    Encloses the leg distances M1 = |A1P|, M2 = |A2P| and the cosines c1, c2
+    of the angles at A1 and A2 between the base-to-P line and the proximal
+    links. Returns ``(status, m1, m2, c1, c2)``: status is INVALID when no
+    point of the box is reachable, INDETERMINATE when the box is not
+    strictly inside both annuli (c1, c2 are then None), else None.
+    """
+    px, py = box.x, box.y
+    m1 = iv.norm2(px, py)
+    m2 = iv.norm2(iv.shift(px, -g.L0), py)
+    r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
+    r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
+    if m1.lo > r1_out or m2.lo > r2_out:
+        return Ternary.INVALID, m1, m2, None, None
+    if m1.hi < r1_in or m2.hi < r2_in:
+        return Ternary.INVALID, m1, m2, None, None
+    # r_in >= 0, so strictness also keeps A1 and A2 out of the box
+    strict = (
+        m1.lo > r1_in and m2.lo > r2_in and m1.hi < r1_out and m2.hi < r2_out
+    )
+    if not strict:
+        return Ternary.INDETERMINATE, m1, m2, None, None
+    c1 = iv.div(iv.shift(iv.sqr(m1), g.L1 * g.L1 - g.L3 * g.L3), iv.scale(m1, 2.0 * g.L1))
+    c2 = iv.div(iv.shift(iv.sqr(m2), g.L2 * g.L2 - g.L4 * g.L4), iv.scale(m2, 2.0 * g.L2))
+    if c1.lo > 1.0 or c1.hi < -1.0 or c2.lo > 1.0 or c2.hi < -1.0:
+        return Ternary.INVALID, m1, m2, c1, c2
+    return None, m1, m2, c1, c2
+
+
+def _ikp_det_a(
+    box: Box2,
+    g: FiveBarGeometry,
+    m1: Interval,
+    m2: Interval,
+    s1: Interval,
+    s2: Interval,
+) -> Callable[[int, int], Interval]:
+    """det(A) cross product of the IKP solution with elbow branches (i, j).
+
+    Exact identity
+      (B1-P) x (B2-P) = L3 L4 [L0 py (cd1 cd2 + ij sd1 sd2)
+                               + S (i cd2 sd1 - j cd1 sd2)] / (M1 M2)
+    where (cd1, sd1), (cd2, sd2) are the cosines/sines of the triangle
+    angles at P and S = px (px - L0) + py^2 (evaluated as a sharp
+    single-variable quadratic plus a sharp square).
+    """
+    px, py = box.x, box.y
+    cd1 = _clip_unit(
+        iv.div(iv.shift(iv.sqr(m1), g.L3 * g.L3 - g.L1 * g.L1), iv.scale(m1, 2.0 * g.L3))
+    )
+    cd2 = _clip_unit(
+        iv.div(iv.shift(iv.sqr(m2), g.L4 * g.L4 - g.L2 * g.L2), iv.scale(m2, 2.0 * g.L4))
+    )
+    sd1 = iv.scale(s1, g.L1 / g.L3)
+    sd2 = iv.scale(s2, g.L2 / g.L4)
+    s_quad = iv.add(
+        iv.shift(iv.sqr(iv.shift(px, -g.L0 / 2)), -g.L0 * g.L0 / 4), iv.sqr(py)
+    )
+    cc = iv.mul(cd1, cd2)
+    ss = iv.mul(sd1, sd2)
+    cs = iv.mul(cd2, sd1)
+    sc = iv.mul(cd1, sd2)
+    m1m2 = iv.mul(m1, m2)
+
+    def det_at(i: int, j: int) -> Interval:
+        n = iv.add(
+            iv.scale(iv.mul(py, iv.add(cc, iv.scale(ss, i * j))), g.L0),
+            iv.mul(s_quad, iv.sub(iv.scale(cs, i), iv.scale(sc, j))),
+        )
+        return iv.scale(iv.div(n, m1m2), g.L3 * g.L4)
+
+    return det_at
+
+
+def ikp_box(
+    box: Box2, g: FiveBarGeometry, mode: Optional[WorkingMode] = None
+) -> IkpResult:
+    """Solve the inverse kinematic problem over a box of workspace positions.
+
+    The full solver: all four solutions with joint angles, elbows, u_z, v_z
+    and det(A). Quadtree builds use `workspace_verdicts`, which return the
+    same verdict without the enclosures it does not read, and pairing uses
+    `ikp_witness`, which solves the one branch pair it reads.
+
+    Validity requires strict containment of both leg distances in their
+    reachable annuli; with a mode, also a solution branch pair whose u_z and
+    v_z enclosures strictly carry the requested signs.
+    """
+    status, m1, m2, c1, c2 = _ikp_legs(box, g)
+    if status is not None:
+        return IkpResult(status, ())
+    px, py = box.x, box.y
+    clamped = (
+        c1.lo < -1.0 or c1.hi > 1.0 or c2.lo < -1.0 or c2.hi > 1.0
+    )
+    c1c, c2c = _clip_unit(c1), _clip_unit(c2)
+    s1 = _unit_sine(c1c)
+    s2 = _unit_sine(c2c)
+    beta1, _ = iv.acos(c1c)
+    beta2, _ = iv.acos(c2c)
+    # A1 and A2 lie outside the box, so neither angle has the origin flag set
+    alpha1, _ = iv.atan2(py, px)
+    alpha2, _ = iv.atan2(py, iv.shift(-px, g.L0))
+    pi_minus_a2 = iv.shift(-alpha2, math.pi)
+    qx = iv.shift(px, -g.L0)
+
+    # elbows via angle-sum expansion of the known direction cosines; the
+    # elbow cross products collapse to the exact identities
+    # u_z = -branch * L1 * |A1P| * sin(beta1), v_z = -branch * L2 * |A2P| * sin(beta2)
+    legs1 = []
+    for i in (1, -1):
+        t1 = iv.add(alpha1, beta1) if i > 0 else iv.sub(alpha1, beta1)
+        cos_t1 = iv.div(iv.sub(iv.mul(px, c1c), iv.scale(iv.mul(py, s1), i)), m1)
+        sin_t1 = iv.div(iv.add(iv.mul(py, c1c), iv.scale(iv.mul(px, s1), i)), m1)
+        b1 = (iv.scale(cos_t1, g.L1), iv.scale(sin_t1, g.L1))
+        u_z = iv.scale(iv.mul(m1, s1), -i * g.L1)
+        legs1.append((i, t1, b1, u_z))
+    legs2 = []
+    for j in (1, -1):
+        t2 = iv.add(pi_minus_a2, beta2) if j > 0 else iv.sub(pi_minus_a2, beta2)
+        cos_p2 = iv.div(iv.sub(iv.mul(qx, c2c), iv.scale(iv.mul(py, s2), j)), m2)
+        sin_p2 = iv.div(iv.add(iv.mul(py, c2c), iv.scale(iv.mul(qx, s2), j)), m2)
+        b2 = (iv.shift(iv.scale(cos_p2, g.L2), g.L0), iv.scale(sin_p2, g.L2))
+        v_z = iv.scale(iv.mul(m2, s2), -j * g.L2)
+        legs2.append((j, t2, b2, v_z))
+
+    det_at = _ikp_det_a(box, g, m1, m2, s1, s2)
+    solutions = tuple(
+        IkpSolution(t1, t2, u_z, v_z, b1, b2, det_at(i, j))
+        for (i, t1, b1, u_z) in legs1
+        for (j, t2, b2, v_z) in legs2
+    )
+
+    if clamped:
+        return IkpResult(Ternary.INDETERMINATE, solutions)
+    if mode is None:
+        return IkpResult(Ternary.VALID, solutions)
+
+    # all four working modes exist at every strictly reachable point; their
+    # signs are certified exactly when both sines are strictly positive
+    if s1.lo > 0.0 and s2.lo > 0.0:
+        return IkpResult(Ternary.VALID, solutions)
+    return IkpResult(Ternary.INDETERMINATE, solutions)
+
+
+def configuration_at(
+    t1: float, t2: float, g: FiveBarGeometry, branch: int = 1
+) -> Optional[Configuration]:
+    """Scalar forward solve: the DKP branch (+1: beta+alpha, -1: beta-alpha).
+
+    Returns None when the configuration cannot be assembled.
+    """
+    b1, b2 = _scalar_elbows(t1, t2, g)
+    dx, dy = b2[0] - b1[0], b2[1] - b1[1]
+    dist = math.hypot(dx, dy)
+    if dist == 0.0 or dist > g.L3 + g.L4 or dist < abs(g.L3 - g.L4):
+        return None
+    c = (dist * dist + g.L3 * g.L3 - g.L4 * g.L4) / (2.0 * g.L3 * dist)
+    if abs(c) > 1.0:
+        return None
+    alpha = math.acos(c)
+    beta = math.atan2(dy, dx)
+    ang = beta + alpha if branch > 0 else beta - alpha
+    p = (b1[0] + g.L3 * math.cos(ang), b1[1] + g.L3 * math.sin(ang))
+    theta3 = math.atan2(p[1] - b1[1], p[0] - b1[0])
+    theta4 = math.atan2(p[1] - b2[1], p[0] - b2[0])
+    return Configuration(t1, t2, theta3, theta4, p, b1, b2)
+
+
+def scalar_signs(cfg: Configuration, g: FiveBarGeometry) -> tuple[float, float, float]:
+    """(det-A cross product, u_z, v_z) at a point configuration."""
+    p, b1, b2 = cfg.p, cfg.b1, cfg.b2
+    t_z = _cross(b1[0] - p[0], b1[1] - p[1], b2[0] - p[0], b2[1] - p[1])
+    u_z = _cross(b1[0], b1[1], p[0] - b1[0], p[1] - b1[1])
+    v_z = _cross(b2[0] - g.L0, b2[1], p[0] - b2[0], p[1] - b2[1])
+    return t_z, u_z, v_z
+
+
+def coincidence_configurations(
+    g: FiveBarGeometry,
+) -> tuple[tuple[float, float], ...]:
+    """Joint angles at which the elbows B1 and B2 coincide.
+
+    The coincidence point is the intersection of the circles of radius L1
+    around A1 and L2 around A2; there are two mirror configurations (or one
+    on the base line), and none when the circles do not meet.
+    """
+    x = (g.L0 * g.L0 + g.L1 * g.L1 - g.L2 * g.L2) / (2.0 * g.L0)
+    y_sq = g.L1 * g.L1 - x * x
+    if y_sq < 0.0:
+        return ()
+    y = math.sqrt(y_sq)
+    out = []
+    for yy in (y, -y):
+        out.append((math.atan2(yy, x), math.atan2(yy, x - g.L0)))
+        if y == 0.0:
+            break
+    return tuple(out)

@@ -29,14 +29,9 @@ from fivebar.interval import Box2, Interval
 from fivebar.mechanism import (
     M1,
     M2,
-    Ternary,
     WorkingMode,
-    coincidence_configurations,
-    configuration_at,
-    ikp_box,
     point_classify_joint,
     point_classify_workspace,
-    scalar_signs,
 )
 from fivebar.quadtree import (
     BLACK,
@@ -50,7 +45,15 @@ from fivebar.quadtree import (
     serialize,
 )
 
-from helpers import assert_labeling_matches_flood_fill, random_models
+from helpers import (
+    Ternary,
+    assert_labeling_matches_flood_fill,
+    coincidence_configurations,
+    configuration_at,
+    ikp_box,
+    random_models,
+    scalar_signs,
+)
 
 PI = math.pi
 MECHANISMS = (("m1", M1), ("m2", M2))

@@ -29,6 +29,8 @@ from fivebar.quadtree import (
     locate,
 )
 
+from helpers import coincidence_configurations
+
 PI = math.pi
 UNIT = Box2.from_bounds(0.0, 1.0, 0.0, 1.0)
 
@@ -67,7 +69,7 @@ def test_jointspace_classifier_examples():
     # elbows certifiably out of reach of the distal links
     assert classify(Box2.from_bounds(PI - 0.01, PI, 0.0, 0.01)) == -1
     # a box around the elbow-coincidence configuration stays undecided
-    (t1, t2), _ = mech.coincidence_configurations(M2)
+    (t1, t2), _ = coincidence_configurations(M2)
     classify_m2 = jointspace_classifier(combo, M2)
     for half_width in (0.1, 1e-3, 1e-6):
         box = Box2.from_bounds(

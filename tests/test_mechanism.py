@@ -8,20 +8,25 @@ import pytest
 
 from fivebar import interval as iv
 from fivebar import mechanism as mech
+from fivebar.aspects import all_mode_combos
 from fivebar.interval import Box2, Interval
 from fivebar.mechanism import (
     M1,
     M2,
     AssemblyMode,
     FiveBarGeometry,
-    Ternary,
     WorkingMode,
-    configuration_at,
-    coincidence_configurations,
-    dkp_box,
-    ikp_box,
     point_classify_joint,
     point_classify_workspace,
+)
+from fivebar.quadtree import build
+
+from helpers import (
+    Ternary,
+    coincidence_configurations,
+    configuration_at,
+    dkp_box,
+    ikp_box,
     scalar_signs,
 )
 
@@ -270,6 +275,41 @@ def test_ikp_with_mode_point_valid():
         res = ikp_box(Box2.point(4.5, 6.0), M1, wm)
         assert res.status is Ternary.VALID
         assert res.solution_for(wm) is not None
+
+
+# lengths without an exact binary form, so the constants derived from them
+# round (M1 and M2 derive mostly exact ones)
+ODD = FiveBarGeometry(9.1, 7.9, 5.3, 4.9, 8.1)
+
+
+@pytest.mark.parametrize("g", [M1, M2, ODD], ids=["m1", "m2", "odd"])
+def test_ikp_witness_matches_full_solver(g):
+    # the witness depends on the working mode only: pool the leaf centres
+    # of both assembly modes' trees, plus random points of the box
+    box = mech.default_workspace_box(g)
+    points = {}
+    for combo in all_mode_combos():
+        classify = mech.BoxClassifier(mech.WORKSPACE, g, combo.wm, combo.am)
+        t = build(box, 6, classify).table
+        # the leaf box's Interval.mid, as pairing takes it
+        xs = t.x_lo + (t.x_hi - t.x_lo) / 2
+        ys = t.y_lo + (t.y_hi - t.y_lo) / 2
+        points.setdefault(combo.wm, set()).update(zip(xs.tolist(), ys.tolist()))
+    rng = np.random.default_rng(24)
+    side = g.L1 + g.L3
+    for pts in points.values():
+        pts.update(map(tuple, rng.uniform(-side, side, (200, 2)).tolist()))
+    outcomes = set()
+    for wm, pts in points.items():
+        for px, py in pts:
+            res = ikp_box(Box2.point(px, py), g, wm)
+            expected = None
+            if res.status is Ternary.VALID:
+                sol = res.solution_for(wm)
+                expected = (sol.theta1.mid, sol.theta2.mid)
+            assert mech.ikp_witness(px, py, g, wm) == expected, (px, py, wm)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

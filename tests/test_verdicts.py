@@ -1,10 +1,11 @@
 """Row-by-row agreement of the batch verdicts with the full solvers.
 
 The reference is the verdict the box classifiers computed from the full
-solution sets of `dkp_box` / `ikp_box`, box by box with scalar intervals,
-before the verdict functions existed. The batch kernel shares no code
-with it. Also covered: batches that straddle the CHUNK seams of a build,
-the per-box call of a classifier, and builds through the per-box fallback.
+solution sets of `dkp_box` / `ikp_box` (in `helpers`), box by box with
+scalar intervals, before the verdict functions existed. The batch kernel
+shares no code with it. Also covered: batches that straddle the CHUNK
+seams of a build, the per-box call of a classifier, and builds through the
+per-box fallback.
 """
 
 import math
@@ -21,15 +22,13 @@ from fivebar.mechanism import (
     M2,
     AssemblyMode,
     BoxClassifier,
-    Ternary,
     WorkingMode,
-    coincidence_configurations,
-    dkp_box,
-    ikp_box,
     joint_verdicts,
     workspace_verdicts,
 )
 from fivebar.quadtree import CHUNK, build, refine, serialize
+
+from helpers import Ternary, coincidence_configurations, dkp_box, ikp_box
 
 GEOMETRIES = {"m1": M1, "m2": M2}
 WORKING_MODES = [WorkingMode(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
