@@ -43,8 +43,8 @@ from .quadtree import (
     CODE_BLACK,
     QuadtreeModel,
     RegionLabeling,
-    UnionFind,
     build,
+    components,
     label_regions,
     locate,
     shared_black_cells,
@@ -165,13 +165,11 @@ def aspect_regions(
     certified interior exceeds the model accuracy. Aspect ids are assigned
     by descending area, ties by smallest raw region id.
     """
-    uf = UnionFind(labels.region_count)
-    if wrap:
-        for a, b in _seam_pairs(model, labels):
-            uf.union(a, b)
+    pairs = np.array(_seam_pairs(model, labels) if wrap else [], dtype=np.int64)
+    root = components(labels.region_count, *pairs.reshape(-1, 2).T).tolist()
     groups: dict[int, list[int]] = {}
     for region in labels.regions:
-        groups.setdefault(uf.find(region.region_id), []).append(region.region_id)
+        groups.setdefault(root[region.region_id], []).append(region.region_id)
     by_id = {r.region_id: r for r in labels.regions}
     kept = []
     for ids in groups.values():

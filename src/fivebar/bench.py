@@ -20,9 +20,6 @@ from .mechanism import (
     FiveBarGeometry,
     default_jointspace_box,
     default_workspace_box,
-    point_classify_joint,
-    point_classify_workspace,
-    VALID,
 )
 from .quadtree import build
 
@@ -75,31 +72,6 @@ def run_bench(
     return rows
 
 
-def run_discretization(g: FiveBarGeometry, space: str, depth: int) -> tuple[int, int]:
-    """Actually execute the grid baseline: classify every cell center.
-
-    Returns (valid cells, total cells); the total is 2^(2*depth) by
-    construction, which validates the analytic accounting.
-    """
-    box = space_box(g, space)
-    classify_point = (
-        point_classify_joint if space == JOINTSPACE else point_classify_workspace
-    )
-    n = 2**depth
-    dx = box.x.width / n
-    dy = box.y.width / n
-    n_valid = 0
-    n_calls = 0
-    for i in range(n):
-        cx = box.x.lo + (i + 0.5) * dx
-        for j in range(n):
-            cy = box.y.lo + (j + 0.5) * dy
-            n_calls += 1
-            if classify_point(cx, cy, g) == VALID:
-                n_valid += 1
-    return n_valid, n_calls
-
-
 CSV_HEADER = ["space", "mechanism", "depth", "n_quadtree", "n_disc", "K"]
 
 
@@ -120,19 +92,3 @@ def emit_table(rows: Sequence[BenchRow]) -> str:
         )
     return buf.getvalue()
 
-
-def parse_table(text: str) -> list[BenchRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        space, mechanism, depth, n_quadtree, n_disc, k = rec
-        row = BenchRow(space, mechanism, int(depth), int(n_quadtree))
-        if row.n_disc != int(n_disc):
-            raise ValueError(f"inconsistent n_disc in row {rec!r}")
-        rows.append(row)
-    return rows

@@ -24,12 +24,16 @@ canonical tree, with the same number of classifier calls. Refining a
 model to a higher depth keeps its Black and White rows and starts the
 frontier at the children of its Undetermined leaves, which are known to
 be undecided, so no decided box is ever retested.
+
+Reading a model works on whole columns as well. The text form is parsed by
+prefix sums over the code points of its node line, and the Black regions
+are the connected components of the table's Black edge pairs, found by
+min-label hooking and pointer jumping (`components`).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -49,6 +53,9 @@ CODE_WHITE, CODE_BLACK, CODE_UNDET = 0, 1, 2
 # indexed by kind code: its letter, and its kind in the complementary tree
 _LETTERS = np.frombuffer(b"WBU", dtype=np.uint8)
 _SWAPPED = np.array([CODE_BLACK, CODE_WHITE, CODE_UNDET], dtype=np.int8)
+# indexed by a code point below 128: its kind code, or -1 if not a leaf letter
+_CODE_OF = np.full(128, -1, dtype=np.int8)
+_CODE_OF[_LETTERS] = np.arange(3)
 # indexed by verdict + 1
 _VERDICT_CODE = np.array([CODE_WHITE, CODE_UNDET, CODE_BLACK], dtype=np.int8)
 
@@ -434,42 +441,60 @@ def deserialize(text: str) -> QuadtreeModel:
     if end < len(text):
         raise ParseError("trailing text after the node line", end)
 
-    # preorder parse: `level` and `key` are those of the next node
-    level, key, done = 0, 0, False
-    cells = [1 << 2 * (d_max - k) for k in range(d_max + 1)]  # of a node at level k
-    levels, keys, kinds = array("q"), array("q"), array("b")
-    for pos, c in enumerate(body):
-        if done:
-            raise ParseError("trailing characters after node string", offset + pos)
-        if c == GRAY:
-            if level >= d_max:
-                raise ParseError("'G' below maximal depth", offset + pos)
-            level += 1
-            continue
-        code = KIND_CODE.get(c)
-        if code is None:
-            raise ParseError(f"unexpected character {c!r}", offset + pos)
-        if code == CODE_UNDET and level != d_max:
-            raise ParseError(
-                f"'U' only legal at depth {d_max}, found at depth {level}", offset + pos
-            )
-        levels.append(level)
-        keys.append(key)
-        kinds.append(code)
-        key += cells[level]
-        # the leaf completes every Gray node whose last quadrant it ends
-        while level and key % cells[level - 1] == 0:
-            level -= 1
-        done = level == 0
-    if not done:
-        raise ParseError("unexpected end of node string", offset + len(body))
-    level_col = np.frombuffer(levels, dtype=np.int64)
-    key_col = np.frombuffer(keys, dtype=np.int64)
-    table = LeafTable(
-        d_max, level_col, key_col, np.frombuffer(kinds, dtype=np.int8),
-        *_bounds(box, d_max, level_col, key_col),
-    )
+    level, keys, kind = _parse_body(body, d_max, offset)
+    table = LeafTable(d_max, level, keys, kind, *_bounds(box, d_max, level, keys))
     return _model(box, table, 0)
+
+
+def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
+    """Level, key and kind code of each leaf of a depth-``d`` preorder node
+    string, in array passes over its code points. A ParseError names the
+    first failing character, counted from ``offset``.
+
+    Before each node there are S open child slots: S starts at 1, a G fills
+    one and opens four (+3), a leaf fills one (-1), and the string is done
+    when S reaches 0. The children of a G at q are the nodes up to the
+    first r > q with S_r = S_q - 1; a node's level counts the G's whose
+    children it is among.
+    """
+    c = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    n = len(c)
+    gray = c == ord(GRAY)
+    code = _CODE_OF[np.minimum(c, 127)]
+    slots = 1 + np.concatenate(([0], np.cumsum(np.where(gray, 3, -1))))
+    # one sort of the (S, position) pairs finds where each G's children end;
+    # a pair is one int64, S * (n + 1) + position, with S <= 3n + 1
+    q = np.flatnonzero(gray)
+    stride = n + 1
+    found = np.sort(slots * stride + np.arange(stride))
+    want = (slots[q] - 1) * stride
+    i = np.searchsorted(found, want + q + 1)
+    ends = found[np.minimum(i, n)] - want
+    ends[(i > n) | (ends > n)] = n + 1  # never closed: the string ends early
+    marks = np.bincount(q + 1, minlength=n + 2) - np.bincount(ends, minlength=n + 2)
+    level = np.cumsum(marks[:n])
+
+    bad = (slots[:n] <= 0) | (gray & (level >= d)) | (~gray & (code < 0))
+    bad |= (code == CODE_UNDET) & (level != d)
+    if bad.any():
+        p = int(bad.argmax())
+        # the checks of one character, in the order of the format's rules
+        if slots[p] <= 0:
+            message = "trailing characters after node string"
+        elif gray[p]:
+            message = "'G' below maximal depth"
+        elif code[p] < 0:
+            message = f"unexpected character {chr(c[p])!r}"
+        else:
+            message = f"'U' only legal at depth {d}, found at depth {int(level[p])}"
+        raise ParseError(message, offset + p)
+    if slots[n]:
+        raise ParseError("unexpected end of node string", offset + n)
+    leaf = ~gray
+    level = level[leaf]
+    cells = np.left_shift(1, 2 * (d - level))  # finest cells of each leaf
+    keys = np.cumsum(cells) - cells
+    return level, keys, code[leaf]
 
 
 def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -492,26 +517,6 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
 # --------------------------------------------------------------------------
 # Region labeling and Black-space queries
 # --------------------------------------------------------------------------
-
-
-class UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -542,38 +547,60 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
     """
     t = m.table
     black = np.flatnonzero(t.kind == CODE_BLACK)
-    # union-find over positions in `black`, which keep the preorder
-    uf = UnionFind(len(black))
-    a, b = _black_edges(t, black)
-    for i, j in zip(a.tolist(), b.tolist()):
-        uf.union(i, j)
-
+    # components over positions in `black`, which keep the preorder; the
+    # rank of a component's smallest position is its region id
+    label = components(len(black), *_black_edges(t, black))
+    roots, region = np.unique(label, return_inverse=True)
     rows = black.tolist()
-    areas = t.area[black].tolist()
-    leaf_to_region: dict[str, int] = {}
-    leaf_index_to_region: dict[int, int] = {}
-    root_to_region: dict[int, int] = {}
-    members: list[list[int]] = []
-    for k, row in enumerate(rows):
-        root = uf.find(k)
-        if root not in root_to_region:
-            root_to_region[root] = len(members)
-            members.append([])
-        rid = root_to_region[root]
-        members[rid].append(k)
-        leaf_to_region[t.paths[row]] = rid
-        leaf_index_to_region[row] = rid
+    all_paths = t.paths
+    paths = [all_paths[row] for row in rows]
+    ids = region.tolist()
 
+    areas = t.area[black]
+    counts = np.bincount(region, minlength=len(roots))
+    starts = (np.cumsum(counts) - counts).tolist()
+    members = np.argsort(region, kind="stable")  # each region's leaves in preorder
+    member_areas = areas[members].tolist()
+    members = members.tolist()
+    # the leaf of greatest area, the first in preorder on ties
+    largest = np.lexsort((-areas, region))[starts].tolist()
     regions = []
-    for rid, ks in enumerate(members):
-        area = sum(areas[k] for k in ks)
-        largest = max(ks, key=lambda k: (areas[k], -k))
+    for rid, (start, count) in enumerate(zip(starts, counts.tolist())):
+        end = start + count
         regions.append(RegionInfo(
-            rid, area, tuple(t.paths[rows[k]] for k in ks), t.paths[rows[largest]]
+            rid,
+            sum(member_areas[start:end]),
+            tuple(paths[k] for k in members[start:end]),
+            paths[largest[rid]],
         ))
     return RegionLabeling(
-        len(members), leaf_to_region, leaf_index_to_region, tuple(regions)
+        len(roots), dict(zip(paths, ids)), dict(zip(rows, ids)), tuple(regions)
     )
+
+
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, for the graph
+    on nodes 0..n-1 with the edges (a[k], b[k]).
+
+    Min-label hooking with pointer jumping: each round hooks the root of
+    every tree that has an edge into another tree onto the smallest such
+    root below it, then points every node at its root. Pointers only go
+    down, so no cycle forms, and within two rounds every tree with an
+    outside edge merges, so there are O(log n) rounds.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return label
+        la, lb = la[cross], lb[cross]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -50,6 +50,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _reprs(col: np.ndarray) -> list[str]:
+    """``repr`` of each float of ``col``, called once per distinct bit
+    pattern (so -0.0 keeps its own text)."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def render_svg(
     m: QuadtreeModel,
     labels: Optional[RegionLabeling] = None,
@@ -70,24 +78,24 @@ def render_svg(
     if style.show_undetermined:
         shown |= t.kind == CODE_UNDET
     rows = np.flatnonzero(shown)
+    black = t.kind[rows] == CODE_BLACK
+    fill = np.full(len(rows), style.undetermined_fill, dtype=object)
+    if labels is None:
+        fill[black] = style.palette[0]
+    else:
+        palette = np.array(style.palette, dtype=object)
+        region = map(labels.leaf_index_to_region.__getitem__, rows[black].tolist())
+        fill[black] = palette[np.fromiter(region, dtype=np.int64) % len(palette)]
     # flip y: the svg y of a rect is measured from the top of the viewBox
     y_svg = y_lo + (y_hi - t.y_hi[rows])
     width = t.x_hi[rows] - t.x_lo[rows]
     height = t.y_hi[rows] - t.y_lo[rows]
-    for i, kind, x, y, w, h in zip(
-        rows.tolist(), t.kind[rows].tolist(), t.x_lo[rows].tolist(),
-        y_svg.tolist(), width.tolist(), height.tolist(),
-    ):
-        if kind != CODE_BLACK:
-            fill = style.undetermined_fill
-        elif labels is not None:
-            rid = labels.leaf_to_region[t.paths[i]]
-            fill = style.palette[rid % len(style.palette)]
-        else:
-            fill = style.palette[0]
-        out.append(
-            f'<rect x="{x!r}" y="{y!r}" width="{w!r}" height="{h!r}" '
-            f'fill="{fill}"{stroke_attr}/>'
+    out += [
+        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{f}"{stroke_attr}/>'
+        for x, y, w, h, f in zip(
+            _reprs(t.x_lo[rows]), _reprs(y_svg), _reprs(width), _reprs(height),
+            fill.tolist(),
         )
+    ]
     out.append("</svg>")
     return "\n".join(out) + "\n"

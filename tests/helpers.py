@@ -13,12 +13,22 @@ reference of `mechanism.joint_verdicts` / `workspace_verdicts` and of
 operations, sharing no code with the batch kernel. `configuration_at`,
 `scalar_signs` and `coincidence_configurations` are point helpers of the
 kinematic tests.
+
+`reference_parse_body`, `reference_label_regions` and
+`reference_render_svg` are the per-character and per-leaf loops that the
+array passes of `deserialize`, `label_regions` and `render_svg` replaced;
+the tests hold the library's outputs equal to theirs. `parse_table` reads
+back the `bench` CSV, and `run_discretization` executes the grid baseline
+whose cell count the bench tests check.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,23 +36,33 @@ import numpy as np
 from scipy import ndimage
 
 from fivebar import interval as iv
+from fivebar.bench import CSV_HEADER, BenchRow, space_box
 from fivebar.interval import Box2, Interval
 from fivebar.mechanism import (
+    JOINTSPACE,
+    VALID,
     AssemblyMode,
     FiveBarGeometry,
     WorkingMode,
     _cross,
     _scalar_elbows,
+    point_classify_joint,
+    point_classify_workspace,
 )
 from fivebar.quadtree import (
     CODE_BLACK,
+    CODE_UNDET,
     GRAY,
     KIND_CODE,
+    ParseError,
     QuadtreeModel,
+    RegionInfo,
     RegionLabeling,
+    _black_edges,
     build,
     serialize,
 )
+from fivebar.render import RenderStyle
 
 
 def ulp_scale(*vals: float) -> float:
@@ -169,6 +189,156 @@ def assert_labeling_matches_flood_fill(
     assert len(pairs) == n
     assert len(set(pairs[:, 0])) == n
     assert len(set(pairs[:, 1])) == n
+
+
+# ---------------------------------------------------------------------------
+# Per-leaf loops of the read path: the reference of its array passes
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_body(
+    body: str, d_max: int, offset: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level, key and kind code of each leaf of a preorder node string, one
+    character at a time; the reference of `quadtree._parse_body`."""
+    # preorder parse: `level` and `key` are those of the next node
+    level, key, done = 0, 0, False
+    cells = [1 << 2 * (d_max - k) for k in range(d_max + 1)]  # of a node at level k
+    levels, keys, kinds = array("q"), array("q"), array("b")
+    for pos, c in enumerate(body):
+        if done:
+            raise ParseError("trailing characters after node string", offset + pos)
+        if c == GRAY:
+            if level >= d_max:
+                raise ParseError("'G' below maximal depth", offset + pos)
+            level += 1
+            continue
+        code = KIND_CODE.get(c)
+        if code is None:
+            raise ParseError(f"unexpected character {c!r}", offset + pos)
+        if code == CODE_UNDET and level != d_max:
+            raise ParseError(
+                f"'U' only legal at depth {d_max}, found at depth {level}", offset + pos
+            )
+        levels.append(level)
+        keys.append(key)
+        kinds.append(code)
+        key += cells[level]
+        # the leaf completes every Gray node whose last quadrant it ends
+        while level and key % cells[level - 1] == 0:
+            level -= 1
+        done = level == 0
+    if not done:
+        raise ParseError("unexpected end of node string", offset + len(body))
+    return (
+        np.frombuffer(levels, dtype=np.int64),
+        np.frombuffer(keys, dtype=np.int64),
+        np.frombuffer(kinds, dtype=np.int8),
+    )
+
+
+class UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
+    """`quadtree.label_regions` by a union-find over the same Black edges
+    and one loop over the Black leaves."""
+    t = m.table
+    black = np.flatnonzero(t.kind == CODE_BLACK)
+    # union-find over positions in `black`, which keep the preorder
+    uf = UnionFind(len(black))
+    a, b = _black_edges(t, black)
+    for i, j in zip(a.tolist(), b.tolist()):
+        uf.union(i, j)
+
+    rows = black.tolist()
+    areas = t.area[black].tolist()
+    leaf_to_region: dict[str, int] = {}
+    leaf_index_to_region: dict[int, int] = {}
+    root_to_region: dict[int, int] = {}
+    members: list[list[int]] = []
+    for k, row in enumerate(rows):
+        root = uf.find(k)
+        if root not in root_to_region:
+            root_to_region[root] = len(members)
+            members.append([])
+        rid = root_to_region[root]
+        members[rid].append(k)
+        leaf_to_region[t.paths[row]] = rid
+        leaf_index_to_region[row] = rid
+
+    regions = []
+    for rid, ks in enumerate(members):
+        area = sum(areas[k] for k in ks)
+        largest = max(ks, key=lambda k: (areas[k], -k))
+        regions.append(RegionInfo(
+            rid, area, tuple(t.paths[rows[k]] for k in ks), t.paths[rows[largest]]
+        ))
+    return RegionLabeling(
+        len(members), leaf_to_region, leaf_index_to_region, tuple(regions)
+    )
+
+
+def reference_render_svg(
+    m: QuadtreeModel,
+    labels: Optional[RegionLabeling] = None,
+    style: RenderStyle = RenderStyle(),
+) -> str:
+    """`render.render_svg` with one ``repr`` per number and the fill looked
+    up by leaf path."""
+    box = m.root_box
+    y_lo, y_hi = box.y.lo, box.y.hi
+    view = f"{box.x.lo!r} {y_lo!r} {box.x.width!r} {box.y.width!r}"
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">',
+    ]
+    stroke_attr = ""
+    if style.stroke != "none" and style.stroke_width > 0:
+        stroke_attr = f' stroke="{style.stroke}" stroke-width="{float(style.stroke_width)!r}"'
+    t = m.table
+    shown = t.kind == CODE_BLACK
+    if style.show_undetermined:
+        shown |= t.kind == CODE_UNDET
+    rows = np.flatnonzero(shown)
+    # flip y: the svg y of a rect is measured from the top of the viewBox
+    y_svg = y_lo + (y_hi - t.y_hi[rows])
+    width = t.x_hi[rows] - t.x_lo[rows]
+    height = t.y_hi[rows] - t.y_lo[rows]
+    for i, kind, x, y, w, h in zip(
+        rows.tolist(), t.kind[rows].tolist(), t.x_lo[rows].tolist(),
+        y_svg.tolist(), width.tolist(), height.tolist(),
+    ):
+        if kind != CODE_BLACK:
+            fill = style.undetermined_fill
+        elif labels is not None:
+            rid = labels.leaf_to_region[t.paths[i]]
+            fill = style.palette[rid % len(style.palette)]
+        else:
+            fill = style.palette[0]
+        out.append(
+            f'<rect x="{x!r}" y="{y!r}" width="{w!r}" height="{h!r}" '
+            f'fill="{fill}"{stroke_attr}/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +771,51 @@ def coincidence_configurations(
         if y == 0.0:
             break
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The bench CSV reader and the executed grid baseline
+# ---------------------------------------------------------------------------
+
+
+def parse_table(text: str) -> list[BenchRow]:
+    """The rows of a `bench.emit_table` CSV."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        space, mechanism, depth, n_quadtree, n_disc, k = rec
+        row = BenchRow(space, mechanism, int(depth), int(n_quadtree))
+        if row.n_disc != int(n_disc):
+            raise ValueError(f"inconsistent n_disc in row {rec!r}")
+        rows.append(row)
+    return rows
+
+
+def run_discretization(g: FiveBarGeometry, space: str, depth: int) -> tuple[int, int]:
+    """Actually execute the grid baseline: classify every cell center.
+
+    Returns (valid cells, total cells); the total is 2^(2*depth) by
+    construction, which validates the analytic accounting.
+    """
+    box = space_box(g, space)
+    classify_point = (
+        point_classify_joint if space == JOINTSPACE else point_classify_workspace
+    )
+    n = 2**depth
+    dx = box.x.width / n
+    dy = box.y.width / n
+    n_valid = 0
+    n_calls = 0
+    for i in range(n):
+        cx = box.x.lo + (i + 0.5) * dx
+        for j in range(n):
+            cy = box.y.lo + (j + 0.5) * dy
+            n_calls += 1
+            if classify_point(cx, cy, g) == VALID:
+                n_valid += 1
+    return n_valid, n_calls

@@ -9,16 +9,14 @@ from fivebar.bench import (
     WORKSPACE,
     BenchRow,
     emit_table,
-    parse_table,
     run_bench,
-    run_discretization,
     space_box,
     space_classifier,
 )
 from fivebar.mechanism import M1, M2
 from fivebar.quadtree import CODE_BLACK, CODE_UNDET, build
 
-from helpers import rasterize
+from helpers import parse_table, rasterize, run_discretization
 
 
 def test_n_disc_formula():

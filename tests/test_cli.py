@@ -10,10 +10,12 @@ import pytest
 
 from fivebar import aspects as asp
 from fivebar import quadtree as qt
-from fivebar.bench import WORKSPACE, parse_table, space_box, space_classifier
+from fivebar.bench import WORKSPACE, space_box, space_classifier
 from fivebar.cli import main
 from fivebar.interval import DomainError
 from fivebar.mechanism import M2, AssemblyMode, WorkingMode
+
+from helpers import parse_table
 
 
 def run(argv):
