@@ -256,7 +256,7 @@ def pair_regions(
     q_aspects: tuple[AspectRegion, ...],
 ) -> tuple[PairingEntry, ...]:
     t = w_model.table
-    row_of = {path: i for i, path in enumerate(t.paths)}
+    d = w_model.max_depth
     areas = t.area.tolist()
     serial_of = {
         rid: a.aspect_id for a in q_aspects for rid in a.region_ids
@@ -267,8 +267,9 @@ def pair_regions(
         # biggest leaf sits farthest from the uncertain frontier); thin
         # aspects may need a fallback when the primary witness's joint image
         # is still unresolved at this depth
+        keys = [int(p or "0", 4) << 2 * (d - len(p)) for p in aspect.leaf_paths]
         candidates = sorted(
-            (row_of[p] for p in aspect.leaf_paths), key=lambda i: (-areas[i], i)
+            t.keys.searchsorted(keys).tolist(), key=lambda i: (-areas[i], i)
         )
         entry = None
         failure = None

@@ -26,16 +26,18 @@ frontier at the children of its Undetermined leaves, which are known to
 be undecided, so no decided box is ever retested.
 
 Reading a model works on whole columns as well. The text form is parsed by
-prefix sums over the code points of its node line, and the Black regions
-are the connected components of the table's Black edge pairs, found by
-min-label hooking and pointer jumping (`components`).
+prefix sums over the code points of its node line. A leaf's x bounds depend
+only on the x bits of its key, so they are bisected once per distinct grid
+column and gathered (`_bounds`), and likewise y. The Black regions are the
+connected components of the table's Black edge pairs, found by min-label
+hooking and pointer jumping (`components`). Leaf paths are formatted only
+for the rows a reader asks for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -95,12 +97,13 @@ class LeafTable:
 
     Preorder is Morton (Z) order, so ``keys`` (the Morton keys of the
     leaves' low corners) increase strictly and ``find`` locates the leaf of
-    any finest-grid cell with one binary search. Leaf ``i`` covers cells
-    ``[ix[i], ix[i] + s) x [iy[i], iy[i] + s)``, ``s = 2^(depth - level[i])``,
-    of the ``2^depth x 2^depth`` grid, that is the keys
-    ``[keys[i], keys[i] + s^2)``; its bounds are the exact floats of
-    ``Box2.subdivide``. The cells and paths are derived from the keys when
-    first read.
+    any finest-grid cell with one binary search. Leaf ``i`` covers the
+    ``s x s`` cells, ``s = 2^(depth - level[i])``, of the
+    ``2^depth x 2^depth`` grid with the keys ``[keys[i], keys[i] + s^2)``;
+    its low corner is the cell whose column and row are the even and the
+    odd bits of ``keys[i]``. Its bounds are the exact floats of
+    ``Box2.subdivide``. Paths are formatted from the keys of the rows a
+    reader asks for (``paths``); nothing else is stored.
     """
 
     depth: int  # maximal depth of the model
@@ -117,27 +120,19 @@ class LeafTable:
                     self.y_lo, self.y_hi):
             col.flags.writeable = False  # the table is shared by every reader
 
-    @cached_property
-    def ix(self) -> np.ndarray:
-        """int64, first finest-grid column (from x_lo)."""
-        return _compact_bits(self.keys)
-
-    @cached_property
-    def iy(self) -> np.ndarray:
-        """int64, first finest-grid row (from y_lo)."""
-        return _compact_bits(self.keys >> 1)
-
-    @cached_property
-    def paths(self) -> list[str]:
-        """Quadrant digits '0'..'3' of each leaf from the root."""
+    def paths(self, rows: np.ndarray) -> list[str]:
+        """Quadrant digits '0'..'3' from the root of the leaves at ``rows``."""
         d = self.depth
-        # one byte per digit, NUL past the leaf's level: a fixed-width bytes
-        # field drops its trailing NULs
-        chars = np.zeros((len(self.keys), d), dtype=np.uint8)
+        keys, level = self.keys[rows], self.level[rows]
+        # one line of digits per leaf, NUL past the leaf's level; the NULs
+        # are dropped and the lines split in one pass over the bytes
+        chars = np.zeros((len(keys), d + 1), dtype=np.uint8)
         for k in range(d):
-            digit = (self.keys >> 2 * (d - 1 - k)) & 3
-            chars[:, k] = np.where(self.level > k, digit + ord("0"), 0)
-        return chars.view(f"S{d}").ravel().astype(str).tolist()
+            digit = (keys >> 2 * (d - 1 - k)) & 3
+            chars[:, k] = np.where(level > k, digit + ord("0"), 0)
+        chars[:, d] = ord("\n")
+        flat = chars.ravel()
+        return flat[flat != 0].tobytes().decode("ascii").split("\n")[:-1]
 
     @property
     def area(self) -> np.ndarray:
@@ -380,7 +375,10 @@ def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
         key = key << 2 | q
     t = m.table
     row = int(t.keys.searchsorted(key, side="right")) - 1
-    return KIND_LETTER[int(t.kind[row])], t.paths[row]
+    # the leaf's path is the first `level` digits of the cell's
+    d = m.max_depth
+    digits = range(d - 1, d - 1 - int(t.level[row]), -1)
+    return KIND_LETTER[int(t.kind[row])], "".join(["0123"[key >> 2 * k & 3] for k in digits])
 
 
 # --------------------------------------------------------------------------
@@ -499,19 +497,31 @@ def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
 
 def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Exact bounds of the leaves: the midpoints of `Box2.subdivide`, taken
-    down each leaf's path."""
-    n = len(keys)
-    x_lo, x_hi = np.full(n, box.x.lo), np.full(n, box.x.hi)
-    y_lo, y_hi = np.full(n, box.y.lo), np.full(n, box.y.hi)
-    for k in range(int(level.max())):
-        q = np.where(level > k, (keys >> 2 * (d - 1 - k)) & 3, -1)
-        xm = x_lo + (x_hi - x_lo) / 2
-        ym = y_lo + (y_hi - y_lo) / 2
-        x_lo = np.where((q == 1) | (q == 3), xm, x_lo)
-        x_hi = np.where((q == 0) | (q == 2), xm, x_hi)
-        y_lo = np.where(q >= 2, ym, y_lo)
-        y_hi = np.where((q == 0) | (q == 1), ym, y_hi)
-    return x_lo, x_hi, y_lo, y_hi
+    down each leaf's path.
+
+    The x bounds depend only on the x bits of the path. Bisecting down to
+    finest column c gives the low edge E[c] of that column (E[2^d] is the
+    box's high edge), and a leaf of side s whose first column is c spans
+    [E[c], E[c + s]]: past the leaf's level the path of c takes only 0 bits,
+    which keep the low bound, and the paths of c + s - 1 and c + s part at
+    the leaf's high bound, then keep it with only 1 bits and only 0 bits.
+    Every high edge but the box's own is the low edge of another leaf, so
+    E is bisected only at the distinct first columns of the leaves; the
+    same holds for y. Nothing grows with 2^d.
+    """
+    s = np.left_shift(1, d - level)  # side in finest-grid cells
+    out = []
+    for col, side in ((_compact_bits(keys), box.x), (_compact_bits(keys >> 1), box.y)):
+        srt = np.sort(col)
+        cells = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
+        lo, hi = np.full(len(cells), side.lo), np.full(len(cells), side.hi)
+        for k in range(d - 1, -1, -1):
+            mid = lo + (hi - lo) / 2
+            up = (cells >> k) & 1 == 1
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        edges = np.append(lo, side.hi)
+        out += [edges[np.searchsorted(cells, col)], edges[np.searchsorted(cells, col + s)]]
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -552,8 +562,7 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
     label = components(len(black), *_black_edges(t, black))
     roots, region = np.unique(label, return_inverse=True)
     rows = black.tolist()
-    all_paths = t.paths
-    paths = [all_paths[row] for row in rows]
+    paths = t.paths(black)
     ids = region.tolist()
 
     areas = t.area[black]
@@ -561,7 +570,7 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
     starts = (np.cumsum(counts) - counts).tolist()
     members = np.argsort(region, kind="stable")  # each region's leaves in preorder
     member_areas = areas[members].tolist()
-    members = members.tolist()
+    member_paths = [paths[k] for k in members.tolist()]
     # the leaf of greatest area, the first in preorder on ties
     largest = np.lexsort((-areas, region))[starts].tolist()
     regions = []
@@ -570,7 +579,7 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
         regions.append(RegionInfo(
             rid,
             sum(member_areas[start:end]),
-            tuple(paths[k] for k in members[start:end]),
+            tuple(member_paths[start:end]),
             paths[largest[rid]],
         ))
     return RegionLabeling(
@@ -604,11 +613,13 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of positions in ``black`` (sorted Black rows) whose leaves share
-    an edge of positive length, each pair once."""
+    """Pairs of positions in ``black`` (every Black row, sorted) whose leaves
+    share an edge of positive length, each pair once."""
     n = 1 << t.depth
     is_black = t.kind == CODE_BLACK
-    x, y, lev = t.ix[black], t.iy[black], t.level[black]
+    rank = np.cumsum(is_black) - 1  # position in `black` of each Black row
+    keys, lev = t.keys[black], t.level[black]
+    x, y = _compact_bits(keys), _compact_bits(keys >> 1)  # low-corner cells
     s = np.left_shift(1, t.depth - lev)  # side in finest-grid cells
     own, other = [], []
     # an equal-sized pair is found from its low leaf's high-edge probe, so
@@ -623,7 +634,7 @@ def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarra
         hit = t.find(cx[pos], cy[pos])
         keep = is_black[hit] & larger(t.level[hit], lev[pos])
         own.append(pos[keep])
-        other.append(np.searchsorted(black, hit[keep]))
+        other.append(rank[hit[keep]])
     return np.concatenate(own), np.concatenate(other)
 
 

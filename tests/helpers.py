@@ -17,9 +17,11 @@ kinematic tests.
 `reference_parse_body`, `reference_label_regions` and
 `reference_render_svg` are the per-character and per-leaf loops that the
 array passes of `deserialize`, `label_regions` and `render_svg` replaced;
-the tests hold the library's outputs equal to theirs. `parse_table` reads
-back the `bench` CSV, and `run_discretization` executes the grid baseline
-whose cell count the bench tests check.
+`reference_bounds` bisects every leaf level by level, `reference_paths`
+formats the path of every leaf and `reference_locate` looks the located
+row up in that list. The tests hold the library's outputs equal to
+theirs. `parse_table` reads back the `bench` CSV, and `run_discretization`
+executes the grid baseline whose cell count the bench tests check.
 """
 
 from __future__ import annotations
@@ -50,10 +52,15 @@ from fivebar.mechanism import (
     point_classify_workspace,
 )
 from fivebar.quadtree import (
+    BLACK,
     CODE_BLACK,
     CODE_UNDET,
     GRAY,
     KIND_CODE,
+    KIND_LETTER,
+    UNDETERMINED,
+    WHITE,
+    LeafTable,
     ParseError,
     QuadtreeModel,
     RegionInfo,
@@ -132,6 +139,19 @@ def text_leaves(m: QuadtreeModel) -> list[tuple[str, Box2, str]]:
 
     visit(m.root_box, "")
     return leaves
+
+
+def chain_text(depth: int, quadrant: int = 0, box: str = "0.0 1.0 0.0 1.0") -> str:
+    """The text of a depth-`depth` tree: one chain of Gray nodes down
+    ``quadrant``, ending in an Undetermined leaf, with the other three
+    quadrants of each link Black, White and Black in quadrant order. Down
+    quadrant 0 the Black leaves form one edge-connected region."""
+    body = UNDETERMINED
+    for _ in range(depth):
+        kids = [BLACK, WHITE, BLACK]
+        kids.insert(quadrant, body)
+        body = GRAY + "".join(kids)
+    return f"QT1 {depth} {box}\n{body}\n"
 
 
 def leaf_cells(path: str, d_max: int) -> tuple[int, int, int]:
@@ -237,6 +257,65 @@ def reference_parse_body(
     )
 
 
+def reference_bounds(
+    box: Box2, d: int, level: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Exact bounds of the leaves, one level of every leaf's path at a
+    time; the reference of `quadtree._bounds`."""
+    n = len(keys)
+    x_lo, x_hi = np.full(n, box.x.lo), np.full(n, box.x.hi)
+    y_lo, y_hi = np.full(n, box.y.lo), np.full(n, box.y.hi)
+    for k in range(int(level.max())):
+        q = np.where(level > k, (keys >> 2 * (d - 1 - k)) & 3, -1)
+        xm = x_lo + (x_hi - x_lo) / 2
+        ym = y_lo + (y_hi - y_lo) / 2
+        x_lo = np.where((q == 1) | (q == 3), xm, x_lo)
+        x_hi = np.where((q == 0) | (q == 2), xm, x_hi)
+        y_lo = np.where(q >= 2, ym, y_lo)
+        y_hi = np.where((q == 0) | (q == 1), ym, y_hi)
+    return x_lo, x_hi, y_lo, y_hi
+
+
+def reference_paths(t: LeafTable) -> list[str]:
+    """Quadrant digits of every leaf, as fixed-width byte rows; the
+    reference of `LeafTable.paths`."""
+    d = t.depth
+    # one byte per digit, NUL past the leaf's level: a fixed-width bytes
+    # field drops its trailing NULs
+    chars = np.zeros((len(t.keys), d), dtype=np.uint8)
+    for k in range(d):
+        digit = (t.keys >> 2 * (d - 1 - k)) & 3
+        chars[:, k] = np.where(t.level > k, digit + ord("0"), 0)
+    return chars.view(f"S{d}").ravel().astype(str).tolist()
+
+
+def reference_locate(m: QuadtreeModel, points) -> list[tuple[str, str]]:
+    """`quadtree.locate` of each point, with the path read from
+    `reference_paths`."""
+    t, b = m.table, m.root_box
+    paths = reference_paths(t)
+    out = []
+    for qx, qy in points:
+        x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
+        key = 0
+        for _ in range(m.max_depth):
+            xm = x0 + (x1 - x0) / 2
+            ym = y0 + (y1 - y0) / 2
+            q = 0
+            if qx > xm:
+                x0, q = xm, 1
+            else:
+                x1 = xm
+            if qy > ym:
+                y0, q = ym, q + 2
+            else:
+                y1 = ym
+            key = key << 2 | q
+        row = int(t.keys.searchsorted(key, side="right")) - 1
+        out.append((KIND_LETTER[int(t.kind[row])], paths[row]))
+    return out
+
+
 class UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -270,6 +349,7 @@ def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
 
     rows = black.tolist()
     areas = t.area[black].tolist()
+    paths = reference_paths(t)
     leaf_to_region: dict[str, int] = {}
     leaf_index_to_region: dict[int, int] = {}
     root_to_region: dict[int, int] = {}
@@ -281,7 +361,7 @@ def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
             members.append([])
         rid = root_to_region[root]
         members[rid].append(k)
-        leaf_to_region[t.paths[row]] = rid
+        leaf_to_region[paths[row]] = rid
         leaf_index_to_region[row] = rid
 
     regions = []
@@ -289,7 +369,7 @@ def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
         area = sum(areas[k] for k in ks)
         largest = max(ks, key=lambda k: (areas[k], -k))
         regions.append(RegionInfo(
-            rid, area, tuple(t.paths[rows[k]] for k in ks), t.paths[rows[largest]]
+            rid, area, tuple(paths[rows[k]] for k in ks), paths[rows[largest]]
         ))
     return RegionLabeling(
         len(members), leaf_to_region, leaf_index_to_region, tuple(regions)
@@ -314,6 +394,7 @@ def reference_render_svg(
     if style.stroke != "none" and style.stroke_width > 0:
         stroke_attr = f' stroke="{style.stroke}" stroke-width="{float(style.stroke_width)!r}"'
     t = m.table
+    paths = reference_paths(t)
     shown = t.kind == CODE_BLACK
     if style.show_undetermined:
         shown |= t.kind == CODE_UNDET
@@ -329,7 +410,7 @@ def reference_render_svg(
         if kind != CODE_BLACK:
             fill = style.undetermined_fill
         elif labels is not None:
-            rid = labels.leaf_to_region[t.paths[i]]
+            rid = labels.leaf_to_region[paths[i]]
             fill = style.palette[rid % len(style.palette)]
         else:
             fill = style.palette[0]

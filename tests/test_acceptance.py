@@ -52,6 +52,7 @@ from helpers import (
     configuration_at,
     ikp_box,
     random_models,
+    reference_paths,
     scalar_signs,
 )
 
@@ -143,7 +144,7 @@ def test_criterion_3_point_hole_is_minimum_size_leaf(modefree_chains):
         kind, path = locate(model, 0.0, 0.0)
         assert kind == "U", f"leaf at the base point is {kind} at depth {d}"
         t = model.table
-        row = t.paths.index(path)
+        row = reference_paths(t).index(path)
         expected = 2.0 * (M2.L1 + M2.L3) / 2**d
         assert t.x_hi[row] - t.x_lo[row] == expected
         assert t.y_hi[row] - t.y_lo[row] == expected

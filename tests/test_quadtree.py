@@ -38,10 +38,12 @@ from fivebar.render import render_svg
 
 from helpers import (
     assert_labeling_matches_flood_fill,
+    chain_text,
     hash_classifier,
     leaf_cells,
     random_models,
     rasterize,
+    reference_paths,
     text_leaves,
 )
 
@@ -267,7 +269,7 @@ def test_locate_edge_tie_breaks_to_lower_leaf():
     m = build(UNIT, 3, half_plane)
     kind, path = locate(m, 0.5, 0.25)
     t = m.table
-    assert t.x_hi[t.paths.index(path)] == 0.5  # the lower-coordinate leaf wins the tie
+    assert t.x_hi[reference_paths(t).index(path)] == 0.5  # the lower-coordinate leaf wins the tie
 
 
 def test_locate_outside_root_raises():
@@ -403,13 +405,15 @@ def test_complement_black_spaces_are_disjoint_and_cover():
 
 
 def _node_walk(m):
-    """(path, level, ix, iy, kind code, bounds) per leaf, by a recursive
-    walk of the text form."""
+    """(path, level, key, kind code, bounds) per leaf, by a recursive walk
+    of the text form; the key interleaves the bits of the low corner's
+    cell, x bit below y bit."""
     rows = []
     for path, box, kind in text_leaves(m):
         ix, iy, _ = leaf_cells(path, m.max_depth)
+        key = sum((ix >> b & 1) << 2 * b | (iy >> b & 1) << 2 * b + 1 for b in range(m.max_depth))
         bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
-        rows.append((path, len(path), ix, iy, KIND_CODE[kind], bounds))
+        rows.append((path, len(path), key, KIND_CODE[kind], bounds))
     return rows
 
 
@@ -417,7 +421,7 @@ def test_leaf_table_rows_match_recursive_walk():
     for m in random_models(20, d_max=5) + [build(UNIT, 1, lambda box: 1)]:
         t = m.table
         rows = list(zip(
-            t.paths, t.level.tolist(), t.ix.tolist(), t.iy.tolist(), t.kind.tolist(),
+            t.paths(np.arange(len(t.keys))), t.level.tolist(), t.keys.tolist(), t.kind.tolist(),
             zip(t.x_lo.tolist(), t.x_hi.tolist(), t.y_lo.tolist(), t.y_hi.tolist()),
         ))
         assert rows == _node_walk(m)
@@ -441,15 +445,8 @@ def test_shared_black_cells_match_raster():
             assert shared_black_cells(a, b) == int(both.sum())
 
 
-def _sparse_text(depth: int) -> str:
-    """A depth-`depth` tree: one chain of Gray nodes down quadrant 0, with
-    Black quadrants 1 and 3 (one edge-connected region) beside each link."""
-    body = "G" * (depth - 1) + "GUBWB" + "BWB" * (depth - 1)
-    return f"QT1 {depth} 0.0 1.0 0.0 1.0\n{body}\n"
-
-
 def test_sparse_deep_tree_labels_and_renders_in_little_memory():
-    m = deserialize(_sparse_text(20))
+    m = deserialize(chain_text(20))
     tracemalloc.start()
     try:
         labels = label_regions(m)
@@ -464,13 +461,34 @@ def test_sparse_deep_tree_labels_and_renders_in_little_memory():
     assert svg.count("<rect") == 40
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_depth_31_chain_reads_in_little_memory():
+    # 94 leaves; a 2^31-long array of any kind would take gigabytes
+    text = chain_text(MAX_DEPTH, 3, "-1.3 2.7 0.1 5.9")
+    m, peak = _traced_peak(deserialize, text)
+    assert len(m.table.keys) == 94 and peak < 2**20
+    labels, peak = _traced_peak(label_regions, m)
+    assert labels.region_count == 1 and peak < 2**20
+    _, peak = _traced_peak(locate, m, 2.7, 5.9)
+    assert peak < 2**20
+
+
 def test_deserialize_depth_bound():
-    m = deserialize(_sparse_text(MAX_DEPTH))
+    m = deserialize(chain_text(MAX_DEPTH))
     assert m.max_depth == MAX_DEPTH
     assert label_regions(m).region_count == 1
     assert shared_black_cells(m, m) == 2 * sum(4 ** (MAX_DEPTH - k) for k in range(1, MAX_DEPTH + 1))
     with pytest.raises(ParseError):
-        deserialize(_sparse_text(MAX_DEPTH + 1))
+        deserialize(chain_text(MAX_DEPTH + 1))
     with pytest.raises(ValueError):
         build(UNIT, MAX_DEPTH + 1, lambda box: 1)
 

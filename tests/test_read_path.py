@@ -1,7 +1,8 @@
 """The array passes of the read path against the loops they replaced:
-`deserialize` against a per-character parse, `label_regions` and
-`aspect_regions` against a union-find, and `render_svg` against one
-``repr`` per number (references in `helpers`)."""
+`deserialize` against a per-character parse and a level-by-level bisection
+of every leaf, `label_regions` and `aspect_regions` against a union-find,
+`render_svg` against one ``repr`` per number, and `LeafTable.paths` and
+`locate` against the paths of the whole table (references in `helpers`)."""
 
 import random
 
@@ -12,20 +13,27 @@ from fivebar import render
 from fivebar.aspects import _seam_pairs, aspect_regions
 from fivebar.interval import Box2
 from fivebar.quadtree import (
+    CODE_BLACK,
+    MAX_DEPTH,
     ParseError,
     build,
     deserialize,
     label_regions,
+    locate,
     serialize,
 )
 from fivebar.render import RenderStyle, render_svg
 
 from helpers import (
     UnionFind,
+    chain_text,
     hash_classifier,
     random_models,
+    reference_bounds,
     reference_label_regions,
+    reference_locate,
     reference_parse_body,
+    reference_paths,
     reference_render_svg,
 )
 
@@ -108,6 +116,73 @@ def test_parse_error_is_the_first_failing_character(d, body, message, position):
     with pytest.raises(ParseError, match=message) as exc:
         deserialize(HEADER.format(d) + "\n" + body + "\n")
     assert exc.value.position == offset + position
+
+
+# root boxes with non-dyadic, negative and negative-zero bounds
+ODD_BOXES = (
+    Box2.from_bounds(-1.3, 2.7, 0.1, 5.9),
+    Box2.from_bounds(-7.1, -3.3, -1e-3, 0.3),
+    Box2.from_bounds(-0.0, 2.0, -3.0, -0.0),
+)
+
+
+def _read_path_models() -> list:
+    """Random trees on the unit and the odd boxes, and depth-31 chains down
+    each quadrant, on the unit and a non-dyadic box."""
+    models = random_models(20, d_max=5) + [
+        build(box, 6, hash_classifier(seed)) for box in ODD_BOXES for seed in range(5)
+    ]
+    for quadrant in range(4):
+        for box in ("0.0 1.0 0.0 1.0", "-1.3 2.7 0.1 5.9"):
+            models.append(deserialize(chain_text(MAX_DEPTH, quadrant, box)))
+    return models
+
+
+def test_bounds_match_level_loop_bit_for_bit():
+    for m in _read_path_models():
+        t = m.table
+        want = reference_bounds(m.root_box, m.max_depth, t.level, t.keys)
+        for got, w in zip((t.x_lo, t.x_hi, t.y_lo, t.y_hi), want):
+            assert np.array_equal(got.view(np.int64), w.view(np.int64))
+
+
+def test_parsed_bounds_equal_built_bounds_bit_for_bit():
+    models = random_models(10, d_max=5) + [
+        build(box, 6, hash_classifier(seed)) for box in ODD_BOXES for seed in range(5)
+    ]
+    for m in models:
+        t, parsed = m.table, deserialize(serialize(m)).table
+        for col in ("x_lo", "x_hi", "y_lo", "y_hi"):
+            got, want = getattr(parsed, col), getattr(t, col)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), col
+
+
+def test_paths_of_rows_match_whole_table():
+    for m in _read_path_models():
+        t = m.table
+        want = reference_paths(t)
+        n = len(want)
+        for rows in (np.arange(n), np.arange(n)[::3], np.flatnonzero(t.kind == CODE_BLACK), np.arange(0)):
+            assert t.paths(rows) == [want[i] for i in rows]
+
+
+def test_locate_matches_reference():
+    rng = np.random.default_rng(5)
+    for m in _read_path_models():
+        t, b = m.table, m.root_box
+        # every leaf corner and edge midpoint, where ties go to the lower leaf
+        xs = (t.x_lo, t.x_lo + (t.x_hi - t.x_lo) / 2, t.x_hi)
+        ys = (t.y_lo, t.y_lo + (t.y_hi - t.y_lo) / 2, t.y_hi)
+        points = [
+            p for x in xs for y in ys if x is not xs[1] or y is not ys[1]
+            for p in zip(x.tolist(), y.tolist())
+        ]
+        points += [(x, y) for x in (b.x.lo, b.x.hi) for y in (b.y.lo, b.y.hi)]
+        u = rng.random((100, 2))
+        points += list(zip(
+            (b.x.lo + u[:, 0] * b.x.width).tolist(), (b.y.lo + u[:, 1] * b.y.width).tolist()
+        ))
+        assert [locate(m, x, y) for x, y in points] == reference_locate(m, points)
 
 
 def _bits(regions) -> list:
