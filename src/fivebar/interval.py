@@ -1,18 +1,23 @@
 """Interval arithmetic with guaranteed enclosure.
 
 Bounds are plain floats. Instead of switching the hardware rounding mode,
-every computed bound is widened outward by two ulps (``math.nextafter``),
-which keeps results sound (the interval always encloses the exact range)
-at the cost of a little tightness. That trade is fine here: the quadtree
-builder subdivides anything it cannot certify.
+every computed bound is widened outward by two ulps, which keeps results
+sound (the interval always encloses the exact range) at the cost of a
+little tightness. That trade is fine here: the quadtree builder subdivides
+anything it cannot certify.
 
 Two forms share these rules. `Interval` and its functions work on one
-interval; the quadtree classifiers use the array forms (``vadd``, ``vmul``,
-...), which work on an interval array: a pair ``(lo, hi)`` of float64
-arrays, one interval per row. Each array function repeats its scalar
-twin's float operations in the same order, so every row is bit for bit
-the scalar result. The endpoint values of sin, cos and hypot come from
-`math` mapped over the rows, because numpy's own may round differently.
+interval and widen by two ``math.nextafter``. The quadtree classifiers use
+the array forms (``vadd``, ``vmul``, ...), which work on an interval array:
+a pair ``(lo, hi)`` of float64 arrays, one interval per row. Each array
+function repeats its scalar twin's float operations in the same order, so
+every row is bit for bit the scalar result. The arrays widen a bound by
+stepping its int64 view by 2, which is what two ``nextafter`` give for all
+finite floats away from zero and from the largest finite value; the other
+rows (zeros, the smallest subnormals, the largest floats, infinities and
+NaN) take ``np.nextafter``. The endpoint values of sin, cos and hypot come
+from `math` mapped over the rows, because numpy's own may round
+differently; sin and cos are mapped once per distinct endpoint float.
 """
 
 from __future__ import annotations
@@ -276,17 +281,67 @@ def cross_z(ux: Interval, uy: Interval, vx: Interval, vy: Interval) -> Interval:
 IArray = tuple[np.ndarray, np.ndarray]
 
 
+# the magnitude bits of a float64's int64 view, the view of the largest
+# finite float64, and the bound of the uint64 view of (magnitude - 2) on the
+# rows that `_vstep` steps on the view
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+_MAX_BITS = 0x7FEF_FFFF_FFFF_FFFF
+_STEP_SPAN = np.uint64(_MAX_BITS - 4)
+
+
+def _vstep(x: np.ndarray, toward: float) -> np.ndarray:
+    """Every row of x two ulps toward ``toward`` (-inf or inf), the bits of
+    two ``np.nextafter``.
+
+    The int64 view of a float steps by one per ulp of its magnitude, so a
+    finite float whose magnitude bits m satisfy 2 <= m <= bits(max) - 2
+    moves by -2 (toward zero) or +2 (away from it) on its view. Every other
+    row, and only those, takes ``np.nextafter``: +-0 and the two smallest
+    subnormals of each sign (a step toward zero would cross it), +-max and
+    its neighbour (a step away from zero overflows, and ``np.nextafter``
+    raises numpy's overflow RuntimeWarning), +-inf and NaN (whose view - 2
+    can land on max).
+    """
+    b = x.view(np.int64)
+    # b >> 63 is -1 on a negative float, so (b >> 63) & 4 flips the step
+    if toward < 0.0:
+        out = b - 2 + ((b >> 63) & 4)
+    else:
+        out = b + 2 - ((b >> 63) & 4)
+    out = out.view(np.float64)
+    odd = ((b & _MAGNITUDE) - 2).view(np.uint64) > _STEP_SPAN
+    if odd.any():
+        out[odd] = np.nextafter(np.nextafter(x[odd], toward), toward)
+    return out
+
+
 def _vdown(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+    return _vstep(x, -np.inf)
 
 
 def _vup(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, np.inf), np.inf)
+    return _vstep(x, np.inf)
 
 
 def _vmap(f, *xs: np.ndarray) -> np.ndarray:
-    # a scalar math function over the rows, for results numpy may round otherwise
-    return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=np.float64)
+    # a scalar math function over the rows, for results numpy may round
+    # otherwise; fromiter fills the array without an intermediate list
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), np.float64, len(xs[0]))
+
+
+def _vmap_endpoints(a: IArray, *fs) -> list[IArray]:
+    """Each function of ``fs`` at the endpoints of the rows of ``a``, as
+    (at lo, at hi) per function, mapped once per distinct endpoint float.
+
+    The rows of a quadtree frontier share their edges, so the distinct
+    endpoints are far fewer than the rows. They are told apart by their
+    int64 views, which keeps -0.0 and 0.0 apart.
+    """
+    n = len(a[0])
+    keys, inv = np.unique(np.concatenate(a).view(np.int64), return_inverse=True)
+    ends = keys.view(np.float64)
+    values = [_vmap(f, ends)[inv] for f in fs]
+    return [(v[:n], v[n:]) for v in values]
 
 
 def vadd(a: IArray, b: IArray) -> IArray:
@@ -345,30 +400,47 @@ def vsqrt(a: IArray) -> IArray:
     return lo, _vup(np.sqrt(a[1]))
 
 
-def _vtrig(a: IArray, e_lo: np.ndarray, e_hi: np.ndarray, k_max: int, k_min: int) -> IArray:
+def _vmod4(k: np.ndarray) -> np.ndarray:
+    """``np.mod(k, 4.0)`` of integer-valued floats, the same bits: every
+    step is exact on them, and a float mod costs some ten times more."""
+    return k - 4.0 * np.floor(k * 0.25)
+
+
+def _vtrig(quarters, e_lo: np.ndarray, e_hi: np.ndarray, k_max: int, k_min: int) -> IArray:
     """Bounds of sin (k_max, k_min = 1, 3) or cos (0, 2) from the endpoint
     values: an extremum at k*pi/2 counts when some k with k % 4 == k_max
-    (k_min) lies in the range of `_trig_quarters`."""
-    k0 = np.ceil(a[0] / HALF_PI - TRIG_SLACK)
-    k1 = np.floor(a[1] / HALF_PI + TRIG_SLACK)
+    (k_min) lies in the range k0..k1 of `_trig_quarters`. ``quarters``
+    holds k0 % 4, k1 - k0 and whether the row is 2 pi wide or more."""
     # the first k >= k0 of a residue is k0 + (r - k0 % 4) % 4; both mods are
     # exact in floats, and so is comparing that offset (0..3) with k1 - k0
-    r0 = np.mod(k0, 4.0)
-    span = k1 - k0
-    full = a[1] - a[0] >= math.tau
-    at_max = full | (np.mod(k_max - r0, 4.0) <= span)
-    at_min = full | (np.mod(k_min - r0, 4.0) <= span)
+    r0, span, full = quarters
+    at_max = full | (_vmod4(k_max - r0) <= span)
+    at_min = full | (_vmod4(k_min - r0) <= span)
     lo = np.where(at_min, -1.0, np.maximum(-1.0, _vdown(np.minimum(e_lo, e_hi))))
     hi = np.where(at_max, 1.0, np.minimum(1.0, _vup(np.maximum(e_lo, e_hi))))
     return lo, hi
 
 
+def vcossin(a: IArray) -> tuple[IArray, IArray]:
+    """Rows of `cos` and of `sin`, sharing one quarter-period test and one
+    map per distinct endpoint."""
+    k0 = np.ceil(a[0] / HALF_PI - TRIG_SLACK)
+    k1 = np.floor(a[1] / HALF_PI + TRIG_SLACK)
+    quarters = _vmod4(k0), k1 - k0, a[1] - a[0] >= math.tau
+    ec, es = _vmap_endpoints(a, math.cos, math.sin)
+    return _vtrig(quarters, *ec, 0, 2), _vtrig(quarters, *es, 1, 3)
+
+
 def vsin(a: IArray) -> IArray:
-    return _vtrig(a, _vmap(math.sin, a[0]), _vmap(math.sin, a[1]), 1, 3)
+    """Rows of `sin`. It maps cos as well: where both are read, call
+    `vcossin` once, as the kernel does."""
+    return vcossin(a)[1]
 
 
 def vcos(a: IArray) -> IArray:
-    return _vtrig(a, _vmap(math.cos, a[0]), _vmap(math.cos, a[1]), 0, 2)
+    """Rows of `cos`. It maps sin as well: where both are read, call
+    `vcossin` once, as the kernel does."""
+    return vcossin(a)[0]
 
 
 def vnorm2(dx: IArray, dy: IArray) -> IArray:

@@ -222,7 +222,7 @@ def joint_verdicts(
     _check_modes(JOINTSPACE, wm, am)
     b = _Batch(len(x_lo))
     t1, t2 = (x_lo, x_hi), (y_lo, y_hi)
-    c1t, s1t, c2t, s2t = iv.vcos(t1), iv.vsin(t1), iv.vcos(t2), iv.vsin(t2)
+    (c1t, s1t), (c2t, s2t) = iv.vcossin(t1), iv.vcossin(t2)
     # the gap B2 - B1 between the elbows
     dx = iv.vsub(iv.vshift(iv.vscale(c2t, g.L2), g.L0), iv.vscale(c1t, g.L1))
     dy = iv.vsub(iv.vscale(s2t, g.L2), iv.vscale(s1t, g.L1))
@@ -279,7 +279,7 @@ def _vdkp_elbow_crosses(t1, t2, c1t, s1t, c2t, s2t, g, dist, c, sin_a, branch):
     c_prime = _vclip_unit(iv.vdiv(num2, iv.vscale(dist, 2.0 * g.L4)))
     s_prime = iv.vscale(sin_a, g.L3 / g.L4)
     t21 = iv.vsub(t2, t1)
-    s21, c21 = iv.vsin(t21), iv.vcos(t21)
+    c21, s21 = iv.vcossin(t21)
     g1 = iv.vsub(iv.vscale(s21, g.L2), iv.vscale(s1t, g.L0))
     h1 = iv.vshift(iv.vadd(iv.vscale(c1t, g.L0), iv.vscale(c21, g.L2)), -g.L1)
     g2 = iv.vsub(iv.vscale(s21, g.L1), iv.vscale(s2t, g.L0))

@@ -20,7 +20,9 @@ array passes of `deserialize`, `label_regions` and `render_svg` replaced;
 `reference_bounds` bisects every leaf level by level, `reference_paths`
 formats the path of every leaf and `reference_locate` looks the located
 row up in that list. The tests hold the library's outputs equal to
-theirs. `parse_table` reads back the `bench` CSV, and `run_discretization`
+theirs. `reference_vdown` / `reference_vup` are the two-``np.nextafter``
+outward rounding that the integer step of the interval arrays replaced.
+`parse_table` reads back the `bench` CSV, and `run_discretization`
 executes the grid baseline whose cell count the bench tests check.
 """
 
@@ -420,6 +422,19 @@ def reference_render_svg(
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Outward rounding of the interval arrays: the reference of the integer step
+# ---------------------------------------------------------------------------
+
+
+def reference_vdown(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+
+
+def reference_vup(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, np.inf), np.inf)
 
 
 # ---------------------------------------------------------------------------

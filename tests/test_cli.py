@@ -4,18 +4,21 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fivebar import aspects as asp
+from fivebar import interval as iv
 from fivebar import quadtree as qt
 from fivebar.bench import WORKSPACE, space_box, space_classifier
 from fivebar.cli import main
 from fivebar.interval import DomainError
 from fivebar.mechanism import M2, AssemblyMode, WorkingMode
 
-from helpers import parse_table
+from helpers import parse_table, reference_vdown, reference_vup
 
 
 def run(argv):
@@ -387,6 +390,51 @@ def test_degenerate_box_is_usage_error(tmp_path, capsys, box):
     assert not out.exists()
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("fivebar workspace: error: bad --box: ")
+
+
+def _odd_rows(x) -> int:
+    """Rows where two ulps are not a step of 2 on the int64 view: zeros,
+    the smallest subnormals, the largest floats, infinities and NaN."""
+    bits = np.abs(x).view(np.int64)
+    max_bits = np.array(np.finfo(np.float64).max).view(np.int64)
+    return int(np.count_nonzero((bits < 2) | (bits > max_bits - 2)))
+
+
+@pytest.mark.parametrize(
+    "box", ["-8e307,8e307,-8e307,8e307", "-1e-320,1e-320,-1e-320,1e-320", "0,8e307,0,1"]
+)
+def test_extreme_boxes_build_as_with_nextafter_widening(tmp_path, monkeypatch, box):
+    # boxes whose bounds meet the outward rounding where its integer step
+    # does not apply; the trees must equal those of two np.nextafter per
+    # bound, with no RuntimeWarning
+    odd = []
+
+    def spy(step):
+        def widen(x):
+            odd.append(_odd_rows(x))
+            return step(x)
+
+        return widen
+
+    def build_tree(space, name):
+        out = tmp_path / f"{space}-{name}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = [space, "--mechanism", "m1", "--depth", "5", f"--box={box}"]
+            assert run(argv + ["--out", str(out)]) == 0
+        return out.read_bytes(), out.with_name(out.name + ".comp").read_bytes()
+
+    for space in ("workspace", "jointspace"):
+        with monkeypatch.context() as m:
+            m.setattr(iv, "_vdown", spy(iv._vdown))
+            m.setattr(iv, "_vup", spy(iv._vup))
+            fast = build_tree(space, "fast.qt")
+        with monkeypatch.context() as m:
+            m.setattr(iv, "_vdown", reference_vdown)
+            m.setattr(iv, "_vup", reference_vup)
+            reference = build_tree(space, "reference.qt")
+        assert fast == reference, space
+    assert sum(odd) > 0
 
 
 @pytest.mark.parametrize(

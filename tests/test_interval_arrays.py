@@ -6,16 +6,26 @@ included) of its scalar twin applied to that row. The inputs are
 criterion 7's random intervals plus adversarial endpoints: multiples of
 pi/2 a few ulps off and at the 1e-9 slack of `_trig_quarters`, widths of
 2 pi and more, operands that straddle or touch zero, and signed zeros.
+
+Two cheap primitives under them have their own reference: the outward
+rounding by an integer step on the int64 view, against two
+``np.nextafter`` (`helpers.reference_vdown` / `reference_vup`) on random
+bit patterns and on every float where the step does not apply; and sin
+and cos mapped once per distinct endpoint, against the scalar functions
+on batches whose rows share endpoints the way a quadtree frontier does.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fivebar import interval as iv
 from fivebar.interval import DomainError, Interval
+
+from helpers import reference_vdown, reference_vup
 
 HALF_PI = math.pi / 2
 
@@ -168,3 +178,142 @@ def test_empty_arrays():
         assert all(len(side) == 0 for side in f(empty))
     for f in (iv.vadd, iv.vsub, iv.vmul, iv.vdiv, iv.vnorm2):
         assert all(len(side) == 0 for side in f(empty, empty))
+
+
+# ---------------------------------------------------------------------------
+# Outward rounding: the integer step against two np.nextafter
+# ---------------------------------------------------------------------------
+
+MAX = np.finfo(np.float64).max
+TINY = np.finfo(np.float64).smallest_normal
+
+
+def _widening_pairs():
+    return ((iv._vdown, reference_vdown), (iv._vup, reference_vup))
+
+
+def _assert_same_float_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == np.float64 and got.shape == want.shape
+    diff = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert len(diff) == 0, f"{len(diff)} rows differ, first: {want[diff[0]]!r} vs {got[diff[0]]!r}"
+
+
+def test_widening_equals_nextafter_on_random_bits():
+    # random sign, biased exponent 0..2046 and mantissa: every finite float
+    # class, subnormals included, about 100 per binade
+    rng = np.random.default_rng(74)
+    n = 200_000
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+    mantissa = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    x = (sign | exponent | mantissa).view(np.float64)
+    assert np.isfinite(x).all() and (x == 0.0).sum() < 5
+    for step, ref in _widening_pairs():
+        _assert_same_float_bits(step(x), ref(x))
+
+
+def _odd_floats() -> np.ndarray:
+    """The floats where a step of 2 on the view does not apply, with their
+    neighbours on both sides of the boundaries."""
+    ladder = [0.0, 5e-324, 1e-323, 1.5e-323]
+    ladder += [_steps(TINY, n) for n in (-2, -1, 0, 1, 2)]
+    ladder += [_steps(MAX, n) for n in (-3, -2, -1, 0)]
+    ladder += [math.inf, math.nan]
+    vals = ladder + [-v for v in ladder] + [1.0, -1.0]
+    return np.array(vals, dtype=np.float64)
+
+
+def test_widening_equals_nextafter_on_boundary_floats():
+    x = _odd_floats()
+    assert (x.view(np.int64) == np.int64(-(2**63))).any()  # -0.0 is in
+    with np.errstate(over="ignore"):
+        for step, ref in _widening_pairs():
+            got = step(x)
+            _assert_same_float_bits(got, ref(x))
+            assert (np.isnan(got) == np.isnan(x)).all()
+            # every row alone, as a one-row batch goes through
+            for v in x:
+                _assert_same_float_bits(step(np.array([v])), ref(np.array([v])))
+
+
+@pytest.mark.parametrize("v", [MAX, _steps(MAX, -1)])
+def test_widening_past_max_warns_like_nextafter(v):
+    for x, step, ref in (
+        (np.array([1.0, v]), iv._vup, reference_vup),
+        (np.array([-v, -1.0]), iv._vdown, reference_vdown),
+    ):
+        with pytest.warns(RuntimeWarning, match="overflow") as want:
+            expected = ref(x)
+        with pytest.warns(RuntimeWarning, match="overflow") as got:
+            result = step(x)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        _assert_same_float_bits(result, expected)
+        assert np.isinf(result).sum() == 1
+
+
+def test_widening_toward_zero_from_max_is_silent():
+    x = np.array([MAX, _steps(MAX, -1), math.inf, -MAX, -math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_float_bits(iv._vdown(x[:3]), reference_vdown(x[:3]))
+        _assert_same_float_bits(iv._vup(x[3:]), reference_vup(x[3:]))
+
+
+def test_mod4_equals_np_mod_on_integer_floats():
+    # the quarter-period test of sin and cos reads k mod 4 of integer-valued
+    # floats: every one near zero, around 2**53 and up to the largest float
+    rng = np.random.default_rng(78)
+    near = np.arange(-1000.0, 1000.0)
+    big = np.floor(rng.standard_normal(20_000) * 10.0 ** rng.integers(0, 308, 20_000))
+    edges = [2.0**53, 2.0**53 + 2, 2.0**63, 1e300, 5e307, MAX, -0.0]
+    k = np.concatenate([near, big, edges, [-e for e in edges]])
+    _assert_same_float_bits(iv._vmod4(k), np.mod(k, 4.0))
+
+
+# ---------------------------------------------------------------------------
+# sin and cos once per distinct endpoint
+# ---------------------------------------------------------------------------
+
+
+def _frontier_rows(seed: int = 75, depth: int = 9, count: int = 3000) -> list[Interval]:
+    """Rows shaped like a quadtree frontier: cells of the bisection grid of
+    the joint-space root box, so that many rows share each edge, mixed with
+    signed zeros and the k pi/2 endpoints of `_trig_intervals`."""
+    root = iv.full_angle()
+    edges = [root.lo, root.hi]
+    for _ in range(depth):
+        mids = [a + (b - a) / 2 for a, b in zip(edges, edges[1:])]
+        edges = [e for pair in zip(edges, mids) for e in pair] + [edges[-1]]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c, level in zip(rng.integers(0, 2**depth, count), rng.integers(0, 4, count)):
+        s = 1 << int(level)
+        c = int(c) - int(c) % s
+        rows.append(Interval(edges[c], edges[min(c + s, 2**depth)]))
+    trig = _trig_intervals()
+    rows += [trig[i] for i in rng.integers(0, len(trig), 1000)]
+    rows += [Interval(lo, hi) for lo, hi in [(-0.0, 0.5), (0.0, 0.5), (-0.5, -0.0), (-0.5, 0.0)]]
+    rows += ZERO_INTERVALS
+    order = rng.permutation(len(rows))
+    return [rows[i] for i in order]
+
+
+@pytest.mark.parametrize("half, scalar", [(1, iv.sin), (0, iv.cos)], ids=["sin", "cos"])
+def test_trig_per_endpoint_rows_equal_scalar(half, scalar):
+    rows = _frontier_rows()
+    ends = np.concatenate(_arr(rows)).view(np.int64)
+    assert len(np.unique(ends)) < len(ends) / 2
+    _assert_same_bits(iv.vcossin(_arr(rows))[half], [scalar(a) for a in rows])
+    for a in rows[:50] + ZERO_INTERVALS:
+        _assert_same_bits(iv.vcossin(_arr([a]))[half], [scalar(a)])
+
+
+def test_endpoint_values_keep_signed_zeros_apart():
+    rows = _frontier_rows(77)
+    a = _arr(rows)
+    got = iv._vmap_endpoints(a, math.sin, math.cos)
+    for (lo, hi), f in zip(got, (math.sin, math.cos)):
+        for side, want in ((lo, a[0]), (hi, a[1])):
+            _assert_same_float_bits(side, np.array([f(v) for v in want.tolist()]))
+    lo, _ = got[0]
+    assert np.signbit(lo[a[0] == 0.0]).any() and not np.signbit(lo[a[0] == 0.0]).all()

@@ -5,17 +5,22 @@ solution sets of `dkp_box` / `ikp_box` (in `helpers`), box by box with
 scalar intervals, before the verdict functions existed. The batch kernel
 shares no code with it. Also covered: batches that straddle the CHUNK
 seams of a build, the per-box call of a classifier, and builds through the
-per-box fallback.
+per-box fallback. The joint verdict maps sin and cos once per distinct
+angle endpoint of a batch: it must agree on batches whose boxes share
+their edges, and a build must not map more values than that.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from fivebar import interval as iv
+from fivebar import mechanism as mech
 from fivebar import quadtree as qt
 from fivebar.aspects import all_mode_combos
-from fivebar.bench import JOINTSPACE, WORKSPACE, space_box
+from fivebar.bench import JOINTSPACE, WORKSPACE, space_box, space_classifier
 from fivebar.interval import Box2
 from fivebar.mechanism import (
     M1,
@@ -220,6 +225,74 @@ def test_verdicts_match_reference_across_annulus_radii():
         seen = _assert_agree(WORKSPACE, g, _boxes_around(points, rng))
         seen |= _assert_agree(WORKSPACE, g, _ulp_scan(points[2::16]))
         assert {-1, 0, 1} <= seen
+
+
+def _shared_edge_boxes(rng, count=600):
+    """Joint-space boxes whose edges repeat across rows, as in a frontier:
+    cells of a coarse grid, signed zeros, and angles a few ulps around
+    k pi/2, paired at random into boxes."""
+    grid = np.linspace(-math.pi, math.pi, 257).tolist()
+    quarters = []
+    for k in range(-4, 5):
+        x = k * (math.pi / 2)
+        for _ in range(3):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(7):
+            quarters.append(x)
+            x = math.nextafter(x, math.inf)
+    ends = sorted(set(grid + quarters))
+    spans = []
+    for _ in range(count // 4):
+        i = int(rng.integers(0, len(ends) - 4))
+        spans.append(tuple(sorted((ends[i], ends[i + int(rng.integers(0, 4))]))))
+    spans += [(-0.0, 0.5), (0.0, 0.5), (-0.5, -0.0), (-0.5, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+    for _ in range(count):
+        (a, b), (c, d) = (spans[k] for k in rng.integers(0, len(spans), 2))
+        yield Box2.from_bounds(a, b, c, d)
+
+
+def test_joint_verdicts_match_reference_on_shared_edges():
+    rng = np.random.default_rng(35)
+    for g in (M1, M2):
+        boxes = list(_shared_edge_boxes(rng))
+        seen = _assert_agree(JOINTSPACE, g, boxes)
+        assert {-1, 0, 1} <= seen
+        # one box alone: the smallest batch
+        _assert_agree(JOINTSPACE, g, boxes[:1])
+
+
+def test_joint_build_maps_trig_once_per_distinct_endpoint(monkeypatch):
+    # mode-free, the joint verdict reads cos and sin of theta1 and theta2
+    # only: per batch, math.cos may run once per distinct endpoint of each
+    counting = types.SimpleNamespace(**vars(math))
+    calls = []
+
+    def cos(x):
+        calls.append(x)
+        return math.cos(x)
+
+    counting.cos = cos
+    monkeypatch.setattr(iv, "math", counting)
+    batches = []
+    real = mech.joint_verdicts
+
+    def joint_verdicts(x_lo, x_hi, y_lo, y_hi, *args):
+        before = len(calls)
+        v = real(x_lo, x_hi, y_lo, y_hi, *args)
+        distinct = sum(
+            len(np.unique(np.concatenate(side).view(np.int64)))
+            for side in ((x_lo, x_hi), (y_lo, y_hi))
+        )
+        batches.append((len(calls) - before, distinct, len(x_lo)))
+        return v
+
+    monkeypatch.setattr(mech, "joint_verdicts", joint_verdicts)
+    model = build(space_box(M1, JOINTSPACE), 8, space_classifier(M1, JOINTSPACE))
+    assert sum(rows for _, _, rows in batches) == model.stats.calls
+    for mapped, distinct, rows in batches:
+        assert mapped <= distinct, (mapped, distinct, rows)
+    # the frontiers share their edges: per-row maps would be 4 per box
+    assert sum(d for _, d, _ in batches) < sum(rows for _, _, rows in batches)
 
 
 def test_partial_modes_outside_their_space_are_rejected():
