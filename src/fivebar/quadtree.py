@@ -26,12 +26,15 @@ frontier at the children of its Undetermined leaves, which are known to
 be undecided, so no decided box is ever retested.
 
 Reading a model works on whole columns as well. The text form is parsed by
-prefix sums over the code points of its node line. A leaf's x bounds depend
-only on the x bits of its key, so they are bisected once per distinct grid
-column and gathered (`_bounds`), and likewise y. The Black regions are the
-connected components of the table's Black edge pairs, found by min-label
-hooking and pointer jumping (`components`). Leaf paths are formatted only
-for the rows a reader asks for.
+prefix sums over the code points of its node line, and one search, run in
+key order, for the end of each Gray node's children. A leaf's x bounds
+depend only on the x bits of its key, so they are gathered from the edge
+grid of one level, L = min(d, floor(log2(leaves))), and only leaves deeper
+than L bisect on (`_bounds`); likewise y. No array is longer than the
+leaf table plus one. The Black regions are the connected components of
+the table's Black edge pairs, found by min-label hooking and pointer
+jumping (`components`). Leaf paths are formatted only for the rows a
+reader asks for.
 """
 
 from __future__ import annotations
@@ -461,12 +464,16 @@ def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
     code = _CODE_OF[np.minimum(c, 127)]
     slots = 1 + np.concatenate(([0], np.cumsum(np.where(gray, 3, -1))))
     # one sort of the (S, position) pairs finds where each G's children end;
-    # a pair is one int64, S * (n + 1) + position, with S <= 3n + 1
+    # a pair is one int64, S * (n + 1) + position, with S <= 3n + 1. The
+    # searches run in key order, each starting where the last one ended.
     q = np.flatnonzero(gray)
     stride = n + 1
     found = np.sort(slots * stride + np.arange(stride))
     want = (slots[q] - 1) * stride
-    i = np.searchsorted(found, want + q + 1)
+    key = want + q + 1
+    order = np.argsort(key)
+    i = np.empty_like(order)
+    i[order] = np.searchsorted(found, key[order])
     ends = found[np.minimum(i, n)] - want
     ends[(i > n) | (ends > n)] = n + 1  # never closed: the string ends early
     marks = np.bincount(q + 1, minlength=n + 2) - np.bincount(ends, minlength=n + 2)
@@ -499,28 +506,44 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
     """Exact bounds of the leaves: the midpoints of `Box2.subdivide`, taken
     down each leaf's path.
 
-    The x bounds depend only on the x bits of the path. Bisecting down to
-    finest column c gives the low edge E[c] of that column (E[2^d] is the
-    box's high edge), and a leaf of side s whose first column is c spans
-    [E[c], E[c + s]]: past the leaf's level the path of c takes only 0 bits,
-    which keep the low bound, and the paths of c + s - 1 and c + s part at
-    the leaf's high bound, then keep it with only 1 bits and only 0 bits.
-    Every high edge but the box's own is the low edge of another leaf, so
-    E is bisected only at the distinct first columns of the leaves; the
-    same holds for y. Nothing grows with 2^d.
+    The x bounds depend only on the x bits of the path. Bisecting every
+    column down to level L gives the edge grid E of that level, E[j] the low
+    edge of column j and E[2^L] the box's high edge: the two halves of
+    [E[j], E[j + 1]] share its midpoint, so the grid of one level is that of
+    the level above with the midpoints put in between. A leaf of side s
+    whose first finest column is c, at level L or above, spans
+    [E[c >> (d - L)], E[(c + s) >> (d - L)]]: past the leaf's level the path
+    of c takes only 0 bits, which keep the low bound, and the paths of
+    c + s - 1 and c + s part at the leaf's high bound, then keep it with
+    only 1 bits and only 0 bits. A deeper leaf continues the bisection from
+    its level-L column alone. L = min(d, floor(log2(leaves))) caps the grid
+    at leaves + 1 floats, so no array is longer than the leaf table plus
+    one; the same holds for y.
     """
+    cap = min(d, len(keys).bit_length() - 1)  # L
+    shift = d - cap
+    deep = np.flatnonzero(level > cap)
+    lev = level[deep]
     s = np.left_shift(1, d - level)  # side in finest-grid cells
     out = []
     for col, side in ((_compact_bits(keys), box.x), (_compact_bits(keys >> 1), box.y)):
-        srt = np.sort(col)
-        cells = srt[np.concatenate(([True], srt[1:] != srt[:-1]))]
-        lo, hi = np.full(len(cells), side.lo), np.full(len(cells), side.hi)
-        for k in range(d - 1, -1, -1):
-            mid = lo + (hi - lo) / 2
-            up = (cells >> k) & 1 == 1
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        edges = np.append(lo, side.hi)
-        out += [edges[np.searchsorted(cells, col)], edges[np.searchsorted(cells, col + s)]]
+        edges = np.array([side.lo, side.hi])
+        for _ in range(cap):
+            grid = np.empty(2 * len(edges) - 1)
+            grid[::2] = edges
+            grid[1::2] = edges[:-1] + (edges[1:] - edges[:-1]) / 2
+            edges = grid
+        lo, hi = edges[col >> shift], edges[(col + s) >> shift]
+        c = col[deep]
+        a, b = edges[c >> shift], edges[(c >> shift) + 1]
+        for k in range(cap, int(level.max())):
+            mid = a + (b - a) / 2
+            below = lev > k
+            up = (c >> (d - 1 - k)) & 1 == 1
+            a = np.where(below & up, mid, a)
+            b = np.where(below & ~up, mid, b)
+        lo[deep], hi[deep] = a, b
+        out += [lo, hi]
     return tuple(out)
 
 

@@ -102,6 +102,29 @@ def test_parse_matches_character_loop_on_random_and_mutated_bodies():
     assert 6_000 < errors < 18_000
 
 
+def test_parse_matches_character_loop_on_deep_bodies():
+    # many G's per level, so that the searches for the ends of their
+    # children run over many keys of each slot count
+    rng = random.Random(2026)
+    errors = grays = 0
+    for k in range(400):
+        d = 6 + k % 4
+        body = _mutate(rng, _random_body(rng, d), d)
+        grays += body.count("G")
+        got = _parse(HEADER.format(d) + "\n" + body + "\n")
+        want = _reference(body, d)
+        if isinstance(want[0], str):
+            errors += 1
+            assert got == want, body
+        else:
+            assert len(got) == 3, (body, got)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), body
+    # both outcomes are well represented
+    assert 50 < errors < 350
+    assert grays > 40_000
+
+
 @pytest.mark.parametrize("d, body, message, position", [
     (2, "BX", "trailing characters", 1),
     (1, "GGBBBB", "'G' below maximal depth", 1),
@@ -141,6 +164,56 @@ def _read_path_models() -> list:
 def test_bounds_match_level_loop_bit_for_bit():
     for m in _read_path_models():
         t = m.table
+        want = reference_bounds(m.root_box, m.max_depth, t.level, t.keys)
+        for got, w in zip((t.x_lo, t.x_hi, t.y_lo, t.y_hi), want):
+            assert np.array_equal(got.view(np.int64), w.view(np.int64))
+
+
+def _grown_text(rng: random.Random, d: int, leaves: int, box: Box2) -> str:
+    """The text of a depth-``d`` tree of ``leaves`` leaves (1 mod 3, at
+    least 3d + 1), grown from the root by splitting random leaves above
+    depth ``d``, the first ones down one chain to depth ``d``; Black and
+    White leaves at random."""
+    paths = [""]
+    while len(paths) < leaves:
+        split = [p for p in paths if len(p) < d]
+        if max(map(len, paths)) < d:
+            split = [p for p in split if len(p) == max(map(len, split))]
+        p = rng.choice(split)
+        paths.remove(p)
+        paths += [p + digit for digit in "0123"]
+    found = set(paths)
+
+    def node(p: str) -> str:
+        if p in found:
+            return rng.choice("BW")
+        return "G" + "".join(node(p + digit) for digit in "0123")
+
+    bounds = " ".join(repr(v) for v in (box.x.lo, box.x.hi, box.y.lo, box.y.hi))
+    return f"QT1 {d} {bounds}\n{node('')}\n"
+
+
+def _grid_cap(m) -> int:
+    # the level of the edge grid of `_bounds`: min(d, floor(log2(leaves)))
+    return min(m.max_depth, len(m.table.keys).bit_length() - 1)
+
+
+def test_parsed_bounds_match_level_loop_bit_for_bit():
+    # leaf counts just below 2^d (the grid stops a level above maximal
+    # depth, deeper leaves bisect on) and at or above it (the grid reaches
+    # maximal depth), on the odd boxes
+    rng = random.Random(31)
+    below, above = [], []
+    for box in ODD_BOXES:
+        for d in (4, 5, 7, 9):
+            for n in range(2**d - 3, 2**d + 4):
+                if n % 3 == 1:
+                    m = deserialize(_grown_text(rng, d, n, box))
+                    (below if n < 2**d else above).append(m)
+    assert all((m.table.level > _grid_cap(m)).any() for m in below)
+    assert all(_grid_cap(m) == m.max_depth for m in above)
+    for m in _read_path_models() + below + above:
+        t = deserialize(serialize(m)).table
         want = reference_bounds(m.root_box, m.max_depth, t.level, t.keys)
         for got, w in zip((t.x_lo, t.x_hi, t.y_lo, t.y_hi), want):
             assert np.array_equal(got.view(np.int64), w.view(np.int64))
