@@ -79,26 +79,6 @@ def all_mode_combos() -> list[ModeCombo]:
     ]
 
 
-def jointspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> BoxClassifier:
-    """Box classifier for the serial aspect of a mode combo.
-
-    A joint-space box is valid when the DKP branch for the assembly mode is
-    certified nonsingular and the elbow cross products at that branch carry
-    the combo's working-mode signs over the whole box.
-    """
-    return BoxClassifier(JOINTSPACE, g, combo.wm, combo.am)
-
-
-def workspace_classifier(combo: ModeCombo, g: FiveBarGeometry) -> BoxClassifier:
-    """Box classifier for the parallel aspect of a mode combo.
-
-    A workspace box is valid when the working mode's IKP solution is
-    certified over the whole box and its det(A) cross product carries the
-    combo's assembly-mode sign.
-    """
-    return BoxClassifier(WORKSPACE, g, combo.wm, combo.am)
-
-
 def wrap_angle(t: float) -> float:
     """Reduce an angle into [-pi, pi]."""
     return math.remainder(t, math.tau)
@@ -227,12 +207,12 @@ def compute_aspects(
     w_model = build(
         workspace_box or default_workspace_box(g),
         d_max,
-        workspace_classifier(combo, g),
+        BoxClassifier(WORKSPACE, g, combo.wm, combo.am),
     )
     q_model = build(
         jointspace_box or default_jointspace_box(),
         d_max,
-        jointspace_classifier(combo, g),
+        BoxClassifier(JOINTSPACE, g, combo.wm, combo.am),
     )
     w_labels = label_regions(w_model)
     q_labels = label_regions(q_model)

@@ -6,18 +6,20 @@ sound (the interval always encloses the exact range) at the cost of a
 little tightness. That trade is fine here: the quadtree builder subdivides
 anything it cannot certify.
 
-Two forms share these rules. `Interval` and its functions work on one
-interval and widen by two ``math.nextafter``. The quadtree classifiers use
-the array forms (``vadd``, ``vmul``, ...), which work on an interval array:
-a pair ``(lo, hi)`` of float64 arrays, one interval per row. Each array
-function repeats its scalar twin's float operations in the same order, so
-every row is bit for bit the scalar result. The arrays widen a bound by
-stepping its int64 view by 2, which is what two ``nextafter`` give for all
-finite floats away from zero and from the largest finite value; the other
-rows (zeros, the smallest subnormals, the largest floats, infinities and
-NaN) take ``np.nextafter``. The endpoint values of sin, cos and hypot come
-from `math` mapped over the rows, because numpy's own may round
-differently; sin and cos are mapped once per distinct endpoint float.
+The operations work on interval arrays (``vadd``, ``vmul``, ...): a pair
+``(lo, hi)`` of float64 arrays, one interval per row. The classification
+kernel and the pairing witness call them; `Interval` and `Box2` are the
+value types of a root box, checked on construction. Each array operation
+repeats the float operations of its scalar twin in the tests' reference
+(``tests/interval_reference.py``), in the same order, so every row is bit
+for bit the scalar result with two ``math.nextafter`` per widened bound.
+The arrays widen a bound by stepping its int64 view by 2, which is what
+two ``nextafter`` give for all finite floats away from zero and from the
+largest finite value; the other rows (zeros, the smallest subnormals, the
+largest floats, infinities and NaN) take ``np.nextafter``. The endpoint
+values of sin, cos, acos, atan2 and hypot come from `math` mapped over the
+rows, because numpy's own may round differently; sin and cos are mapped
+once per distinct endpoint float.
 """
 
 from __future__ import annotations
@@ -100,178 +102,12 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __neg__(self) -> "Interval":
-        return _iv(-self.hi, -self.lo)
-
-
-def _iv(lo: float, hi: float) -> Interval:
-    # internal fast path: bounds already validated by construction
-    out = Interval.__new__(Interval)
-    out.lo = lo
-    out.hi = hi
-    return out
+        return Interval(-self.hi, -self.lo)
 
 
 def full_angle() -> Interval:
     """Enclosure of the whole angle range [-pi, pi]."""
-    return _iv(_down(-math.pi), _up(math.pi))
-
-
-def add(a: Interval, b: Interval) -> Interval:
-    return _iv(_down(a.lo + b.lo), _up(a.hi + b.hi))
-
-
-def sub(a: Interval, b: Interval) -> Interval:
-    return _iv(_down(a.lo - b.hi), _up(a.hi - b.lo))
-
-
-def shift(a: Interval, k: float) -> Interval:
-    return _iv(_down(a.lo + k), _up(a.hi + k))
-
-
-def mul(a: Interval, b: Interval) -> Interval:
-    p1 = a.lo * b.lo
-    p2 = a.lo * b.hi
-    p3 = a.hi * b.lo
-    p4 = a.hi * b.hi
-    return _iv(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
-
-
-def scale(a: Interval, k: float) -> Interval:
-    if k >= 0.0:
-        return _iv(_down(a.lo * k), _up(a.hi * k))
-    return _iv(_down(a.hi * k), _up(a.lo * k))
-
-
-def div(a: Interval, b: Interval) -> Interval:
-    if b.lo <= 0.0 <= b.hi:
-        raise DomainError(f"division by interval containing zero: {b!r}")
-    q1 = a.lo / b.lo
-    q2 = a.lo / b.hi
-    q3 = a.hi / b.lo
-    q4 = a.hi / b.hi
-    return _iv(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
-
-
-def sqr(a: Interval) -> Interval:
-    """Sharp square: range of t^2 over a, with lower bound 0 when 0 in a."""
-    lo2 = a.lo * a.lo
-    hi2 = a.hi * a.hi
-    if a.lo <= 0.0 <= a.hi:
-        return _iv(0.0, _up(max(lo2, hi2)))
-    return _iv(max(0.0, _down(min(lo2, hi2))), _up(max(lo2, hi2)))
-
-
-def sqrt(a: Interval) -> Interval:
-    if a.hi < 0.0:
-        raise DomainError(f"sqrt of negative interval {a!r}")
-    # tiny negative lower bounds from rounding clamp to 0
-    lo = 0.0 if a.lo <= 0.0 else max(0.0, _down(math.sqrt(a.lo)))
-    return _iv(lo, _up(math.sqrt(a.hi)))
-
-
-def _trig_quarters(a: Interval) -> tuple[int, int]:
-    # integers k such that k*pi/2 might lie in a, widened by TRIG_SLACK
-    k0 = math.ceil(a.lo / HALF_PI - TRIG_SLACK)
-    k1 = math.floor(a.hi / HALF_PI + TRIG_SLACK)
-    return k0, k1
-
-
-def sin(a: Interval) -> Interval:
-    if a.hi - a.lo >= math.tau:
-        return _iv(-1.0, 1.0)
-    s_lo = math.sin(a.lo)
-    s_hi = math.sin(a.hi)
-    lo = min(s_lo, s_hi)
-    hi = max(s_lo, s_hi)
-    at_max = at_min = False
-    k0, k1 = _trig_quarters(a)
-    for k in range(k0, k1 + 1):
-        m = k % 4
-        if m == 1:
-            at_max = True
-        elif m == 3:
-            at_min = True
-    return _iv(
-        -1.0 if at_min else max(-1.0, _down(lo)),
-        1.0 if at_max else min(1.0, _up(hi)),
-    )
-
-
-def cos(a: Interval) -> Interval:
-    if a.hi - a.lo >= math.tau:
-        return _iv(-1.0, 1.0)
-    c_lo = math.cos(a.lo)
-    c_hi = math.cos(a.hi)
-    lo = min(c_lo, c_hi)
-    hi = max(c_lo, c_hi)
-    at_max = at_min = False
-    k0, k1 = _trig_quarters(a)
-    for k in range(k0, k1 + 1):
-        m = k % 4
-        if m == 0:
-            at_max = True
-        elif m == 2:
-            at_min = True
-    return _iv(
-        -1.0 if at_min else max(-1.0, _down(lo)),
-        1.0 if at_max else min(1.0, _up(hi)),
-    )
-
-
-def acos(a: Interval) -> tuple[Interval, bool]:
-    """Enclosure of acos over a intersected with [-1, 1].
-
-    The boolean reports whether the input stuck out of [-1, 1]; callers in
-    the kinematics layer treat a clamped result as indeterminate.
-    """
-    lo = max(a.lo, -1.0)
-    hi = min(a.hi, 1.0)
-    if lo > hi:
-        raise DomainError(f"acos argument {a!r} does not intersect [-1, 1]")
-    clamped = a.lo < -1.0 or a.hi > 1.0
-    return _iv(max(0.0, _down(math.acos(hi))), _up(math.acos(lo))), clamped
-
-
-def atan2(y: Interval, x: Interval) -> tuple[Interval, bool]:
-    """Enclosure of the angle of all points in the box (x, y).
-
-    Returns ``(interval, origin_flag)``. If the box contains the origin the
-    angle is unconstrained and the full range [-pi, pi] is returned with the
-    flag set. A box straddling the branch cut (negative x axis) also yields
-    the full range, flag clear.
-    """
-    if x.lo <= 0.0 <= x.hi and y.lo <= 0.0 <= y.hi:
-        return full_angle(), True
-    if x.lo < 0.0 and y.lo < 0.0 <= y.hi:
-        return full_angle(), False
-    # away from the origin and the cut, the extreme angles sit at corners
-    a1 = math.atan2(y.lo, x.lo)
-    a2 = math.atan2(y.lo, x.hi)
-    a3 = math.atan2(y.hi, x.lo)
-    a4 = math.atan2(y.hi, x.hi)
-    return _iv(_down(min(a1, a2, a3, a4)), _up(max(a1, a2, a3, a4))), False
-
-
-def _mig(a: Interval) -> float:
-    if a.lo <= 0.0 <= a.hi:
-        return 0.0
-    return min(abs(a.lo), abs(a.hi))
-
-
-def _mag(a: Interval) -> float:
-    return max(abs(a.lo), abs(a.hi))
-
-
-def norm2(dx: Interval, dy: Interval) -> Interval:
-    """Enclosure of sqrt(dx^2 + dy^2) over the box (dx, dy)."""
-    mx, my = _mig(dx), _mig(dy)
-    lo = 0.0 if mx == 0.0 and my == 0.0 else max(0.0, _down(math.hypot(mx, my)))
-    return _iv(lo, _up(math.hypot(_mag(dx), _mag(dy))))
-
-
-def cross_z(ux: Interval, uy: Interval, vx: Interval, vy: Interval) -> Interval:
-    """Enclosure of the z component of the planar cross product u x v."""
-    return sub(mul(ux, vy), mul(uy, vx))
+    return Interval(_down(-math.pi), _up(math.pi))
 
 
 # --------------------------------------------------------------------------
@@ -400,6 +236,16 @@ def vsqrt(a: IArray) -> IArray:
     return lo, _vup(np.sqrt(a[1]))
 
 
+def vacos(a: IArray) -> IArray:
+    """Enclosures of acos over each row clamped to [-1, 1]; DomainError when
+    a row does not meet that range."""
+    lo = np.maximum(a[0], -1.0)
+    hi = np.minimum(a[1], 1.0)
+    if np.any(lo > hi):
+        raise DomainError("acos argument does not intersect [-1, 1]")
+    return np.maximum(0.0, _vdown(_vmap(math.acos, hi))), _vup(_vmap(math.acos, lo))
+
+
 def _vmod4(k: np.ndarray) -> np.ndarray:
     """``np.mod(k, 4.0)`` of integer-valued floats, the same bits: every
     step is exact on them, and a float mod costs some ten times more."""
@@ -409,8 +255,9 @@ def _vmod4(k: np.ndarray) -> np.ndarray:
 def _vtrig(quarters, e_lo: np.ndarray, e_hi: np.ndarray, k_max: int, k_min: int) -> IArray:
     """Bounds of sin (k_max, k_min = 1, 3) or cos (0, 2) from the endpoint
     values: an extremum at k*pi/2 counts when some k with k % 4 == k_max
-    (k_min) lies in the range k0..k1 of `_trig_quarters`. ``quarters``
-    holds k0 % 4, k1 - k0 and whether the row is 2 pi wide or more."""
+    (k_min) lies in k0..k1, the integers k whose k*pi/2 might lie in the
+    row, widened by TRIG_SLACK. ``quarters`` holds k0 % 4, k1 - k0 and
+    whether the row is 2 pi wide or more."""
     # the first k >= k0 of a residue is k0 + (r - k0 % 4) % 4; both mods are
     # exact in floats, and so is comparing that offset (0..3) with k1 - k0
     r0, span, full = quarters
@@ -422,8 +269,8 @@ def _vtrig(quarters, e_lo: np.ndarray, e_hi: np.ndarray, k_max: int, k_min: int)
 
 
 def vcossin(a: IArray) -> tuple[IArray, IArray]:
-    """Rows of `cos` and of `sin`, sharing one quarter-period test and one
-    map per distinct endpoint."""
+    """Enclosures of cos and of sin over the rows, sharing one
+    quarter-period test and one map per distinct endpoint."""
     k0 = np.ceil(a[0] / HALF_PI - TRIG_SLACK)
     k1 = np.floor(a[1] / HALF_PI + TRIG_SLACK)
     quarters = _vmod4(k0), k1 - k0, a[1] - a[0] >= math.tau
@@ -431,20 +278,23 @@ def vcossin(a: IArray) -> tuple[IArray, IArray]:
     return _vtrig(quarters, *ec, 0, 2), _vtrig(quarters, *es, 1, 3)
 
 
-def vsin(a: IArray) -> IArray:
-    """Rows of `sin`. It maps cos as well: where both are read, call
-    `vcossin` once, as the kernel does."""
-    return vcossin(a)[1]
+def vatan2(y: IArray, x: IArray) -> IArray:
+    """Enclosures of the angle of every point of the boxes (x, y).
 
-
-def vcos(a: IArray) -> IArray:
-    """Rows of `cos`. It maps sin as well: where both are read, call
-    `vcossin` once, as the kernel does."""
-    return vcossin(a)[0]
+    A box that holds the origin or straddles the branch cut (the negative x
+    axis) gets the full angle; elsewhere the extreme angles sit at corners.
+    """
+    full = ((x[0] <= 0.0) & (0.0 <= x[1]) & (y[0] <= 0.0) & (0.0 <= y[1])) | (
+        (x[0] < 0.0) & (y[0] < 0.0) & (0.0 <= y[1])
+    )
+    corners = [_vmap(math.atan2, y_end, x_end) for y_end in y for x_end in x]
+    lo, hi = _corners(*corners)
+    angle = full_angle()
+    return np.where(full, angle.lo, lo), np.where(full, angle.hi, hi)
 
 
 def vnorm2(dx: IArray, dy: IArray) -> IArray:
-    """Rows of `norm2`: enclosures of sqrt(dx^2 + dy^2)."""
+    """Enclosures of sqrt(dx^2 + dy^2) over the boxes (dx, dy)."""
     mig = [
         np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
         for lo, hi in (dx, dy)
@@ -480,25 +330,6 @@ class Box2:
 
     def contains(self, px: float, py: float) -> bool:
         return self.x.contains(px) and self.y.contains(py)
-
-    def subdivide(self) -> tuple["Box2", "Box2", "Box2", "Box2"]:
-        """Quadrants in fixed order: x-lo/y-lo, x-hi/y-lo, x-lo/y-hi, x-hi/y-hi.
-
-        The midpoints are computed once and shared by siblings so the four
-        children tile the box exactly in floating point.
-        """
-        xm = self.x.lo + (self.x.hi - self.x.lo) / 2
-        ym = self.y.lo + (self.y.hi - self.y.lo) / 2
-        x_lo = _iv(self.x.lo, xm)
-        x_hi = _iv(xm, self.x.hi)
-        y_lo = _iv(self.y.lo, ym)
-        y_hi = _iv(ym, self.y.hi)
-        return (
-            Box2(x_lo, y_lo),
-            Box2(x_hi, y_lo),
-            Box2(x_lo, y_hi),
-            Box2(x_hi, y_hi),
-        )
 
     @property
     def area(self) -> float:

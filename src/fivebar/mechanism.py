@@ -19,7 +19,9 @@ a box-by-box verdict is a mask over the rows still undecided, so every row
 gets the verdict its box would get alone. Every quadtree classifier is a
 `BoxClassifier`, which calls them. `ikp_witness` maps a workspace point
 that the kernel certifies for a working mode to its base angles, the
-pairing witness of the aspects.
+pairing witness of the aspects; it solves on the same interval arrays, as
+a batch of one row. The law-of-cosines quotients of every stage go
+through one helper, `_vlaw_cos`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import interval as iv
-from .interval import Box2, Interval
+from .interval import Box2
 
 POINT_TOL = 1e-12
 # Smallest accepted link length: below it, products of a length and a small
@@ -198,6 +200,12 @@ def _vunit_sine(c: iv.IArray) -> iv.IArray:
     return iv.vsqrt(iv.vshift(iv.vneg(iv.vsqr(c)), 1.0))
 
 
+def _vlaw_cos(m: iv.IArray, a: float, b: float) -> iv.IArray:
+    """Cosine of the angle between the sides m and a of a triangle whose
+    third side is b: (m^2 + a^2 - b^2) / (2 a m), the law of cosines."""
+    return iv.vdiv(iv.vshift(iv.vsqr(m), a * a - b * b), iv.vscale(m, 2.0 * a))
+
+
 def joint_verdicts(
     x_lo: np.ndarray,
     x_hi: np.ndarray,
@@ -234,8 +242,7 @@ def joint_verdicts(
     )
     (dist,) = _take(keep, dist)
     # cos(alpha), the angle at B1 of the triangle (B1, B2, P)
-    num = iv.vshift(iv.vsqr(dist), g.L3 * g.L3 - g.L4 * g.L4)
-    cos_a = iv.vdiv(num, iv.vscale(dist, 2.0 * g.L3))
+    cos_a = _vlaw_cos(dist, g.L3, g.L4)
     keep = b.settle(
         ((cos_a[0] > 1.0) | (cos_a[1] < -1.0), -1),
         # a stretched/folded configuration within the box
@@ -275,8 +282,7 @@ def _vdkp_elbow_crosses(t1, t2, c1t, s1t, c2t, s2t, g, dist, c, sin_a, branch):
       v_z = L2 L4 / |B1B2| * (-G2 cos a' + branch H2 sin a')
     where a' is the angle at B2 of the same triangle (B1, B2, P).
     """
-    num2 = iv.vshift(iv.vsqr(dist), g.L4 * g.L4 - g.L3 * g.L3)
-    c_prime = _vclip_unit(iv.vdiv(num2, iv.vscale(dist, 2.0 * g.L4)))
+    c_prime = _vclip_unit(_vlaw_cos(dist, g.L4, g.L3))
     s_prime = iv.vscale(sin_a, g.L3 / g.L4)
     t21 = iv.vsub(t2, t1)
     c21, s21 = iv.vcossin(t21)
@@ -330,12 +336,8 @@ def workspace_verdicts(
         (~strict, 0),
     )
     m1, m2 = _take(keep, m1, m2)
-    c1 = iv.vdiv(
-        iv.vshift(iv.vsqr(m1), g.L1 * g.L1 - g.L3 * g.L3), iv.vscale(m1, 2.0 * g.L1)
-    )
-    c2 = iv.vdiv(
-        iv.vshift(iv.vsqr(m2), g.L2 * g.L2 - g.L4 * g.L4), iv.vscale(m2, 2.0 * g.L2)
-    )
+    c1 = _vlaw_cos(m1, g.L1, g.L3)
+    c2 = _vlaw_cos(m2, g.L2, g.L4)
     keep = b.settle(
         ((c1[0] > 1.0) | (c1[1] < -1.0) | (c2[0] > 1.0) | (c2[1] < -1.0), -1),
         ((c1[0] < -1.0) | (c1[1] > 1.0) | (c2[0] < -1.0) | (c2[1] > 1.0), 0),
@@ -373,12 +375,8 @@ def _vikp_det_a(px, py, g, m1, m2, s1, s2, i, j):
     angles at P and S = px (px - L0) + py^2 (evaluated as a sharp
     single-variable quadratic plus a sharp square).
     """
-    cd1 = _vclip_unit(iv.vdiv(
-        iv.vshift(iv.vsqr(m1), g.L3 * g.L3 - g.L1 * g.L1), iv.vscale(m1, 2.0 * g.L3)
-    ))
-    cd2 = _vclip_unit(iv.vdiv(
-        iv.vshift(iv.vsqr(m2), g.L4 * g.L4 - g.L2 * g.L2), iv.vscale(m2, 2.0 * g.L4)
-    ))
+    cd1 = _vclip_unit(_vlaw_cos(m1, g.L3, g.L1))
+    cd2 = _vclip_unit(_vlaw_cos(m2, g.L4, g.L2))
     sd1 = iv.vscale(s1, g.L1 / g.L3)
     sd2 = iv.vscale(s2, g.L2 / g.L4)
     s_quad = iv.vadd(
@@ -400,28 +398,27 @@ def ikp_witness(
 ) -> Optional[tuple[float, float]]:
     """Base angles (theta1, theta2) of working mode ``wm`` at the workspace
     point (px, py): the midpoints of their enclosures, or None unless
-    `workspace_verdicts` certifies the point for ``wm``.
+    `workspace_verdicts` certifies the point for ``wm``. Both the
+    certificate and the solve run on one-row interval arrays.
 
     By u_z = -i L1 |A1P| sin(beta1) and v_z = -j L2 |A2P| sin(beta2), the
     mode is the elbow branch pair (i, j) = (-wm.s1, -wm.s2), with
     theta1 = alpha1 + i beta1 and theta2 = pi - alpha2 + j beta2.
     """
-    one = [np.array([v]) for v in (px, px, py, py)]
-    if workspace_verdicts(*one, g, wm)[0] != 1:
+    x, y = (np.array([px]),) * 2, (np.array([py]),) * 2
+    if workspace_verdicts(*x, *y, g, wm)[0] != 1:
         return None
-    x, y = Interval.point(px), Interval.point(py)
-    m1 = iv.norm2(x, y)
-    m2 = iv.norm2(iv.shift(x, -g.L0), y)
-    c1 = iv.div(iv.shift(iv.sqr(m1), g.L1 * g.L1 - g.L3 * g.L3), iv.scale(m1, 2.0 * g.L1))
-    c2 = iv.div(iv.shift(iv.sqr(m2), g.L2 * g.L2 - g.L4 * g.L4), iv.scale(m2, 2.0 * g.L2))
-    beta1, _ = iv.acos(c1)
-    beta2, _ = iv.acos(c2)
-    alpha1, _ = iv.atan2(y, x)
-    alpha2, _ = iv.atan2(y, iv.shift(-x, g.L0))
-    pi_minus_a2 = iv.shift(-alpha2, math.pi)
-    t1 = iv.sub(alpha1, beta1) if wm.s1 > 0 else iv.add(alpha1, beta1)
-    t2 = iv.sub(pi_minus_a2, beta2) if wm.s2 > 0 else iv.add(pi_minus_a2, beta2)
-    return t1.mid, t2.mid
+    m1 = iv.vnorm2(x, y)
+    m2 = iv.vnorm2(iv.vshift(x, -g.L0), y)
+    beta1 = iv.vacos(_vlaw_cos(m1, g.L1, g.L3))
+    beta2 = iv.vacos(_vlaw_cos(m2, g.L2, g.L4))
+    alpha1 = iv.vatan2(y, x)
+    alpha2 = iv.vatan2(y, iv.vshift(iv.vneg(x), g.L0))
+    pi_minus_a2 = iv.vshift(iv.vneg(alpha2), math.pi)
+    t1 = iv.vsub(alpha1, beta1) if wm.s1 > 0 else iv.vadd(alpha1, beta1)
+    t2 = iv.vsub(pi_minus_a2, beta2) if wm.s2 > 0 else iv.vadd(pi_minus_a2, beta2)
+    # the midpoints as `Interval.mid` takes them, as Python floats
+    return tuple((lo + (hi - lo) / 2).item() for lo, hi in (t1, t2))
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ class LeafTable:
     ``s x s`` cells, ``s = 2^(depth - level[i])``, of the
     ``2^depth x 2^depth`` grid with the keys ``[keys[i], keys[i] + s^2)``;
     its low corner is the cell whose column and row are the even and the
-    odd bits of ``keys[i]``. Its bounds are the exact floats of
-    ``Box2.subdivide``. Paths are formatted from the keys of the rows a
+    odd bits of ``keys[i]``. Its bounds are the exact floats of the
+    bisection of `_split`. Paths are formatted from the keys of the rows a
     reader asks for (``paths``); nothing else is stored.
     """
 
@@ -168,7 +168,7 @@ def _compact_bits(v: np.ndarray) -> np.ndarray:
 
 
 def _morton(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    # quadrant digit = x bit + 2 * y bit, as in Box2.subdivide's order
+    # quadrant digit = x bit + 2 * y bit, as in `_split`'s order
     return _spread_bits(cx) | (_spread_bits(cy) << 1)
 
 
@@ -221,8 +221,10 @@ def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
 
 def _split(d: int, level: int, keys, x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
     """The keys and bounds of the quadrants of each box at ``level`` of a
-    depth-``d`` grid, in `Box2.subdivide` order and with its shared
-    midpoints; the children of box i are rows 4i..4i+3."""
+    depth-``d`` grid, in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi,
+    x-hi/y-hi, split at midpoints ``lo + (hi - lo) / 2`` that siblings
+    share, so the children tile the box exactly; the children of box i are
+    rows 4i..4i+3."""
     cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
     xm = x_lo + (x_hi - x_lo) / 2
     ym = y_lo + (y_hi - y_lo) / 2
@@ -362,7 +364,7 @@ def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
         raise DomainError(f"point ({qx}, {qy}) outside the root box")
     x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
     key = 0
-    # the finest cell containing the point, by the midpoints of Box2.subdivide
+    # the finest cell containing the point, by the midpoints of `_split`
     for _ in range(m.max_depth):
         xm = x0 + (x1 - x0) / 2
         ym = y0 + (y1 - y0) / 2
@@ -503,7 +505,7 @@ def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
 
 
 def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Exact bounds of the leaves: the midpoints of `Box2.subdivide`, taken
+    """Exact bounds of the leaves: the midpoints of `_split`, taken
     down each leaf's path.
 
     The x bounds depend only on the x bits of the path. Bisecting every

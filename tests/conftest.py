@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from fivebar.aspects import all_mode_combos, jointspace_classifier, workspace_classifier
+from fivebar.aspects import all_mode_combos
 from fivebar.bench import JOINTSPACE, WORKSPACE, space_box, space_classifier
-from fivebar.mechanism import M1, M2
+from fivebar.mechanism import M1, M2, BoxClassifier
 from fivebar.quadtree import build, refine
 
 CRITERIA = {
@@ -48,10 +48,14 @@ def combo_trees_d8():
     for name, g in (("m1", M1), ("m2", M2)):
         for combo in all_mode_combos():
             trees[(name, JOINTSPACE, combo)] = build(
-                space_box(g, JOINTSPACE), 8, jointspace_classifier(combo, g)
+                space_box(g, JOINTSPACE),
+                8,
+                BoxClassifier(JOINTSPACE, g, combo.wm, combo.am),
             )
             trees[(name, WORKSPACE, combo)] = build(
-                space_box(g, WORKSPACE), 8, workspace_classifier(combo, g)
+                space_box(g, WORKSPACE),
+                8,
+                BoxClassifier(WORKSPACE, g, combo.wm, combo.am),
             )
     return trees, time.monotonic() - t0
 

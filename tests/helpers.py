@@ -9,8 +9,9 @@ The full solvers `dkp_box` and `ikp_box` work on one box of `Interval`
 objects and return every solution enclosure (P, joint angles, elbows,
 det(A), u_z, v_z) with a `Ternary` status. They are the box-by-box
 reference of `mechanism.joint_verdicts` / `workspace_verdicts` and of
-`mechanism.ikp_witness`: the same formulas with the same scalar float
-operations, sharing no code with the batch kernel. `configuration_at`,
+`mechanism.ikp_witness`: the same formulas, computed with the scalar
+interval operations of `interval_reference`, the twins of the library's
+interval arrays, so they share no code with the batch kernel. `configuration_at`,
 `scalar_signs` and `coincidence_configurations` are point helpers of the
 kinematic tests.
 
@@ -39,7 +40,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import ndimage
 
-from fivebar import interval as iv
 from fivebar.bench import CSV_HEADER, BenchRow, space_box
 from fivebar.interval import Box2, Interval
 from fivebar.mechanism import (
@@ -72,6 +72,8 @@ from fivebar.quadtree import (
     serialize,
 )
 from fivebar.render import RenderStyle
+
+import interval_reference as ref
 
 
 def ulp_scale(*vals: float) -> float:
@@ -124,7 +126,7 @@ class Raster:
 
 def text_leaves(m: QuadtreeModel) -> list[tuple[str, Box2, str]]:
     """(path, box, kind letter) of every leaf, in preorder, by a recursive
-    walk of the model's text form with `Box2.subdivide`."""
+    walk of the model's text form with `interval_reference.subdivide`."""
     body = serialize(m).splitlines()[1]
     leaves = []
     pos = 0
@@ -136,7 +138,7 @@ def text_leaves(m: QuadtreeModel) -> list[tuple[str, Box2, str]]:
         if c != GRAY:
             leaves.append((path, box, c))
             return
-        for i, child in enumerate(box.subdivide()):
+        for i, child in enumerate(ref.subdivide(box)):
             visit(child, path + str(i))
 
     visit(m.root_box, "")
@@ -526,7 +528,7 @@ def _clip_unit(a: Interval) -> Interval:
 
 def _unit_sine(c: Interval) -> Interval:
     """Enclosure of sqrt(1 - c^2) for a cosine enclosure c within [-1, 1]."""
-    return iv.sqrt(iv.shift(-iv.sqr(c), 1.0))
+    return ref.sqrt(ref.shift(-ref.sqr(c), 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -545,19 +547,19 @@ def _dkp_triangle(box: Box2, g: FiveBarGeometry):
     B1 = B2 coincidence (cos_alpha is then None), else None.
     """
     t1, t2 = box.x, box.y
-    trig = c1t, s1t, c2t, s2t = iv.cos(t1), iv.sin(t1), iv.cos(t2), iv.sin(t2)
-    b1 = (iv.scale(c1t, g.L1), iv.scale(s1t, g.L1))
-    b2 = (iv.shift(iv.scale(c2t, g.L2), g.L0), iv.scale(s2t, g.L2))
-    dx = iv.sub(b2[0], b1[0])
-    dy = iv.sub(b2[1], b1[1])
-    dist = iv.norm2(dx, dy)
+    trig = c1t, s1t, c2t, s2t = ref.cos(t1), ref.sin(t1), ref.cos(t2), ref.sin(t2)
+    b1 = (ref.scale(c1t, g.L1), ref.scale(s1t, g.L1))
+    b2 = (ref.shift(ref.scale(c2t, g.L2), g.L0), ref.scale(s2t, g.L2))
+    dx = ref.sub(b2[0], b1[0])
+    dy = ref.sub(b2[1], b1[1])
+    dist = ref.norm2(dx, dy)
     if dist.lo > g.L3 + g.L4 or dist.hi < abs(g.L3 - g.L4):
         return Ternary.INVALID, trig, b1, b2, dx, dy, dist, None
     if dist.lo <= 0.0:
         # possible B1 = B2 coincidence: P would rotate freely around B1
         return Ternary.INDETERMINATE, trig, b1, b2, dx, dy, dist, None
-    num = iv.shift(iv.sqr(dist), g.L3 * g.L3 - g.L4 * g.L4)
-    cos_alpha = iv.div(num, iv.scale(dist, 2.0 * g.L3))
+    num = ref.shift(ref.sqr(dist), g.L3 * g.L3 - g.L4 * g.L4)
+    cos_alpha = ref.div(num, ref.scale(dist, 2.0 * g.L3))
     if cos_alpha.lo > 1.0 or cos_alpha.hi < -1.0:
         return Ternary.INVALID, trig, b1, b2, dx, dy, dist, cos_alpha
     return None, trig, b1, b2, dx, dy, dist, cos_alpha
@@ -582,26 +584,26 @@ def _dkp_elbow_crosses(
     """
     t1, t2 = box.x, box.y
     c1t, s1t, c2t, s2t = trig
-    num2 = iv.shift(iv.sqr(dist), g.L4 * g.L4 - g.L3 * g.L3)
-    c_prime = _clip_unit(iv.div(num2, iv.scale(dist, 2.0 * g.L4)))
-    s_prime = iv.scale(sin_alpha, g.L3 / g.L4)
-    s21, c21 = iv.sin(iv.sub(t2, t1)), iv.cos(iv.sub(t2, t1))
-    g1 = iv.sub(iv.scale(s21, g.L2), iv.scale(s1t, g.L0))
-    h1 = iv.shift(iv.add(iv.scale(c1t, g.L0), iv.scale(c21, g.L2)), -g.L1)
-    g2 = iv.sub(iv.scale(s21, g.L1), iv.scale(s2t, g.L0))
-    h2 = iv.shift(iv.sub(iv.scale(c2t, g.L0), iv.scale(c21, g.L1)), g.L2)
+    num2 = ref.shift(ref.sqr(dist), g.L4 * g.L4 - g.L3 * g.L3)
+    c_prime = _clip_unit(ref.div(num2, ref.scale(dist, 2.0 * g.L4)))
+    s_prime = ref.scale(sin_alpha, g.L3 / g.L4)
+    s21, c21 = ref.sin(ref.sub(t2, t1)), ref.cos(ref.sub(t2, t1))
+    g1 = ref.sub(ref.scale(s21, g.L2), ref.scale(s1t, g.L0))
+    h1 = ref.shift(ref.add(ref.scale(c1t, g.L0), ref.scale(c21, g.L2)), -g.L1)
+    g2 = ref.sub(ref.scale(s21, g.L1), ref.scale(s2t, g.L0))
+    h2 = ref.shift(ref.sub(ref.scale(c2t, g.L0), ref.scale(c21, g.L1)), g.L2)
     crosses = []
     for branch in branches:
-        u_z = iv.scale(
-            iv.div(
-                iv.add(iv.mul(g1, c), iv.scale(iv.mul(h1, sin_alpha), branch)), dist
+        u_z = ref.scale(
+            ref.div(
+                ref.add(ref.mul(g1, c), ref.scale(ref.mul(h1, sin_alpha), branch)), dist
             ),
             g.L1 * g.L3,
         )
-        v_z = iv.scale(
-            iv.div(
-                iv.add(
-                    -iv.mul(g2, c_prime), iv.scale(iv.mul(h2, s_prime), branch)
+        v_z = ref.scale(
+            ref.div(
+                ref.add(
+                    -ref.mul(g2, c_prime), ref.scale(ref.mul(h2, s_prime), branch)
                 ),
                 dist,
             ),
@@ -635,16 +637,16 @@ def dkp_box(
     c = _clip_unit(cos_alpha)
     sin_alpha = _unit_sine(c)
     crosses = _dkp_elbow_crosses(box, trig, g, dist, c, sin_alpha, (1, -1))
-    dxc, dyc = iv.mul(dx, c), iv.mul(dy, c)
-    dxs, dys = iv.mul(dx, sin_alpha), iv.mul(dy, sin_alpha)
+    dxc, dyc = ref.mul(dx, c), ref.mul(dy, c)
+    dxs, dys = ref.mul(dx, sin_alpha), ref.mul(dy, sin_alpha)
     solutions = []
     for branch, (u_z, v_z) in zip((1, -1), crosses):
         # (P - B1) = L3 / |B1B2| * Rot(branch * alpha) (dx, dy)
-        ux = iv.scale(iv.div(iv.sub(dxc, iv.scale(dys, branch)), dist), g.L3)
-        uy = iv.scale(iv.div(iv.add(dyc, iv.scale(dxs, branch)), dist), g.L3)
-        p = (iv.add(b1[0], ux), iv.add(b1[1], uy))
+        ux = ref.scale(ref.div(ref.sub(dxc, ref.scale(dys, branch)), dist), g.L3)
+        uy = ref.scale(ref.div(ref.add(dyc, ref.scale(dxs, branch)), dist), g.L3)
+        p = (ref.add(b1[0], ux), ref.add(b1[1], uy))
         # identity: (B1-P) x (B2-P) = branch * L3 * |B1B2| * sin(alpha)
-        det_a = iv.scale(iv.mul(dist, sin_alpha), branch * g.L3)
+        det_a = ref.scale(ref.mul(dist, sin_alpha), branch * g.L3)
         solutions.append(DkpSolution(p, det_a, u_z, v_z))
     solutions = tuple(solutions)
 
@@ -677,8 +679,8 @@ def _ikp_legs(box: Box2, g: FiveBarGeometry):
     strictly inside both annuli (c1, c2 are then None), else None.
     """
     px, py = box.x, box.y
-    m1 = iv.norm2(px, py)
-    m2 = iv.norm2(iv.shift(px, -g.L0), py)
+    m1 = ref.norm2(px, py)
+    m2 = ref.norm2(ref.shift(px, -g.L0), py)
     r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
     r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
     if m1.lo > r1_out or m2.lo > r2_out:
@@ -691,8 +693,8 @@ def _ikp_legs(box: Box2, g: FiveBarGeometry):
     )
     if not strict:
         return Ternary.INDETERMINATE, m1, m2, None, None
-    c1 = iv.div(iv.shift(iv.sqr(m1), g.L1 * g.L1 - g.L3 * g.L3), iv.scale(m1, 2.0 * g.L1))
-    c2 = iv.div(iv.shift(iv.sqr(m2), g.L2 * g.L2 - g.L4 * g.L4), iv.scale(m2, 2.0 * g.L2))
+    c1 = ref.div(ref.shift(ref.sqr(m1), g.L1 * g.L1 - g.L3 * g.L3), ref.scale(m1, 2.0 * g.L1))
+    c2 = ref.div(ref.shift(ref.sqr(m2), g.L2 * g.L2 - g.L4 * g.L4), ref.scale(m2, 2.0 * g.L2))
     if c1.lo > 1.0 or c1.hi < -1.0 or c2.lo > 1.0 or c2.hi < -1.0:
         return Ternary.INVALID, m1, m2, c1, c2
     return None, m1, m2, c1, c2
@@ -717,28 +719,28 @@ def _ikp_det_a(
     """
     px, py = box.x, box.y
     cd1 = _clip_unit(
-        iv.div(iv.shift(iv.sqr(m1), g.L3 * g.L3 - g.L1 * g.L1), iv.scale(m1, 2.0 * g.L3))
+        ref.div(ref.shift(ref.sqr(m1), g.L3 * g.L3 - g.L1 * g.L1), ref.scale(m1, 2.0 * g.L3))
     )
     cd2 = _clip_unit(
-        iv.div(iv.shift(iv.sqr(m2), g.L4 * g.L4 - g.L2 * g.L2), iv.scale(m2, 2.0 * g.L4))
+        ref.div(ref.shift(ref.sqr(m2), g.L4 * g.L4 - g.L2 * g.L2), ref.scale(m2, 2.0 * g.L4))
     )
-    sd1 = iv.scale(s1, g.L1 / g.L3)
-    sd2 = iv.scale(s2, g.L2 / g.L4)
-    s_quad = iv.add(
-        iv.shift(iv.sqr(iv.shift(px, -g.L0 / 2)), -g.L0 * g.L0 / 4), iv.sqr(py)
+    sd1 = ref.scale(s1, g.L1 / g.L3)
+    sd2 = ref.scale(s2, g.L2 / g.L4)
+    s_quad = ref.add(
+        ref.shift(ref.sqr(ref.shift(px, -g.L0 / 2)), -g.L0 * g.L0 / 4), ref.sqr(py)
     )
-    cc = iv.mul(cd1, cd2)
-    ss = iv.mul(sd1, sd2)
-    cs = iv.mul(cd2, sd1)
-    sc = iv.mul(cd1, sd2)
-    m1m2 = iv.mul(m1, m2)
+    cc = ref.mul(cd1, cd2)
+    ss = ref.mul(sd1, sd2)
+    cs = ref.mul(cd2, sd1)
+    sc = ref.mul(cd1, sd2)
+    m1m2 = ref.mul(m1, m2)
 
     def det_at(i: int, j: int) -> Interval:
-        n = iv.add(
-            iv.scale(iv.mul(py, iv.add(cc, iv.scale(ss, i * j))), g.L0),
-            iv.mul(s_quad, iv.sub(iv.scale(cs, i), iv.scale(sc, j))),
+        n = ref.add(
+            ref.scale(ref.mul(py, ref.add(cc, ref.scale(ss, i * j))), g.L0),
+            ref.mul(s_quad, ref.sub(ref.scale(cs, i), ref.scale(sc, j))),
         )
-        return iv.scale(iv.div(n, m1m2), g.L3 * g.L4)
+        return ref.scale(ref.div(n, m1m2), g.L3 * g.L4)
 
     return det_at
 
@@ -767,32 +769,32 @@ def ikp_box(
     c1c, c2c = _clip_unit(c1), _clip_unit(c2)
     s1 = _unit_sine(c1c)
     s2 = _unit_sine(c2c)
-    beta1, _ = iv.acos(c1c)
-    beta2, _ = iv.acos(c2c)
+    beta1, _ = ref.acos(c1c)
+    beta2, _ = ref.acos(c2c)
     # A1 and A2 lie outside the box, so neither angle has the origin flag set
-    alpha1, _ = iv.atan2(py, px)
-    alpha2, _ = iv.atan2(py, iv.shift(-px, g.L0))
-    pi_minus_a2 = iv.shift(-alpha2, math.pi)
-    qx = iv.shift(px, -g.L0)
+    alpha1, _ = ref.atan2(py, px)
+    alpha2, _ = ref.atan2(py, ref.shift(-px, g.L0))
+    pi_minus_a2 = ref.shift(-alpha2, math.pi)
+    qx = ref.shift(px, -g.L0)
 
     # elbows via angle-sum expansion of the known direction cosines; the
     # elbow cross products collapse to the exact identities
     # u_z = -branch * L1 * |A1P| * sin(beta1), v_z = -branch * L2 * |A2P| * sin(beta2)
     legs1 = []
     for i in (1, -1):
-        t1 = iv.add(alpha1, beta1) if i > 0 else iv.sub(alpha1, beta1)
-        cos_t1 = iv.div(iv.sub(iv.mul(px, c1c), iv.scale(iv.mul(py, s1), i)), m1)
-        sin_t1 = iv.div(iv.add(iv.mul(py, c1c), iv.scale(iv.mul(px, s1), i)), m1)
-        b1 = (iv.scale(cos_t1, g.L1), iv.scale(sin_t1, g.L1))
-        u_z = iv.scale(iv.mul(m1, s1), -i * g.L1)
+        t1 = ref.add(alpha1, beta1) if i > 0 else ref.sub(alpha1, beta1)
+        cos_t1 = ref.div(ref.sub(ref.mul(px, c1c), ref.scale(ref.mul(py, s1), i)), m1)
+        sin_t1 = ref.div(ref.add(ref.mul(py, c1c), ref.scale(ref.mul(px, s1), i)), m1)
+        b1 = (ref.scale(cos_t1, g.L1), ref.scale(sin_t1, g.L1))
+        u_z = ref.scale(ref.mul(m1, s1), -i * g.L1)
         legs1.append((i, t1, b1, u_z))
     legs2 = []
     for j in (1, -1):
-        t2 = iv.add(pi_minus_a2, beta2) if j > 0 else iv.sub(pi_minus_a2, beta2)
-        cos_p2 = iv.div(iv.sub(iv.mul(qx, c2c), iv.scale(iv.mul(py, s2), j)), m2)
-        sin_p2 = iv.div(iv.add(iv.mul(py, c2c), iv.scale(iv.mul(qx, s2), j)), m2)
-        b2 = (iv.shift(iv.scale(cos_p2, g.L2), g.L0), iv.scale(sin_p2, g.L2))
-        v_z = iv.scale(iv.mul(m2, s2), -j * g.L2)
+        t2 = ref.add(pi_minus_a2, beta2) if j > 0 else ref.sub(pi_minus_a2, beta2)
+        cos_p2 = ref.div(ref.sub(ref.mul(qx, c2c), ref.scale(ref.mul(py, s2), j)), m2)
+        sin_p2 = ref.div(ref.add(ref.mul(py, c2c), ref.scale(ref.mul(qx, s2), j)), m2)
+        b2 = (ref.shift(ref.scale(cos_p2, g.L2), g.L0), ref.scale(sin_p2, g.L2))
+        v_z = ref.scale(ref.mul(m2, s2), -j * g.L2)
         legs2.append((j, t2, b2, v_z))
 
     det_at = _ikp_det_a(box, g, m1, m2, s1, s2)

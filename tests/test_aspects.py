@@ -14,13 +14,19 @@ from fivebar.aspects import (
     aspect_regions,
     aspect_report,
     compute_aspects,
-    jointspace_classifier,
     pair_regions,
-    workspace_classifier,
     wrap_angle,
 )
 from fivebar.interval import Box2
-from fivebar.mechanism import M1, M2, AssemblyMode, WorkingMode
+from fivebar.mechanism import (
+    JOINTSPACE,
+    M1,
+    M2,
+    WORKSPACE,
+    AssemblyMode,
+    BoxClassifier,
+    WorkingMode,
+)
 from fivebar.quadtree import (
     BLACK,
     black_area,
@@ -65,12 +71,12 @@ def test_wrap_angle():
 
 def test_jointspace_classifier_examples():
     combo = ModeCombo(WorkingMode(1, 1), AssemblyMode.POSITIVE)
-    classify = jointspace_classifier(combo, M1)
+    classify = BoxClassifier(JOINTSPACE, M1, combo.wm, combo.am)
     # elbows certifiably out of reach of the distal links
     assert classify(Box2.from_bounds(PI - 0.01, PI, 0.0, 0.01)) == -1
     # a box around the elbow-coincidence configuration stays undecided
     (t1, t2), _ = coincidence_configurations(M2)
-    classify_m2 = jointspace_classifier(combo, M2)
+    classify_m2 = BoxClassifier(JOINTSPACE, M2, combo.wm, combo.am)
     for half_width in (0.1, 1e-3, 1e-6):
         box = Box2.from_bounds(
             t1 - half_width, t1 + half_width, t2 - half_width, t2 + half_width
@@ -83,16 +89,18 @@ def test_jointspace_classifier_point_convergence():
     # for exactly one combo per assembly branch
     t1, t2 = 1.1, 2.0
     box = Box2.from_bounds(t1 - 1e-3, t1 + 1e-3, t2 - 1e-3, t2 + 1e-3)
-    verdicts = {str(c): jointspace_classifier(c, M2)(box) for c in all_mode_combos()}
+    verdicts = {
+        str(c): BoxClassifier(JOINTSPACE, M2, c.wm, c.am)(box) for c in all_mode_combos()
+    }
     assert sorted(verdicts.values()) == [-1, -1, -1, -1, -1, -1, 1, 1]
 
 
 def test_workspace_classifier_examples():
     combo = ModeCombo(WorkingMode(1, 1), AssemblyMode.NEGATIVE)
-    classify = workspace_classifier(combo, M1)
+    classify = BoxClassifier(WORKSPACE, M1, combo.wm, combo.am)
     assert classify(Box2.from_bounds(49, 51, -1, 1)) == -1
     # box containing the point hole of M2 at A1 is never certified valid
-    classify_m2 = workspace_classifier(combo, M2)
+    classify_m2 = BoxClassifier(WORKSPACE, M2, combo.wm, combo.am)
     for half_width in (0.1, 1e-3, 1e-6):
         assert (
             classify_m2(
@@ -106,7 +114,9 @@ def test_workspace_classifier_valid_box():
     # around (4.5, 6) for M1, each assembly mode certifies for one combo of
     # each working-mode choice
     box = Box2.from_bounds(4.45, 4.55, 5.95, 6.05)
-    verdicts = {str(c): workspace_classifier(c, M1)(box) for c in all_mode_combos()}
+    verdicts = {
+        str(c): BoxClassifier(WORKSPACE, M1, c.wm, c.am)(box) for c in all_mode_combos()
+    }
     assert sum(1 for v in verdicts.values() if v == 1) == 4
     assert all(v != 0 for v in verdicts.values())
 

@@ -16,7 +16,7 @@ from fivebar import quadtree as qt
 from fivebar.bench import WORKSPACE, space_box, space_classifier
 from fivebar.cli import main
 from fivebar.interval import DomainError
-from fivebar.mechanism import M2, AssemblyMode, WorkingMode
+from fivebar.mechanism import M2, AssemblyMode, BoxClassifier, WorkingMode
 
 from helpers import parse_table, reference_vdown, reference_vup
 
@@ -468,7 +468,8 @@ def test_working_mode_minus_minus_spelled_mm(tmp_path, capsys):
         ]
     ) == 0
     combo = asp.ModeCombo(WorkingMode(-1, -1), AssemblyMode(1))
-    expected = qt.build(space_box(M2, WORKSPACE), 3, asp.workspace_classifier(combo, M2))
+    classify = BoxClassifier(WORKSPACE, M2, combo.wm, combo.am)
+    expected = qt.build(space_box(M2, WORKSPACE), 3, classify)
     assert out.read_text() == qt.serialize(expected)
     with pytest.raises(SystemExit):
         run(["workspace", "--help"])

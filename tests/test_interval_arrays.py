@@ -1,11 +1,13 @@
-"""The interval arrays of the classification kernel, bit for bit against
-the scalar primitives.
+"""The interval arrays of the library, bit for bit against their scalar
+twins in `interval_reference`.
 
 Every row of an array primitive must carry the exact bits (signed zeros
 included) of its scalar twin applied to that row. The inputs are
 criterion 7's random intervals plus adversarial endpoints: multiples of
 pi/2 a few ulps off and at the 1e-9 slack of `_trig_quarters`, widths of
-2 pi and more, operands that straddle or touch zero, and signed zeros.
+2 pi and more, operands that straddle or touch zero, and signed zeros;
+acos arguments at +-1 and one ulp outside; atan2 boxes that hold the
+origin, touch an axis with 0.0 or -0.0, or straddle the negative x axis.
 
 Two cheap primitives under them have their own reference: the outward
 rounding by an integer step on the int64 view, against two
@@ -25,6 +27,7 @@ import pytest
 from fivebar import interval as iv
 from fivebar.interval import DomainError, Interval
 
+import interval_reference as ref
 from helpers import reference_vdown, reference_vup
 
 HALF_PI = math.pi / 2
@@ -115,9 +118,9 @@ def _assert_same_bits(got: iv.IArray, want: list[Interval]) -> None:
 @pytest.mark.parametrize(
     "vector, scalar",
     [
-        (iv.vsqr, iv.sqr),
-        (iv.vsin, iv.sin),
-        (iv.vcos, iv.cos),
+        (iv.vsqr, ref.sqr),
+        (ref.vsin, ref.sin),
+        (ref.vcos, ref.cos),
         (iv.vneg, lambda a: -a),
     ],
     ids=["sqr", "sin", "cos", "neg"],
@@ -129,20 +132,66 @@ def test_unary_rows_equal_scalar(vector, scalar):
 def test_sqrt_rows_equal_scalar():
     ok = [a for a in UNARY if a.hi >= 0.0]
     assert any(a.lo < 0.0 for a in ok) and any(a.hi == 0.0 for a in ok)
-    _assert_same_bits(iv.vsqrt(_arr(ok)), [iv.sqrt(a) for a in ok])
+    _assert_same_bits(iv.vsqrt(_arr(ok)), [ref.sqrt(a) for a in ok])
     with pytest.raises(DomainError):
         iv.vsqrt(_arr(ok + [Interval(-2.0, -1.0)]))
+
+
+ONE_UP = math.nextafter(1.0, 2.0)
+MINUS_ONE_DOWN = math.nextafter(-1.0, -2.0)
+
+
+def test_acos_rows_equal_scalar():
+    # endpoints at +-1 and one ulp outside, as points and reaching across
+    edges = [
+        Interval(lo, hi)
+        for lo, hi in [
+            (1.0, 1.0), (-1.0, -1.0), (1.0, ONE_UP), (MINUS_ONE_DOWN, -1.0),
+            (MINUS_ONE_DOWN, ONE_UP), (-1.0, 1.0), (0.5, ONE_UP), (MINUS_ONE_DOWN, -0.5),
+        ]
+    ]
+    ok = [a for a in UNARY + edges if a.lo <= 1.0 and a.hi >= -1.0]
+    assert any(a.lo < -1.0 for a in ok) and any(a.hi > 1.0 for a in ok)
+    _assert_same_bits(iv.vacos(_arr(ok)), [ref.acos(a)[0] for a in ok])
+    for outside in (Interval(ONE_UP, ONE_UP), Interval(-3.0, MINUS_ONE_DOWN)):
+        with pytest.raises(DomainError):
+            iv.vacos(_arr(ok + [outside]))
+
+
+def test_atan2_rows_equal_scalar_at_origin_axes_and_cut():
+    # boxes (y, x) that hold the origin, touch an axis with 0.0 or -0.0, or
+    # straddle the negative x axis, where the scalar takes the full angle
+    sides = [
+        Interval(lo, hi)
+        for lo, hi in [
+            (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 1.5), (-0.0, 1.5),
+            (-1.5, 0.0), (-1.5, -0.0), (-1.5, 1.5), (-2.0, -1.0), (1.0, 2.0),
+            (-1e-300, 1e-300), (5e-324, 5e-324), (-5e-324, -5e-324),
+        ]
+    ]
+    boxes = list(itertools.product(sides, repeat=2))
+    want = [ref.atan2(y, x) for y, x in boxes]
+    full = ref.atan2(Interval(1.0, 1.0), Interval(0.0, 0.0))[0]
+    assert any(origin for _, origin in want)
+    assert any(a == full and not origin for a, origin in want)
+    ys, xs = zip(*boxes)
+    _assert_same_bits(iv.vatan2(_arr(ys), _arr(xs)), [a for a, _ in want])
+    # on the negative x axis the sign of a zero y picks the side of the cut
+    neg_x = _arr([Interval(-2.0, -1.0)] * 2)
+    lo, hi = iv.vatan2(_arr([Interval(0.0, 0.0), Interval(-0.0, -0.0)]), neg_x)
+    assert lo[0] > 3.0 and hi[1] < -3.0
 
 
 @pytest.mark.parametrize(
     "vector, scalar",
     [
-        (iv.vadd, iv.add),
-        (iv.vsub, iv.sub),
-        (iv.vmul, iv.mul),
-        (iv.vnorm2, iv.norm2),
+        (iv.vadd, ref.add),
+        (iv.vsub, ref.sub),
+        (iv.vmul, ref.mul),
+        (iv.vnorm2, ref.norm2),
+        (iv.vatan2, lambda y, x: ref.atan2(y, x)[0]),
     ],
-    ids=["add", "sub", "mul", "norm2"],
+    ids=["add", "sub", "mul", "norm2", "atan2"],
 )
 def test_binary_rows_equal_scalar(vector, scalar):
     a, b = zip(*PAIRS)
@@ -154,7 +203,7 @@ def test_div_rows_equal_scalar():
     ok = [(x, y) for x, y in PAIRS if not y.contains_zero()]
     assert len(ok) > 1000
     a, b = zip(*ok)
-    _assert_same_bits(iv.vdiv(_arr(a), _arr(b)), [iv.div(x, y) for x, y in ok])
+    _assert_same_bits(iv.vdiv(_arr(a), _arr(b)), [ref.div(x, y) for x, y in ok])
     with pytest.raises(DomainError):
         iv.vdiv(_arr(a + (Interval(1.0, 2.0),)), _arr(b + (Interval(-0.0, 1.0),)))
 
@@ -164,8 +213,8 @@ def test_div_rows_equal_scalar():
 )
 def test_scale_and_shift_rows_equal_scalar(k):
     a = _arr(UNARY)
-    _assert_same_bits(iv.vscale(a, k), [iv.scale(x, k) for x in UNARY])
-    _assert_same_bits(iv.vshift(a, k), [iv.shift(x, k) for x in UNARY])
+    _assert_same_bits(iv.vscale(a, k), [ref.scale(x, k) for x in UNARY])
+    _assert_same_bits(iv.vshift(a, k), [ref.shift(x, k) for x in UNARY])
 
 
 def test_sign_rows_equal_scalar():
@@ -174,9 +223,9 @@ def test_sign_rows_equal_scalar():
 
 def test_empty_arrays():
     empty = (np.zeros(0), np.zeros(0))
-    for f in (iv.vsqr, iv.vsqrt, iv.vsin, iv.vcos):
+    for f in (iv.vsqr, iv.vsqrt, iv.vacos, ref.vsin, ref.vcos):
         assert all(len(side) == 0 for side in f(empty))
-    for f in (iv.vadd, iv.vsub, iv.vmul, iv.vdiv, iv.vnorm2):
+    for f in (iv.vadd, iv.vsub, iv.vmul, iv.vdiv, iv.vnorm2, iv.vatan2):
         assert all(len(side) == 0 for side in f(empty, empty))
 
 
@@ -298,7 +347,7 @@ def _frontier_rows(seed: int = 75, depth: int = 9, count: int = 3000) -> list[In
     return [rows[i] for i in order]
 
 
-@pytest.mark.parametrize("half, scalar", [(1, iv.sin), (0, iv.cos)], ids=["sin", "cos"])
+@pytest.mark.parametrize("half, scalar", [(1, ref.sin), (0, ref.cos)], ids=["sin", "cos"])
 def test_trig_per_endpoint_rows_equal_scalar(half, scalar):
     rows = _frontier_rows()
     ends = np.concatenate(_arr(rows)).view(np.int64)

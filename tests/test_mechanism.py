@@ -21,6 +21,7 @@ from fivebar.mechanism import (
 )
 from fivebar.quadtree import build
 
+import interval_reference as ref
 from helpers import (
     Ternary,
     coincidence_configurations,
@@ -161,7 +162,7 @@ def test_dkp_box_out_of_reach_is_invalid():
     assert res.status is Ternary.INVALID
     # the elbows are certifiably farther apart than L3 + L4
     b1, b2 = res.b1, res.b2
-    dist = iv.norm2(iv.sub(b2[0], b1[0]), iv.sub(b2[1], b1[1]))
+    dist = ref.norm2(ref.sub(b2[0], b1[0]), ref.sub(b2[1], b1[1]))
     assert dist.lo > M1.L3 + M1.L4
 
 
@@ -281,6 +282,11 @@ def test_ikp_with_mode_point_valid():
 # round (M1 and M2 derive mostly exact ones)
 ODD = FiveBarGeometry(9.1, 7.9, 5.3, 4.9, 8.1)
 
+# x of a point on the x axis where alpha1 (M1) or alpha2 (M2) lies at +-pi,
+# so that the sign of a zero y changes theta. Leaf centres never have y = 0,
+# and the `points` sets would merge 0.0 and -0.0.
+X_AXIS = {M1: -3.5, M2: 3.0}
+
 
 @pytest.mark.parametrize("g", [M1, M2, ODD], ids=["m1", "m2", "odd"])
 def test_ikp_witness_matches_full_solver(g):
@@ -299,9 +305,10 @@ def test_ikp_witness_matches_full_solver(g):
     side = g.L1 + g.L3
     for pts in points.values():
         pts.update(map(tuple, rng.uniform(-side, side, (200, 2)).tolist()))
+    axis = [(X_AXIS[g], 0.0), (X_AXIS[g], -0.0)] if g in X_AXIS else []
     outcomes = set()
     for wm, pts in points.items():
-        for px, py in pts:
+        for px, py in [*pts, *axis]:
             res = ikp_box(Box2.point(px, py), g, wm)
             expected = None
             if res.status is Ternary.VALID:
@@ -310,6 +317,9 @@ def test_ikp_witness_matches_full_solver(g):
             assert mech.ikp_witness(px, py, g, wm) == expected, (px, py, wm)
             outcomes.add(expected is None)
     assert outcomes == {True, False}
+    for wm in points:
+        thetas = [mech.ikp_witness(px, py, g, wm) for px, py in axis]
+        assert None not in thetas and len(set(thetas)) == len(axis)
 
 
 # ---------------------------------------------------------------------------
