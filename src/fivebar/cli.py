@@ -38,6 +38,9 @@ MECHANISMS = {"m1": mech.M1, "m2": mech.M2}
 # letter spellings of the working modes; "mm" is the only way to pass "--"
 WORKING_MODE_LETTERS = {"pp": "++", "pm": "+-", "mp": "-+", "mm": "--"}
 WORKING_MODE_CHOICES = ["++", "+-", "-+", "--", *WORKING_MODE_LETTERS]
+# the bound of `verify --samples`: sampling holds a few float arrays of
+# that many rows
+MAX_SAMPLES = 10**7
 WORKING_MODE_HELP = (
     "signs of u_z, v_z: ++, +-, -+, -- or pp, pm, mp, mm "
     "(argparse drops a '--' value: write mm)"
@@ -267,6 +270,8 @@ def cmd_verify(args, parser) -> int:
     depth = _depth(args, parser)
     if args.samples < 0:
         parser.error("--samples must be >= 0")
+    if args.samples > MAX_SAMPLES:
+        parser.error(f"--samples must be at most {MAX_SAMPLES}")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     wm, am = _parse_modes(args, parser)
@@ -304,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--assembly-mode", choices=["+", "-"])
         p.add_argument("--out", required=True, help="output file")
         p.add_argument("--format", choices=["qt", "svg"], default="qt")
-        p.add_argument("--box", metavar="XLO,XHI,YLO,YHI", help="override initial box")
+        p.add_argument(
+            "--box", metavar="XLO,XHI,YLO,YHI",
+            help="override initial box; write --box=XLO,XHI,YLO,YHI, as a value "
+            "that starts with '-' would be read as an option",
+        )
         p.add_argument("--refine-from", metavar="FILE", help="refine an existing .qt file")
         p.set_defaults(func=func, parser=p)
         return p
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--working-mode", choices=WORKING_MODE_CHOICES, help=WORKING_MODE_HELP)
     p.add_argument("--assembly-mode", choices=["+", "-"])
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000, help=f"0 to {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify, parser=p)
 

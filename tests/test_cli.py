@@ -374,6 +374,38 @@ def test_negative_samples_is_usage_error(capsys):
     assert last == "fivebar verify: error: --samples must be >= 0"
 
 
+def test_too_many_samples_is_usage_error_before_any_build(capsys, monkeypatch):
+    # 10**11 samples once ended in numpy's allocation error; the bound is
+    # checked before the tree is built or a sample array allocated
+    def fail(*args, **kwargs):
+        raise AssertionError("called past the --samples check")
+
+    monkeypatch.setattr(qt, "build", fail)
+    monkeypatch.setattr(qt, "sample_black_points", fail)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--space", "workspace", "--depth", "7", "--samples", "100000000000"])
+    assert exc.value.code == 2
+    assert _usage_error(capsys) == "fivebar verify: error: --samples must be at most 10000000"
+
+
+def test_negative_box_bound_attached_with_equals_sign(tmp_path, capsys):
+    # "--box -13.0,..." is read as an option; the help says to write "--box="
+    default, boxed = tmp_path / "default.qt", tmp_path / "boxed.qt"
+    argv = ["workspace", "--mechanism", "m1", "--depth", "6", "--out"]
+    assert run([*argv, str(default)]) == 0
+    assert run([*argv, str(boxed), "--box=-13.0,13.0,-13.0,13.0"]) == 0
+    for suffix in ("", ".comp"):
+        assert Path(f"{boxed}{suffix}").read_bytes() == Path(f"{default}{suffix}").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, str(tmp_path / "x.qt"), "--box", "-13.0,13.0,-13.0,13.0"])
+    assert exc.value.code == 2
+    assert "--box: expected one argument" in _usage_error(capsys)
+    with pytest.raises(SystemExit) as exc:
+        run(["workspace", "--help"])
+    assert exc.value.code == 0
+    assert "write --box=XLO,XHI,YLO,YHI" in " ".join(capsys.readouterr().out.split())
+
+
 def test_negative_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--space", "jointspace", "--depth", "3", "--seed", "-1"])

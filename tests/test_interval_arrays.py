@@ -9,12 +9,16 @@ pi/2 a few ulps off and at the 1e-9 slack of `_trig_quarters`, widths of
 acos arguments at +-1 and one ulp outside; atan2 boxes that hold the
 origin, touch an axis with 0.0 or -0.0, or straddle the negative x axis.
 
-Two cheap primitives under them have their own reference: the outward
+Three cheap primitives under them have their own reference: the outward
 rounding by an integer step on the int64 view, against two
 ``np.nextafter`` (`helpers.reference_vdown` / `reference_vup`) on random
-bit patterns and on every float where the step does not apply; and sin
-and cos mapped once per distinct endpoint, against the scalar functions
-on batches whose rows share endpoints the way a quadtree frontier does.
+bit patterns and on every float where the step does not apply; sin and
+cos mapped once per distinct endpoint, against the scalar functions on
+batches whose rows share endpoints the way a quadtree frontier does; and
+hypot as CPython's own float operations on arrays, against ``math.hypot``
+on batches long enough to reach them (random pairs over every exponent,
+zeros, subnormals, the top of the range, inf and NaN), with a guard that
+a build maps ``math.hypot`` over few of its rows.
 """
 
 import itertools
@@ -25,7 +29,10 @@ import numpy as np
 import pytest
 
 from fivebar import interval as iv
+from fivebar import quadtree as qt
+from fivebar.bench import WORKSPACE, space_box, space_classifier
 from fivebar.interval import DomainError, Interval
+from fivebar.mechanism import M1
 
 import interval_reference as ref
 from helpers import reference_vdown, reference_vup
@@ -194,6 +201,8 @@ def test_atan2_rows_equal_scalar_at_origin_axes_and_cut():
     ids=["add", "sub", "mul", "norm2", "atan2"],
 )
 def test_binary_rows_equal_scalar(vector, scalar):
+    # a batch this long takes the hypot transcription in vnorm2
+    assert len(PAIRS) >= iv._HYPOT_MIN_ROWS
     a, b = zip(*PAIRS)
     _assert_same_bits(vector(_arr(a), _arr(b)), [scalar(x, y) for x, y in PAIRS])
 
@@ -366,3 +375,88 @@ def test_endpoint_values_keep_signed_zeros_apart():
             _assert_same_float_bits(side, np.array([f(v) for v in want.tolist()]))
     lo, _ = got[0]
     assert np.signbit(lo[a[0] == 0.0]).any() and not np.signbit(lo[a[0] == 0.0]).all()
+
+
+# ---------------------------------------------------------------------------
+# hypot: CPython's float operations as array passes
+# ---------------------------------------------------------------------------
+
+
+def _assert_hypot_equals_math(a: np.ndarray, b: np.ndarray) -> None:
+    # shorter batches map math.hypot and never reach the transcription
+    assert len(a) >= iv._HYPOT_MIN_ROWS
+    want = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
+    _assert_same_float_bits(iv._vhypot(a, b), want)
+
+
+def _hypot_specials() -> np.ndarray:
+    """Zeros, the smallest subnormal, the smallest normal and its neighbours,
+    the floats at the top of the scaled range and above, inf and NaN, next
+    to ordinary values."""
+    vals = [0.0, -0.0, 5e-324, 1e-323, 1e-310, 1.0, 3.0, 4.0, 1e-300, 1e300]
+    vals += [_steps(TINY, n) for n in (-2, -1, 0, 1, 2)]
+    for top in (2.0**1021, 2.0**1022):
+        vals += [_steps(top, n) for n in (-1, 0, 1)]
+    vals += [_steps(MAX, n) for n in (-1, 0)] + [math.inf, math.nan]
+    return np.array(vals)
+
+
+def test_hypot_equals_math_on_special_pairs():
+    v = _hypot_specials()
+    a, b = (side.ravel() for side in np.meshgrid(v, v))
+    _assert_hypot_equals_math(a, b)
+
+
+def test_hypot_equals_math_on_equal_arguments_powers_of_two_ratios_and_triples():
+    rng = np.random.default_rng(79)
+    x = rng.uniform(0.5, 1.0, 1000) * 2.0 ** rng.integers(-1020, 1020, 1000)
+    # y = x * 2**-k for k = 0..60, either argument the larger
+    a = np.concatenate([x] + [x * 2.0**-k for k in range(61)])
+    b = np.concatenate([x] * 62)
+    _assert_hypot_equals_math(a, b)
+    _assert_hypot_equals_math(b, a)
+    # (m^2 - n^2, 2 m n), whose hypot m^2 + n^2 is exact, at every scale
+    m, n = np.meshgrid(np.arange(2.0, 60.0), np.arange(1.0, 59.0))
+    keep = n < m
+    legs = (m[keep] ** 2 - n[keep] ** 2, 2.0 * m[keep] * n[keep])
+    for e in (-1070, -1022, -600, 0, 600, 1000):
+        _assert_hypot_equals_math(*(np.ldexp(leg, e) for leg in legs))
+
+
+def test_hypot_equals_math_on_random_pairs_over_all_exponents():
+    # random biased exponents 0..2046 and mantissas, both sides independent,
+    # then the second side within 60 binades of the first and in its binade
+    rng = np.random.default_rng(80)
+    n = 350_000
+    for spread in (None, 60, 0):
+        e = rng.integers(0, 2047, (2, n))
+        if spread is not None:
+            e[1] = np.clip(e[0] + rng.integers(-spread, spread + 1, n), 0, 2046)
+        bits = (e.astype(np.uint64) << np.uint64(52)) | rng.integers(0, 1 << 52, (2, n), dtype=np.uint64)
+        _assert_hypot_equals_math(*bits.view(np.float64))
+
+
+def test_build_maps_math_hypot_on_few_rows(monkeypatch):
+    # the transcription, not a per-row map, gives the norms of a build
+    mapped = [0]
+    received = [0]
+
+    def hypot(x, y):
+        mapped[0] += 1
+        return math.hypot(x, y)
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return hypot if name == "hypot" else getattr(math, name)
+
+    transcription = iv._vhypot
+
+    def counting_vhypot(a, b):
+        received[0] += len(a)
+        return transcription(a, b)
+
+    monkeypatch.setattr(iv, "math", CountingMath())
+    monkeypatch.setattr(iv, "_vhypot", counting_vhypot)
+    qt.build(space_box(M1, WORKSPACE), 10, space_classifier(M1, WORKSPACE))
+    assert received[0] > 100_000
+    assert mapped[0] < 0.05 * received[0]
