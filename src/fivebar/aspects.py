@@ -318,8 +318,8 @@ def aspect_report(sets: list[AspectSet]) -> AspectReport:
     The joint-space overlap between two working modes is the necessary
     condition for a trajectory that changes working mode once. Its area is
     the count of finest-grid cells Black in both joint-space trees, found
-    by walking the two trees together (they all share the same box), times
-    the area of one cell.
+    from the key ranges of their Black leaves (they all share the same box
+    and depth), times the area of one cell.
     """
     combos = tuple(
         ComboSummary(

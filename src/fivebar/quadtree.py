@@ -12,26 +12,30 @@ key of its low corner, its kind and its exact bounds. There is no object
 tree; building, refining, the text format, location, labeling, seams,
 rendering, sampling, areas and pairing all produce or read table rows.
 
+A box's bounds follow from its depth and key, and `_bounds` is the only
+place that computes them: it bisects the root box at the midpoints
+``lo + (hi - lo) / 2`` down each box's path, gathering the edges of many
+boxes at once from the edge grid of one level.
+
 The build is level-synchronous. The frontier of boxes to test at one
-depth is four float64 arrays and their keys; it is classified CHUNK boxes
-at a time through the classifier's ``batch`` method (a plain function is
-called once per box). Decided boxes, and the undecided ones at maximal
-depth, become leaf rows; the other undecided boxes split into the next
-frontier. One canonical pass then sorts the rows by key and, deepest
-level first, collapses every four Black or White siblings of one kind into
-their parent, so the table is that of the depth-first recursion's
-canonical tree, with the same number of classifier calls. Refining a
-model to a higher depth keeps its Black and White rows and starts the
-frontier at the children of its Undetermined leaves, which are known to
-be undecided, so no decided box is ever retested.
+depth is the array of their keys; `_bounds` gives their bounds on the
+grid of that depth, and they are classified CHUNK boxes at a time through
+the classifier's ``batch`` method (a plain function is called once per
+box). Decided boxes, and the undecided ones at maximal depth, become leaf
+rows of (level, key, kind); the other undecided boxes split into the keys
+of the next frontier. One canonical pass then sorts the rows by key and,
+deepest level first, collapses every four Black or White siblings of one
+kind into their parent, so the table is that of the depth-first
+recursion's canonical tree, with the same number of classifier calls; the
+table's bounds come from `_bounds` last. Refining a model to a higher
+depth keeps its Black and White rows and starts the frontier at the
+children of its Undetermined leaves, which are known to be undecided, so
+no decided box is ever retested.
 
 Reading a model works on whole columns as well. The text form is parsed by
 prefix sums over the code points of its node line, and one search, run in
-key order, for the end of each Gray node's children. A leaf's x bounds
-depend only on the x bits of its key, so they are gathered from the edge
-grid of one level, L = min(d, floor(log2(leaves))), and only leaves deeper
-than L bisect on (`_bounds`); likewise y. No array is longer than the
-leaf table plus one. The Black regions are the connected components of
+key order, for the end of each Gray node's children; the bounds come from
+`_bounds` as in a build. The Black regions are the connected components of
 the table's Black edge pairs, found by min-label hooking and pointer
 jumping (`components`). Leaf paths are formatted only for the rows a
 reader asks for.
@@ -105,8 +109,9 @@ class LeafTable:
     ``2^depth x 2^depth`` grid with the keys ``[keys[i], keys[i] + s^2)``;
     its low corner is the cell whose column and row are the even and the
     odd bits of ``keys[i]``. Its bounds are the exact floats of the
-    bisection of `_split`. Paths are formatted from the keys of the rows a
-    reader asks for (``paths``); nothing else is stored.
+    bisection of the root box, derived from ``level`` and ``keys`` by
+    `_bounds` when the table is made. Paths are formatted from the keys of
+    the rows a reader asks for (``paths``); nothing else is stored.
     """
 
     depth: int  # maximal depth of the model
@@ -219,55 +224,43 @@ def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
     ] or [np.zeros(0, dtype=np.int8)])
 
 
-def _split(d: int, level: int, keys, x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
-    """The keys and bounds of the quadrants of each box at ``level`` of a
-    depth-``d`` grid, in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi,
-    x-hi/y-hi, split at midpoints ``lo + (hi - lo) / 2`` that siblings
-    share, so the children tile the box exactly; the children of box i are
-    rows 4i..4i+3."""
+def _split(d: int, level: int, keys: np.ndarray) -> np.ndarray:
+    """The keys of the quadrants of each box at ``level`` of a depth-``d``
+    grid, in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi, x-hi/y-hi; the
+    children of box i are rows 4i..4i+3."""
     cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
-    xm = x_lo + (x_hi - x_lo) / 2
-    ym = y_lo + (y_hi - y_lo) / 2
-    return ((keys[:, None] + np.arange(4) * cells).ravel(),) + tuple(
-        np.stack(cols, axis=1).ravel()
-        for cols in (
-            (x_lo, xm, x_lo, xm), (xm, x_hi, xm, x_hi),
-            (y_lo, y_lo, ym, ym), (ym, ym, y_hi, y_hi),
-        )
-    )
+    return (keys[:, None] + np.arange(4) * cells).ravel()
 
 
-def _grow(depth: int, d_max: int, classify: Classifier, keys, *bounds) -> tuple[list, int]:
-    """Classify a frontier of boxes at ``depth`` and grow the undecided ones
-    level by level down to ``d_max``. Returns the leaf rows of each level,
-    as columns (level, keys, kind, x_lo, x_hi, y_lo, y_hi), and the number
-    of classifier calls."""
+def _grow(box: Box2, depth: int, d_max: int, classify: Classifier, keys) -> tuple[list, int]:
+    """Classify a frontier of boxes at ``depth``, given by their keys on the
+    depth-``d_max`` grid, and grow the undecided ones level by level down to
+    ``d_max``. Each level's bounds are those of `_bounds` on the grid of
+    that level. Returns the leaf rows of each level, as columns (level,
+    keys, kind), and the number of classifier calls."""
     rows, calls = [], 0
     while len(keys):
-        v = _verdicts(classify, *bounds)
+        level = np.full(len(keys), depth)
+        v = _verdicts(classify, *_bounds(box, depth, level, keys >> 2 * (d_max - depth)))
         calls += len(v)
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
-        rows.append((
-            np.full(np.count_nonzero(leaf), depth), keys[leaf],
-            _VERDICT_CODE[np.sign(v[leaf]) + 1], *(b[leaf] for b in bounds),
-        ))
+        rows.append((level[leaf], keys[leaf], _VERDICT_CODE[np.sign(v[leaf]) + 1]))
         if depth == d_max:
             break
-        open_ = ~leaf
-        keys, *bounds = _split(d_max, depth, keys[open_], *(b[open_] for b in bounds))
+        keys = _split(d_max, depth, keys[~leaf])
         depth += 1
     return rows, calls
 
 
-def _canonical(d: int, rows: list, top: int = 0) -> LeafTable:
-    """The table of leaf ``rows`` (per-level columns as from `_grow`): rows
-    sorted by key, and every quadruple of Black or White siblings of one
-    kind collapsed into their parent, deepest level first, down to parents
-    at level ``top``. The parent takes child 0's low and child 3's high
-    bounds."""
+def _canonical(d: int, rows: list, top: int = 0) -> tuple[np.ndarray, ...]:
+    """The (level, keys, kind) columns of leaf ``rows`` (per-level columns
+    as from `_grow`): rows sorted by key, and every quadruple of Black or
+    White siblings of one kind collapsed into their parent, deepest level
+    first, down to parents at level ``top``. The parent keeps child 0's
+    key."""
     cols = [np.concatenate(c) for c in zip(*rows)]
     order = np.argsort(cols[1])  # the keys are distinct
-    level, keys, kind, x_lo, x_hi, y_lo, y_hi = (c[order] for c in cols)
+    level, keys, kind = (c[order] for c in cols)
     alive = np.arange(len(keys))  # sorted rows not yet collapsed into a parent
     for lev in range(d, top, -1):
         lv, kd = level[alive], kind[alive]
@@ -280,26 +273,25 @@ def _canonical(d: int, rows: list, top: int = 0) -> LeafTable:
         p = p[same]
         if not len(p):
             continue
-        first, last = alive[p], alive[p + 3]
-        level[first] = lev - 1
-        x_hi[first] = x_hi[last]
-        y_hi[first] = y_hi[last]
+        level[alive[p]] = lev - 1
         keep = np.ones(len(alive), dtype=bool)
         for k in (1, 2, 3):
             keep[p + k] = False
         alive = alive[keep]
-    return LeafTable(d, *(c[alive] for c in (level, keys, kind, x_lo, x_hi, y_lo, y_hi)))
+    return level[alive], keys[alive], kind[alive]
+
+
+def _table(box: Box2, d: int, level, keys, kind) -> LeafTable:
+    """The leaf table of the rows (level, keys, kind), with their bounds."""
+    return LeafTable(d, level, keys, kind, *_bounds(box, d, level, keys))
 
 
 def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Build a quadtree model of the region accepted by ``classify``."""
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
-    bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
-    rows, calls = _grow(
-        0, d_max, classify, np.zeros(1, dtype=np.int64), *(np.array([v]) for v in bounds)
-    )
-    return _model(box, _canonical(d_max, rows), calls)
+    rows, calls = _grow(box, 0, d_max, classify, np.zeros(1, dtype=np.int64))
+    return _model(box, _table(box, d_max, *_canonical(d_max, rows)), calls)
 
 
 def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
@@ -318,10 +310,10 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     d = m.max_depth
     keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
     u = t.kind == CODE_UNDET
-    children = _split(d_max, d, keys[u], t.x_lo[u], t.x_hi[u], t.y_lo[u], t.y_hi[u])
-    rows, calls = _grow(d + 1, d_max, classify, *children)
-    kept = tuple(c[~u] for c in (t.level, keys, t.kind, t.x_lo, t.x_hi, t.y_lo, t.y_hi))
-    return _model(m.root_box, _canonical(d_max, [kept] + rows), m.stats.calls + calls)
+    rows, calls = _grow(m.root_box, d + 1, d_max, classify, _split(d_max, d, keys[u]))
+    kept = (t.level[~u], keys[~u], t.kind[~u])
+    table = _table(m.root_box, d_max, *_canonical(d_max, [kept] + rows))
+    return _model(m.root_box, table, m.stats.calls + calls)
 
 
 def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
@@ -341,14 +333,11 @@ def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
     merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
     for level in np.unique(t.level[merged]).tolist():
         rows = np.flatnonzero(merged & (t.level == level))
-        children = _split(
-            d, level, t.keys[rows], t.x_lo[rows], t.x_hi[rows], t.y_lo[rows], t.y_hi[rows]
-        )
-        grown, _ = _grow(level + 1, d, classify, *children)
-        g = _canonical(d, grown, top=level)
+        grown, _ = _grow(m.root_box, level + 1, d, classify, _split(d, level, t.keys[rows]))
+        g_level, g_keys, g_kind = _canonical(d, grown, top=level)
         # each box's rows start at its own key
-        first = np.searchsorted(g.keys, t.keys[rows])
-        bad[rows] = (g.level[first] != level) | (g.kind[first] != t.kind[rows])
+        first = np.searchsorted(g_keys, t.keys[rows])
+        bad[rows] = (g_level[first] != level) | (g_kind[first] != t.kind[rows])
     return int(bad.sum())
 
 
@@ -364,7 +353,7 @@ def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
         raise DomainError(f"point ({qx}, {qy}) outside the root box")
     x0, x1, y0, y1 = b.x.lo, b.x.hi, b.y.lo, b.y.hi
     key = 0
-    # the finest cell containing the point, by the midpoints of `_split`
+    # the finest cell containing the point, by the midpoints of `_bounds`
     for _ in range(m.max_depth):
         xm = x0 + (x1 - x0) / 2
         ym = y0 + (y1 - y0) / 2
@@ -444,9 +433,7 @@ def deserialize(text: str) -> QuadtreeModel:
     if end < len(text):
         raise ParseError("trailing text after the node line", end)
 
-    level, keys, kind = _parse_body(body, d_max, offset)
-    table = LeafTable(d_max, level, keys, kind, *_bounds(box, d_max, level, keys))
-    return _model(box, table, 0)
+    return _model(box, _table(box, d_max, *_parse_body(body, d_max, offset)), 0)
 
 
 def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
@@ -505,8 +492,10 @@ def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
 
 
 def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Exact bounds of the leaves: the midpoints of `_split`, taken
-    down each leaf's path.
+    """Exact bounds of the boxes at ``level`` with ``keys`` on the
+    depth-``d`` grid (a tree's leaves, or a build's frontier as boxes at
+    maximal depth): the midpoints ``lo + (hi - lo) / 2`` that bisect
+    ``box``, taken down each box's path.
 
     The x bounds depend only on the x bits of the path. Bisecting every
     column down to level L gives the edge grid E of that level, E[j] the low
@@ -518,9 +507,9 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
     of c takes only 0 bits, which keep the low bound, and the paths of
     c + s - 1 and c + s part at the leaf's high bound, then keep it with
     only 1 bits and only 0 bits. A deeper leaf continues the bisection from
-    its level-L column alone. L = min(d, floor(log2(leaves))) caps the grid
-    at leaves + 1 floats, so no array is longer than the leaf table plus
-    one; the same holds for y.
+    its level-L column alone. For n boxes, L = min(d, floor(log2(n))) caps
+    the grid at n + 1 floats, so no array is longer than n + 1; the same
+    holds for y.
     """
     cap = min(d, len(keys).bit_length() - 1)  # L
     shift = d - cap
@@ -694,6 +683,8 @@ def shared_black_cells(a: QuadtreeModel, b: QuadtreeModel) -> int:
     """Finest-grid cells that are Black in both models (same box and depth)."""
     if a.max_depth != b.max_depth:
         raise ValueError("models of different depth do not share a grid")
+    if a.root_box != b.root_box:
+        raise ValueError("models of different root boxes do not share a grid")
     a_lo, a_hi = _black_keys(a.table)
     b_lo, b_hi = _black_keys(b.table)
     if not len(a_lo) or not len(b_lo):

@@ -18,13 +18,16 @@ kinematic tests.
 `reference_parse_body`, `reference_label_regions` and
 `reference_render_svg` are the per-character and per-leaf loops that the
 array passes of `deserialize`, `label_regions` and `render_svg` replaced;
-`reference_bounds` bisects every leaf level by level, `reference_paths`
-formats the path of every leaf and `reference_locate` looks the located
-row up in that list. The tests hold the library's outputs equal to
-theirs. `reference_vdown` / `reference_vup` are the two-``np.nextafter``
-outward rounding that the integer step of the interval arrays replaced.
-`parse_table` reads back the `bench` CSV, and `run_discretization`
-executes the grid baseline whose cell count the bench tests check.
+`reference_bounds` bisects every leaf level by level, `reference_split`
+splits a build's frontier carrying the bounds of every box,
+`reference_paths` formats the path of every leaf and `reference_locate`
+looks the located row up in that list. The tests hold the library's
+outputs equal to theirs. `reference_vdown` / `reference_vup` are the
+two-``np.nextafter`` outward rounding that the integer step of the
+interval arrays replaced. `point_classifier` grows one chain of boxes to
+any depth. `parse_table` reads back the `bench` CSV, and
+`run_discretization` executes the grid baseline whose cell count the
+bench tests check.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -278,6 +282,37 @@ def reference_bounds(
         y_lo = np.where(q >= 2, ym, y_lo)
         y_hi = np.where((q == 0) | (q == 1), ym, y_hi)
     return x_lo, x_hi, y_lo, y_hi
+
+
+def reference_split(
+    d: int, level: int, keys, x_lo, x_hi, y_lo, y_hi
+) -> tuple[np.ndarray, ...]:
+    """The keys and bounds of the quadrants of each box at ``level`` of a
+    depth-``d`` grid, in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi,
+    x-hi/y-hi, split at midpoints ``lo + (hi - lo) / 2`` that siblings
+    share; the children of box i are rows 4i..4i+3. The reference of the
+    frontier bounds that `quadtree._bounds` gives a build."""
+    cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
+    xm = x_lo + (x_hi - x_lo) / 2
+    ym = y_lo + (y_hi - y_lo) / 2
+    return ((keys[:, None] + np.arange(4) * cells).ravel(),) + tuple(
+        np.stack(cols, axis=1).ravel()
+        for cols in (
+            (x_lo, xm, x_lo, xm), (xm, x_hi, xm, x_hi),
+            (y_lo, y_lo, ym, ym), (ym, ym, y_hi, y_hi),
+        )
+    )
+
+
+def point_classifier(px: float, py: float):
+    """A batch classifier that leaves undecided only the boxes holding the
+    point (px, py): Black left of it, White elsewhere."""
+
+    def batch(x_lo, x_hi, y_lo, y_hi):
+        holds = (x_lo <= px) & (px <= x_hi) & (y_lo <= py) & (py <= y_hi)
+        return np.where(holds, 0, np.where(x_hi < px, 1, -1))
+
+    return SimpleNamespace(batch=batch)
 
 
 def reference_paths(t: LeafTable) -> list[str]:

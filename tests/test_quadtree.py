@@ -1,15 +1,17 @@
 """Quadtree building, refinement, serialization, the leaf table, location,
 and connected-component labeling (checked against a scipy flood fill)."""
 
+import ast
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fivebar import mechanism as mech
-from fivebar import bench
+from fivebar import bench, quadtree
 from fivebar.interval import Box2, DomainError
 from fivebar.quadtree import (
     BLACK,
@@ -41,6 +43,7 @@ from helpers import (
     chain_text,
     hash_classifier,
     leaf_cells,
+    point_classifier,
     random_models,
     rasterize,
     reference_paths,
@@ -445,6 +448,18 @@ def test_shared_black_cells_match_raster():
             assert shared_black_cells(a, b) == int(both.sum())
 
 
+def test_shared_black_cells_requires_one_grid():
+    a = build(UNIT, 3, half_plane)
+    with pytest.raises(ValueError, match="depth"):
+        shared_black_cells(a, build(UNIT, 4, half_plane))
+    # the same depth on another root box: the cells are not the same
+    other = build(Box2.from_bounds(0.0, 2.0, 0.0, 1.0), 3, half_plane)
+    with pytest.raises(ValueError, match="root boxes"):
+        shared_black_cells(a, other)
+    with pytest.raises(ValueError, match="root boxes"):
+        shared_black_cells(other, a)
+
+
 def test_sparse_deep_tree_labels_and_renders_in_little_memory():
     m = deserialize(chain_text(20))
     tracemalloc.start()
@@ -480,6 +495,45 @@ def test_depth_31_chain_reads_in_little_memory():
     assert labels.region_count == 1 and peak < 2**20
     _, peak = _traced_peak(locate, m, 2.7, 5.9)
     assert peak < 2**20
+
+
+def test_max_depth_build_equals_refine_and_read_in_little_memory():
+    # one point's chain of boxes down to depth 31, three leaves a level
+    box = Box2.from_bounds(-1.3, 2.7, 0.1, 5.9)
+    classify = point_classifier(0.123456789, 3.14159)
+    m, peak = _traced_peak(build, box, MAX_DEPTH, classify)
+    assert peak < 2**20
+    assert len(m.table.keys) == 3 * MAX_DEPTH + 1 and m.stats.undetermined == 1
+    assert serialize(refine(build(box, 7, classify), MAX_DEPTH, classify)) == serialize(m)
+    t, parsed = m.table, deserialize(serialize(m)).table
+    for col in ("x_lo", "x_hi", "y_lo", "y_hi"):
+        got, want = getattr(t, col), getattr(parsed, col)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), col
+
+
+def _is_midpoint(node: ast.AST) -> bool:
+    # a + (b - a) / 2, the half on either side of the sum
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+        isinstance(half, ast.BinOp) and isinstance(half.op, ast.Div)
+        and isinstance(half.left, ast.BinOp) and isinstance(half.left.op, ast.Sub)
+        and isinstance(half.right, ast.Constant) and half.right.value == 2
+        for half in (node.left, node.right)
+    )
+
+
+def test_only_bounds_and_locate_compute_midpoints():
+    # every box's bounds come from `_bounds`; `locate` compares a point
+    # with the same midpoints on its way down to the point's cell
+    tree = ast.parse(Path(quadtree.__file__).read_text())
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    defs += [
+        f for c in tree.body if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef)
+    ]
+    count = {f.name: sum(map(_is_midpoint, ast.walk(f))) for f in defs}
+    assert {name for name, n in count.items() if n} == {"_bounds", "locate"}
+    # and none outside a function
+    assert sum(count.values()) == sum(map(_is_midpoint, ast.walk(tree)))
 
 
 def test_deserialize_depth_bound():

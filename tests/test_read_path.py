@@ -1,8 +1,10 @@
 """The array passes of the read path against the loops they replaced:
 `deserialize` against a per-character parse and a level-by-level bisection
-of every leaf, `label_regions` and `aspect_regions` against a union-find,
-`render_svg` against one ``repr`` per number, and `LeafTable.paths` and
-`locate` against the paths of the whole table (references in `helpers`)."""
+of every leaf, the bounds a build's frontier gets from the edge grid
+against a split that carries them, `label_regions` and `aspect_regions`
+against a union-find, `render_svg` against one ``repr`` per number, and
+`LeafTable.paths` and `locate` against the paths of the whole table
+(references in `helpers`)."""
 
 import random
 
@@ -14,12 +16,15 @@ from fivebar.aspects import _seam_pairs, aspect_regions
 from fivebar.interval import Box2
 from fivebar.quadtree import (
     CODE_BLACK,
+    CODE_UNDET,
     MAX_DEPTH,
     ParseError,
     build,
     deserialize,
     label_regions,
     locate,
+    mismatched_leaves,
+    refine,
     serialize,
 )
 from fivebar.render import RenderStyle, render_svg
@@ -28,6 +33,7 @@ from helpers import (
     UnionFind,
     chain_text,
     hash_classifier,
+    point_classifier,
     random_models,
     reference_bounds,
     reference_label_regions,
@@ -35,6 +41,7 @@ from helpers import (
     reference_parse_body,
     reference_paths,
     reference_render_svg,
+    reference_split,
 )
 
 UNIT = Box2.from_bounds(0.0, 1.0, 0.0, 1.0)
@@ -228,6 +235,124 @@ def test_parsed_bounds_equal_built_bounds_bit_for_bit():
         for col in ("x_lo", "x_hi", "y_lo", "y_hi"):
             got, want = getattr(parsed, col), getattr(t, col)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), col
+
+
+class _Recorder:
+    """A batch classifier that keeps the int64 views of the bounds of every
+    batch it is given, and its verdicts: those of ``inner``, or
+    pseudo-random ones of the bounds' bits, undecided on about ``p_open``
+    percent of the boxes and on every box at least ``wide`` wide."""
+
+    def __init__(self, seed: int = 0, p_open: int = 0, wide: float = 0.0, inner=None):
+        self.seed, self.p_open, self.wide, self.inner = seed, p_open, wide, inner
+        self.bits, self.verdicts = [], []
+
+    def batch(self, *bounds):
+        bits = np.stack([b.view(np.int64) for b in bounds])
+        if self.inner is not None:
+            v = self.inner.batch(*bounds)
+        else:
+            h = np.full(bits.shape[1], self.seed + 1, dtype=np.uint64)
+            for col in bits.view(np.uint64):
+                h = (h ^ col) * np.uint64(0x9E3779B97F4A7C15)
+            r = (h >> np.uint64(33)) % np.uint64(100)
+            open_ = (r < self.p_open) | (bounds[1] - bounds[0] >= self.wide)
+            v = np.where(open_, 0, np.where(r % 2 == 0, 1, -1))
+        self.bits.append(bits)
+        self.verdicts.append(v)
+        return v
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row recorded since the last call."""
+        out = np.concatenate(self.bits, axis=1), np.concatenate(self.verdicts)
+        self.bits, self.verdicts = [], []
+        return out
+
+
+def _replay(bits, verdicts, depth: int, d_max: int, keys, *bounds) -> tuple[int, list]:
+    """Checks the recorded rows of a grow from the frontier (keys, bounds)
+    at ``depth``: each level's rows hold that frontier's bounds bit for
+    bit, and its undecided boxes split by `reference_split` into the next.
+    Returns the rows checked and the (depth, boxes) of each level."""
+    pos, levels = 0, []
+    while len(keys):
+        n = len(keys)
+        want = np.stack([b.view(np.int64) for b in bounds])
+        assert np.array_equal(bits[:, pos:pos + n], want), (depth, n)
+        v = verdicts[pos:pos + n]
+        pos += n
+        levels.append((depth, n))
+        if depth == d_max:
+            break
+        open_ = v == 0
+        keys, *bounds = reference_split(d_max, depth, keys[open_], *(b[open_] for b in bounds))
+        depth += 1
+    return pos, levels
+
+
+def _replay_build(rec: _Recorder, box: Box2, d: int) -> list:
+    bits, v = rec.take()
+    root = (np.array([b]) for b in (box.x.lo, box.x.hi, box.y.lo, box.y.hi))
+    n, levels = _replay(bits, v, 0, d, np.zeros(1, dtype=np.int64), *root)
+    assert n == len(v)
+    return levels
+
+
+def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
+    # every batch of build, refine and mismatched_leaves against a replay
+    # of the split that carries each box's bounds, on frontiers that fill
+    # the grid of their level and on sparse ones that do not
+    levels, regrown = [], 0
+    d = 6
+    for box in (UNIT,) + ODD_BOXES:
+        for seed, p_open in ((0, 30), (1, 30), (2, 70), (3, 70)):
+            # the boxes of levels 0 and 1 are undecided
+            rec = _Recorder(seed, p_open, box.x.width / 3)
+            m = build(box, d, rec)
+            levels += _replay_build(rec, box, d)
+
+            coarse = build(box, 3, rec)
+            rec.take()
+            t = coarse.table
+            u = t.kind == CODE_UNDET
+            assert u.any()
+            refine(coarse, d, rec)
+            start = reference_bounds(box, 3, t.level[u], t.keys[u])
+            children = reference_split(d, 3, t.keys[u] << 2 * (d - 3), *start)
+            bits, v = rec.take()
+            n, lv = _replay(bits, v, 4, d, *children)
+            assert n == len(v)
+            levels += lv
+
+            # the own classifier and another one, which regrows many leaves
+            t = m.table
+            leaf_bounds = reference_bounds(box, d, t.level, t.keys)
+            for other in (rec, _Recorder(seed + 10, p_open, box.x.width / 3)):
+                mismatched_leaves(m, other)
+                bits, v = other.take()
+                n = len(t.keys)
+                want = np.stack([b.view(np.int64) for b in leaf_bounds])
+                assert np.array_equal(bits[:, :n], want)
+                merged = (v[:n] == 0) & (t.kind != CODE_UNDET) & (t.level < d)
+                for level in np.unique(t.level[merged]).tolist():
+                    rows = np.flatnonzero(merged & (t.level == level))
+                    children = reference_split(
+                        d, level, t.keys[rows], *(b[rows] for b in leaf_bounds)
+                    )
+                    k, lv = _replay(bits[:, n:], v[n:], level + 1, d, *children)
+                    n += k
+                    levels += lv
+                    regrown += len(rows)
+                assert n == len(v)
+    # one chain of boxes down to maximal depth: four boxes or so a level
+    for box in ODD_BOXES:
+        rec = _Recorder(inner=point_classifier(box.x.lo + 0.3, box.y.hi - 0.1))
+        build(box, MAX_DEPTH, rec)
+        levels += _replay_build(rec, box, MAX_DEPTH)
+    sparse = [(k, n) for k, n in levels if n < 2**k]
+    assert len(sparse) > 100 and len(levels) - len(sparse) > 100
+    assert max(k for k, _ in sparse) == MAX_DEPTH
+    assert regrown > 100
 
 
 def test_paths_of_rows_match_whole_table():
