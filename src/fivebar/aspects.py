@@ -43,6 +43,7 @@ from .quadtree import (
     CODE_BLACK,
     QuadtreeModel,
     RegionLabeling,
+    _black_edges,
     build,
     components,
     label_regions,
@@ -100,38 +101,11 @@ class AspectRegion:
 
 def _seam_pairs(model: QuadtreeModel, labels: RegionLabeling) -> list[tuple[int, int]]:
     """Raw region pairs whose Black leaves adjoin through opposite box edges."""
-    root = model.root_box
     t = model.table
-    black = t.kind == CODE_BLACK
-    pairs = []
-    for own_lo, own_hi, other_lo, other_hi, bounds in (
-        (t.x_lo, t.x_hi, t.y_lo, t.y_hi, (root.x.lo, root.x.hi)),
-        (t.y_lo, t.y_hi, t.x_lo, t.x_hi, (root.y.lo, root.y.hi)),
-    ):
-        lo_side, hi_side = [
-            list(zip(
-                other_lo[rows].tolist(),
-                other_hi[rows].tolist(),
-                [labels.leaf_index_to_region[i] for i in rows.tolist()],
-            ))
-            for rows in (
-                np.flatnonzero(black & (own_lo == bounds[0])),
-                np.flatnonzero(black & (own_hi == bounds[1])),
-            )
-        ]
-        # leaves on one edge tile it, so both lists are disjoint and sorting
-        # by lower bound allows a linear sweep for positive-length overlaps
-        lo_side.sort()
-        hi_side.sort()
-        i = 0
-        for alo, ahi, a_region in lo_side:
-            while i < len(hi_side) and hi_side[i][1] <= alo:
-                i += 1
-            k = i
-            while k < len(hi_side) and hi_side[k][0] < ahi:
-                pairs.append((a_region, hi_side[k][2]))
-                k += 1
-    return pairs
+    black = np.flatnonzero(t.kind == CODE_BLACK)
+    a, b = _black_edges(t, black, seams=True)
+    region = labels.leaf_index_to_region
+    return [(region[i], region[j]) for i, j in zip(black[a].tolist(), black[b].tolist())]
 
 
 def aspect_regions(
@@ -140,7 +114,9 @@ def aspect_regions(
     """Group raw regions into resolvable aspects.
 
     With ``wrap`` (joint space) regions touching through opposite box edges
-    are merged, because the angles are periodic. A group qualifies as an
+    are merged, because the angles are periodic; their Black leaves are
+    found by the cell probes of labeling, taken across the box edges with
+    the cells mod 2^depth. A group qualifies as an
     aspect only if it contains a Black leaf above the minimum size, i.e. its
     certified interior exceeds the model accuracy. Aspect ids are assigned
     by descending area, ties by smallest raw region id.
@@ -237,7 +213,6 @@ def pair_regions(
 ) -> tuple[PairingEntry, ...]:
     t = w_model.table
     d = w_model.max_depth
-    areas = t.area.tolist()
     serial_of = {
         rid: a.aspect_id for a in q_aspects for rid in a.region_ids
     }
@@ -248,14 +223,12 @@ def pair_regions(
         # aspects may need a fallback when the primary witness's joint image
         # is still unresolved at this depth
         keys = [int(p or "0", 4) << 2 * (d - len(p)) for p in aspect.leaf_paths]
-        candidates = sorted(
-            t.keys.searchsorted(keys).tolist(), key=lambda i: (-areas[i], i)
-        )
+        rows = t.keys.searchsorted(keys)
+        rows = rows[np.lexsort((rows, -w_model.area(rows)))]
         entry = None
         failure = None
-        for i in candidates:
+        for x0, x1, y0, y1 in zip(*(b.tolist() for b in w_model.bounds(rows))):
             # the leaf box's Interval.mid
-            x0, x1, y0, y1 = (float(v[i]) for v in (t.x_lo, t.x_hi, t.y_lo, t.y_hi))
             wx, wy = x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2
             theta = ikp_witness(wx, wy, g, combo.wm)
             if theta is None:

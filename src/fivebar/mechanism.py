@@ -243,8 +243,10 @@ def joint_verdicts(
     (dist,) = _take(keep, dist)
     # cos(alpha), the angle at B1 of the triangle (B1, B2, P)
     cos_a = _vlaw_cos(dist, g.L3, g.L4)
+    # the |B1B2| enclosure meets [|L3 - L4|, L3 + L4], where cos(alpha) lies
+    # in [-1, 1]: an enclosure wholly beyond +/-1 comes from a rounded
+    # constant and is undecided, not White
     keep = b.settle(
-        ((cos_a[0] > 1.0) | (cos_a[1] < -1.0), -1),
         # a stretched/folded configuration within the box
         ((cos_a[0] <= -1.0) | (cos_a[1] >= 1.0), 0),
     )
@@ -338,8 +340,10 @@ def workspace_verdicts(
     m1, m2 = _take(keep, m1, m2)
     c1 = _vlaw_cos(m1, g.L1, g.L3)
     c2 = _vlaw_cos(m2, g.L2, g.L4)
+    # strictly inside both annuli, c1 and c2 lie in (-1, 1): an enclosure
+    # wholly beyond +/-1 comes from a rounded constant and is undecided, not
+    # White
     keep = b.settle(
-        ((c1[0] > 1.0) | (c1[1] < -1.0) | (c2[0] > 1.0) | (c2[1] < -1.0), -1),
         ((c1[0] < -1.0) | (c1[1] > 1.0) | (c2[0] < -1.0) | (c2[1] > 1.0), 0),
     )
     if wm is None:

@@ -6,16 +6,18 @@ depth; leaves are Black (valid), White (invalid) or Undetermined (still
 undecided at maximal depth). The complementary tree (Black/White swapped)
 records the certified-invalid space.
 
-A model is its leaf table, a linear quadtree (Gargantini, CACM 25(12),
-1982): one row per leaf, in preorder, with the leaf's depth, the Morton
-key of its low corner, its kind and its exact bounds. There is no object
-tree; building, refining, the text format, location, labeling, seams,
+A model is its root box and its leaf table, a linear quadtree (Gargantini,
+CACM 25(12), 1982): one row per leaf, in preorder, with the leaf's depth,
+the Morton key of its low corner and its kind. There is no object tree;
+building, refining, the text format, location, labeling, seams,
 rendering, sampling, areas and pairing all produce or read table rows.
 
 A box's bounds follow from its depth and key, and `_bounds` is the only
 place that computes them: it bisects the root box at the midpoints
 ``lo + (hi - lo) / 2`` down each box's path, gathering the edges of many
-boxes at once from the edge grid of one level.
+boxes at once from the edge grid of one level. The table stores no
+bounds; a reader asks the model for those of the rows it reads
+(`QuadtreeModel.bounds`, `QuadtreeModel.area`).
 
 The build is level-synchronous. The frontier of boxes to test at one
 depth is the array of their keys; `_bounds` gives their bounds on the
@@ -26,19 +28,19 @@ rows of (level, key, kind); the other undecided boxes split into the keys
 of the next frontier. One canonical pass then sorts the rows by key and,
 deepest level first, collapses every four Black or White siblings of one
 kind into their parent, so the table is that of the depth-first
-recursion's canonical tree, with the same number of classifier calls; the
-table's bounds come from `_bounds` last. Refining a model to a higher
-depth keeps its Black and White rows and starts the frontier at the
-children of its Undetermined leaves, which are known to be undecided, so
-no decided box is ever retested.
+recursion's canonical tree, with the same number of classifier calls.
+Refining a model to a higher depth keeps its Black and White rows and
+starts the frontier at the children of its Undetermined leaves, which are
+known to be undecided, so no decided box is ever retested.
 
 Reading a model works on whole columns as well. The text form is parsed by
 prefix sums over the code points of its node line, and one search, run in
-key order, for the end of each Gray node's children; the bounds come from
-`_bounds` as in a build. The Black regions are the connected components of
-the table's Black edge pairs, found by min-label hooking and pointer
-jumping (`components`). Leaf paths are formatted only for the rows a
-reader asks for.
+key order, for the end of each Gray node's children. The Black regions are
+the connected components of the table's Black edge pairs, found by cell
+probes (`_black_edges`) and min-label hooking and pointer jumping
+(`components`); the same probes, across opposite box edges, find the
+pairs that touch through the seams of a periodic box. Bounds and leaf
+paths are computed only for the rows a reader asks for.
 """
 
 from __future__ import annotations
@@ -108,24 +110,19 @@ class LeafTable:
     ``s x s`` cells, ``s = 2^(depth - level[i])``, of the
     ``2^depth x 2^depth`` grid with the keys ``[keys[i], keys[i] + s^2)``;
     its low corner is the cell whose column and row are the even and the
-    odd bits of ``keys[i]``. Its bounds are the exact floats of the
-    bisection of the root box, derived from ``level`` and ``keys`` by
-    `_bounds` when the table is made. Paths are formatted from the keys of
-    the rows a reader asks for (``paths``); nothing else is stored.
+    odd bits of ``keys[i]``. The table holds no float: bounds depend on
+    the root box as well, and the model computes them from ``level`` and
+    ``keys`` for the rows a reader asks for (`QuadtreeModel.bounds`), as it
+    formats their paths here (``paths``).
     """
 
     depth: int  # maximal depth of the model
     level: np.ndarray  # int64, depth of each leaf
     keys: np.ndarray  # int64 Morton keys of the low corners
     kind: np.ndarray  # int8, KIND_CODE values
-    x_lo: np.ndarray
-    x_hi: np.ndarray
-    y_lo: np.ndarray
-    y_hi: np.ndarray
 
     def __post_init__(self):
-        for col in (self.level, self.keys, self.kind, self.x_lo, self.x_hi,
-                    self.y_lo, self.y_hi):
+        for col in (self.level, self.keys, self.kind):
             col.flags.writeable = False  # the table is shared by every reader
 
     def paths(self, rows: np.ndarray) -> list[str]:
@@ -141,11 +138,6 @@ class LeafTable:
         chars[:, d] = ord("\n")
         flat = chars.ravel()
         return flat[flat != 0].tobytes().decode("ascii").split("\n")[:-1]
-
-    @property
-    def area(self) -> np.ndarray:
-        """``Box2.area`` of each leaf, with the same float operations."""
-        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
 
     def find(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """Rows of the leaves containing the finest-grid cells (cx, cy)."""
@@ -190,6 +182,18 @@ class QuadtreeModel:
     @property
     def accuracy(self) -> float:
         return self.root_box.x.width / 2**self.max_depth
+
+    def bounds(self, rows=slice(None)) -> tuple[np.ndarray, ...]:
+        """Exact bounds (x_lo, x_hi, y_lo, y_hi) of the leaves at ``rows``
+        (indices or a mask; every leaf by default), by `_bounds`."""
+        t = self.table
+        return _bounds(self.root_box, t.depth, t.level[rows], t.keys[rows])
+
+    def area(self, rows=slice(None)) -> np.ndarray:
+        """``Box2.area`` of the leaves at ``rows``, with the same float
+        operations."""
+        x_lo, x_hi, y_lo, y_hi = self.bounds(rows)
+        return (x_hi - x_lo) * (y_hi - y_lo)
 
     def complement_model(self) -> "QuadtreeModel":
         """The complementary tree: the same leaves with Black and White swapped."""
@@ -281,17 +285,12 @@ def _canonical(d: int, rows: list, top: int = 0) -> tuple[np.ndarray, ...]:
     return level[alive], keys[alive], kind[alive]
 
 
-def _table(box: Box2, d: int, level, keys, kind) -> LeafTable:
-    """The leaf table of the rows (level, keys, kind), with their bounds."""
-    return LeafTable(d, level, keys, kind, *_bounds(box, d, level, keys))
-
-
 def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Build a quadtree model of the region accepted by ``classify``."""
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     rows, calls = _grow(box, 0, d_max, classify, np.zeros(1, dtype=np.int64))
-    return _model(box, _table(box, d_max, *_canonical(d_max, rows)), calls)
+    return _model(box, LeafTable(d_max, *_canonical(d_max, rows)), calls)
 
 
 def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
@@ -312,7 +311,7 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     u = t.kind == CODE_UNDET
     rows, calls = _grow(m.root_box, d + 1, d_max, classify, _split(d_max, d, keys[u]))
     kept = (t.level[~u], keys[~u], t.kind[~u])
-    table = _table(m.root_box, d_max, *_canonical(d_max, [kept] + rows))
+    table = LeafTable(d_max, *_canonical(d_max, [kept] + rows))
     return _model(m.root_box, table, m.stats.calls + calls)
 
 
@@ -327,7 +326,7 @@ def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
     """
     t = m.table
     d = m.max_depth
-    v = _verdicts(classify, t.x_lo, t.x_hi, t.y_lo, t.y_hi)
+    v = _verdicts(classify, *m.bounds())
     want = np.select([t.kind == CODE_BLACK, t.kind == CODE_WHITE], [1, -1], 0)
     bad = np.sign(v) != want
     merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
@@ -433,7 +432,7 @@ def deserialize(text: str) -> QuadtreeModel:
     if end < len(text):
         raise ParseError("trailing text after the node line", end)
 
-    return _model(box, _table(box, d_max, *_parse_body(body, d_max, offset)), 0)
+    return _model(box, LeafTable(d_max, *_parse_body(body, d_max, offset)), 0)
 
 
 def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
@@ -495,7 +494,8 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
     """Exact bounds of the boxes at ``level`` with ``keys`` on the
     depth-``d`` grid (a tree's leaves, or a build's frontier as boxes at
     maximal depth): the midpoints ``lo + (hi - lo) / 2`` that bisect
-    ``box``, taken down each box's path.
+    ``box``, taken down each box's path. Any subset of a tree's leaves
+    gets the bounds it has in the whole table.
 
     The x bounds depend only on the x bits of the path. Bisecting every
     column down to level L gives the edge grid E of that level, E[j] the low
@@ -527,7 +527,7 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
         lo, hi = edges[col >> shift], edges[(col + s) >> shift]
         c = col[deep]
         a, b = edges[c >> shift], edges[(c >> shift) + 1]
-        for k in range(cap, int(level.max())):
+        for k in range(cap, int(level.max(initial=cap))):  # none for no boxes
             mid = a + (b - a) / 2
             below = lev > k
             up = (c >> (d - 1 - k)) & 1 == 1
@@ -579,7 +579,7 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
     paths = t.paths(black)
     ids = region.tolist()
 
-    areas = t.area[black]
+    areas = m.area(black)
     counts = np.bincount(region, minlength=len(roots))
     starts = (np.cumsum(counts) - counts).tolist()
     members = np.argsort(region, kind="stable")  # each region's leaves in preorder
@@ -626,9 +626,18 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             label = up
 
 
-def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _black_edges(
+    t: LeafTable, black: np.ndarray, seams: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Pairs of positions in ``black`` (every Black row, sorted) whose leaves
-    share an edge of positive length, each pair once."""
+    share an edge of positive length, each pair once.
+
+    Each leaf probes the cells just past its four edges. Without ``seams``
+    only the probes inside the grid are taken. With ``seams`` only the
+    others are, with the cells taken mod 2^depth: the pairs that share an
+    edge through opposite box edges, when the box is a torus (a leaf that
+    spans the box pairs with itself).
+    """
     n = 1 << t.depth
     is_black = t.kind == CODE_BLACK
     rank = np.cumsum(is_black) - 1  # position in `black` of each Black row
@@ -638,14 +647,14 @@ def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarra
     own, other = [], []
     # an equal-sized pair is found from its low leaf's high-edge probe, so
     # the low-edge probes keep strictly larger neighbors only
-    for cx, cy, inside, larger in (
-        (x + s, y, x + s < n, np.less_equal),
-        (x, y + s, y + s < n, np.less_equal),
-        (x - 1, y, x > 0, np.less),
-        (x, y - 1, y > 0, np.less),
+    for cx, cy, past, larger in (
+        (x + s, y, x + s == n, np.less_equal),
+        (x, y + s, y + s == n, np.less_equal),
+        (x - 1, y, x == 0, np.less),
+        (x, y - 1, y == 0, np.less),
     ):
-        pos = np.flatnonzero(inside)
-        hit = t.find(cx[pos], cy[pos])
+        pos = np.flatnonzero(past == seams)
+        hit = t.find(cx[pos] & (n - 1), cy[pos] & (n - 1))
         keep = is_black[hit] & larger(t.level[hit], lev[pos])
         own.append(pos[keep])
         other.append(rank[hit[keep]])
@@ -653,21 +662,19 @@ def _black_edges(t: LeafTable, black: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def black_area(m: QuadtreeModel) -> float:
-    t = m.table
-    return sum(t.area[t.kind == CODE_BLACK].tolist())
+    return sum(m.area(m.table.kind == CODE_BLACK).tolist())
 
 
 def sample_black_points(
     m: QuadtreeModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """n points uniform over the Black leaves (empty array if there are none)."""
-    t = m.table
-    black = t.kind == CODE_BLACK
+    black = m.table.kind == CODE_BLACK
     if not black.any():
         return np.empty((0, 2))
-    x_lo, y_lo = t.x_lo[black], t.y_lo[black]
-    width = t.x_hi[black] - x_lo
-    height = t.y_hi[black] - y_lo
+    x_lo, x_hi, y_lo, y_hi = m.bounds(black)
+    width = x_hi - x_lo
+    height = y_hi - y_lo
     areas = width * height
     picks = rng.choice(len(areas), size=n, p=areas / areas.sum())
     u = rng.random((n, 2))

@@ -86,14 +86,13 @@ def render_svg(
         palette = np.array(style.palette, dtype=object)
         region = map(labels.leaf_index_to_region.__getitem__, rows[black].tolist())
         fill[black] = palette[np.fromiter(region, dtype=np.int64) % len(palette)]
+    x0, x1, y0, y1 = m.bounds(rows)
     # flip y: the svg y of a rect is measured from the top of the viewBox
-    y_svg = y_lo + (y_hi - t.y_hi[rows])
-    width = t.x_hi[rows] - t.x_lo[rows]
-    height = t.y_hi[rows] - t.y_lo[rows]
+    y_svg = y_lo + (y_hi - y1)
     out += [
         f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{f}"{stroke_attr}/>'
         for x, y, w, h, f in zip(
-            _reprs(t.x_lo[rows]), _reprs(y_svg), _reprs(width), _reprs(height),
+            _reprs(x0), _reprs(y_svg), _reprs(x1 - x0), _reprs(y1 - y0),
             fill.tolist(),
         )
     ]

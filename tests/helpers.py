@@ -20,8 +20,10 @@ kinematic tests.
 array passes of `deserialize`, `label_regions` and `render_svg` replaced;
 `reference_bounds` bisects every leaf level by level, `reference_split`
 splits a build's frontier carrying the bounds of every box,
-`reference_paths` formats the path of every leaf and `reference_locate`
-looks the located row up in that list. The tests hold the library's
+`reference_paths` formats the path of every leaf, `reference_locate`
+looks the located row up in that list and `reference_seam_pairs` sweeps
+the exact bounds of the leaves on opposite box edges for the pairs that
+`aspects._seam_pairs` finds by cell probes. The tests hold the library's
 outputs equal to theirs. `reference_vdown` / `reference_vup` are the
 two-``np.nextafter`` outward rounding that the integer step of the
 interval arrays replaced. `point_classifier` grows one chain of boxes to
@@ -387,7 +389,7 @@ def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
         uf.union(i, j)
 
     rows = black.tolist()
-    areas = t.area[black].tolist()
+    areas = m.area(black).tolist()
     paths = reference_paths(t)
     leaf_to_region: dict[str, int] = {}
     leaf_index_to_region: dict[int, int] = {}
@@ -415,6 +417,46 @@ def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
     )
 
 
+def reference_seam_pairs(
+    m: QuadtreeModel, labels: RegionLabeling
+) -> list[tuple[int, int]]:
+    """Raw region pairs whose Black leaves adjoin through opposite box
+    edges, by a sweep over the exact bounds of the leaves on those edges
+    (from `reference_bounds`); the reference of `aspects._seam_pairs`."""
+    root, t = m.root_box, m.table
+    black = t.kind == CODE_BLACK
+    x_lo, x_hi, y_lo, y_hi = reference_bounds(root, t.depth, t.level, t.keys)
+    pairs = []
+    for own_lo, own_hi, other_lo, other_hi, bounds in (
+        (x_lo, x_hi, y_lo, y_hi, (root.x.lo, root.x.hi)),
+        (y_lo, y_hi, x_lo, x_hi, (root.y.lo, root.y.hi)),
+    ):
+        lo_side, hi_side = [
+            list(zip(
+                other_lo[rows].tolist(),
+                other_hi[rows].tolist(),
+                [labels.leaf_index_to_region[i] for i in rows.tolist()],
+            ))
+            for rows in (
+                np.flatnonzero(black & (own_lo == bounds[0])),
+                np.flatnonzero(black & (own_hi == bounds[1])),
+            )
+        ]
+        # leaves on one edge tile it, so both lists are disjoint and sorting
+        # by lower bound allows a linear sweep for positive-length overlaps
+        lo_side.sort()
+        hi_side.sort()
+        i = 0
+        for alo, ahi, a_region in lo_side:
+            while i < len(hi_side) and hi_side[i][1] <= alo:
+                i += 1
+            k = i
+            while k < len(hi_side) and hi_side[k][0] < ahi:
+                pairs.append((a_region, hi_side[k][2]))
+                k += 1
+    return pairs
+
+
 def reference_render_svg(
     m: QuadtreeModel,
     labels: Optional[RegionLabeling] = None,
@@ -438,12 +480,13 @@ def reference_render_svg(
     if style.show_undetermined:
         shown |= t.kind == CODE_UNDET
     rows = np.flatnonzero(shown)
+    x0, x1, y0, y1 = m.bounds(rows)
     # flip y: the svg y of a rect is measured from the top of the viewBox
-    y_svg = y_lo + (y_hi - t.y_hi[rows])
-    width = t.x_hi[rows] - t.x_lo[rows]
-    height = t.y_hi[rows] - t.y_lo[rows]
+    y_svg = y_lo + (y_hi - y1)
+    width = x1 - x0
+    height = y1 - y0
     for i, kind, x, y, w, h in zip(
-        rows.tolist(), t.kind[rows].tolist(), t.x_lo[rows].tolist(),
+        rows.tolist(), t.kind[rows].tolist(), x0.tolist(),
         y_svg.tolist(), width.tolist(), height.tolist(),
     ):
         if kind != CODE_BLACK:

@@ -144,11 +144,11 @@ def test_criterion_3_point_hole_is_minimum_size_leaf(modefree_chains):
         model = leaves_by_depth[d]
         kind, path = locate(model, 0.0, 0.0)
         assert kind == "U", f"leaf at the base point is {kind} at depth {d}"
-        t = model.table
-        row = reference_paths(t).index(path)
+        row = reference_paths(model.table).index(path)
+        x_lo, x_hi, y_lo, y_hi = model.bounds([row])
         expected = 2.0 * (M2.L1 + M2.L3) / 2**d
-        assert t.x_hi[row] - t.x_lo[row] == expected
-        assert t.y_hi[row] - t.y_lo[row] == expected
+        assert x_hi[0] - x_lo[0] == expected
+        assert y_hi[0] - y_lo[0] == expected
 
 
 # ---------------------------------------------------------------------------

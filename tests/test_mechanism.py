@@ -296,10 +296,10 @@ def test_ikp_witness_matches_full_solver(g):
     points = {}
     for combo in all_mode_combos():
         classify = mech.BoxClassifier(mech.WORKSPACE, g, combo.wm, combo.am)
-        t = build(box, 6, classify).table
+        x_lo, x_hi, y_lo, y_hi = build(box, 6, classify).bounds()
         # the leaf box's Interval.mid, as pairing takes it
-        xs = t.x_lo + (t.x_hi - t.x_lo) / 2
-        ys = t.y_lo + (t.y_hi - t.y_lo) / 2
+        xs = x_lo + (x_hi - x_lo) / 2
+        ys = y_lo + (y_hi - y_lo) / 2
         points.setdefault(combo.wm, set()).update(zip(xs.tolist(), ys.tolist()))
     rng = np.random.default_rng(24)
     side = g.L1 + g.L3

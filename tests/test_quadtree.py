@@ -2,6 +2,7 @@
 and connected-component labeling (checked against a scipy flood fill)."""
 
 import ast
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -24,6 +25,7 @@ from fivebar.quadtree import (
     MAX_DEPTH,
     UNDETERMINED,
     WHITE,
+    LeafTable,
     ParseError,
     black_area,
     build,
@@ -114,9 +116,8 @@ def test_build_undetermined_only_at_max_depth():
 def test_accuracy_rule():
     m = build(UNIT, 5, half_plane)
     assert m.accuracy == 1.0 / 2**5
-    t = m.table
-    finest = t.level == m.max_depth
-    for width in (t.x_hi - t.x_lo)[finest].tolist():
+    x_lo, x_hi, _, _ = m.bounds(m.table.level == m.max_depth)
+    for width in (x_hi - x_lo).tolist():
         assert math.isclose(width, m.accuracy, rel_tol=1e-12)
 
 
@@ -218,7 +219,7 @@ def test_mismatched_leaves_regrows_merged_leaves():
     classify = bench.space_classifier(g, bench.WORKSPACE)
     m = build(bench.space_box(g, bench.WORKSPACE), 6, classify)
     t = m.table
-    verdicts = classify.batch(t.x_lo, t.x_hi, t.y_lo, t.y_hi)
+    verdicts = classify.batch(*m.bounds())
     merged = (t.kind == CODE_BLACK) & (verdicts == 0)
     assert merged.any()
     # a tree whose merged leaves are White instead is not reproduced
@@ -259,7 +260,7 @@ def test_mismatched_leaves_of_another_classifier():
 
 def test_leaf_boxes_tile_root():
     for m in random_models(10, d_max=4):
-        total = sum(m.table.area.tolist())
+        total = sum(m.area().tolist())
         assert math.isclose(total, m.root_box.area, rel_tol=1e-12)
 
 
@@ -271,8 +272,8 @@ def test_locate_all_black_root():
 def test_locate_edge_tie_breaks_to_lower_leaf():
     m = build(UNIT, 3, half_plane)
     kind, path = locate(m, 0.5, 0.25)
-    t = m.table
-    assert t.x_hi[reference_paths(t).index(path)] == 0.5  # the lower-coordinate leaf wins the tie
+    _, x_hi, _, _ = m.bounds([reference_paths(m.table).index(path)])
+    assert x_hi[0] == 0.5  # the lower-coordinate leaf wins the tie
 
 
 def test_locate_outside_root_raises():
@@ -425,10 +426,17 @@ def test_leaf_table_rows_match_recursive_walk():
         t = m.table
         rows = list(zip(
             t.paths(np.arange(len(t.keys))), t.level.tolist(), t.keys.tolist(), t.kind.tolist(),
-            zip(t.x_lo.tolist(), t.x_hi.tolist(), t.y_lo.tolist(), t.y_hi.tolist()),
+            zip(*(b.tolist() for b in m.bounds())),
         ))
         assert rows == _node_walk(m)
         assert (np.diff(t.keys) > 0).all()  # preorder is Morton order
+
+
+def test_leaf_table_stores_no_bounds():
+    # bounds follow from the root box, level and key: the model derives
+    # them for the rows a reader asks for, and the table keeps no copy
+    names = [f.name for f in dataclasses.fields(LeafTable)]
+    assert names == ["depth", "level", "keys", "kind"]
 
 
 def test_leaf_table_find_agrees_with_raster():
@@ -505,10 +513,9 @@ def test_max_depth_build_equals_refine_and_read_in_little_memory():
     assert peak < 2**20
     assert len(m.table.keys) == 3 * MAX_DEPTH + 1 and m.stats.undetermined == 1
     assert serialize(refine(build(box, 7, classify), MAX_DEPTH, classify)) == serialize(m)
-    t, parsed = m.table, deserialize(serialize(m)).table
-    for col in ("x_lo", "x_hi", "y_lo", "y_hi"):
-        got, want = getattr(t, col), getattr(parsed, col)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), col
+    parsed = deserialize(serialize(m))
+    for got, want in zip(m.bounds(), parsed.bounds()):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _is_midpoint(node: ast.AST) -> bool:

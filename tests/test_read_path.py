@@ -1,12 +1,15 @@
 """The array passes of the read path against the loops they replaced:
 `deserialize` against a per-character parse and a level-by-level bisection
 of every leaf, the bounds a build's frontier gets from the edge grid
-against a split that carries them, `label_regions` and `aspect_regions`
-against a union-find, `render_svg` against one ``repr`` per number, and
+against a split that carries them, the bounds of some rows against the
+same rows of the whole table's, `label_regions` and `aspect_regions`
+against a union-find, the seam pairs of the cell probes against a sweep
+over exact bounds, `render_svg` against one ``repr`` per number, and
 `LeafTable.paths` and `locate` against the paths of the whole table
 (references in `helpers`)."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from helpers import (
     reference_parse_body,
     reference_paths,
     reference_render_svg,
+    reference_seam_pairs,
     reference_split,
 )
 
@@ -172,7 +176,7 @@ def test_bounds_match_level_loop_bit_for_bit():
     for m in _read_path_models():
         t = m.table
         want = reference_bounds(m.root_box, m.max_depth, t.level, t.keys)
-        for got, w in zip((t.x_lo, t.x_hi, t.y_lo, t.y_hi), want):
+        for got, w in zip(m.bounds(), want):
             assert np.array_equal(got.view(np.int64), w.view(np.int64))
 
 
@@ -220,9 +224,10 @@ def test_parsed_bounds_match_level_loop_bit_for_bit():
     assert all((m.table.level > _grid_cap(m)).any() for m in below)
     assert all(_grid_cap(m) == m.max_depth for m in above)
     for m in _read_path_models() + below + above:
-        t = deserialize(serialize(m)).table
+        parsed = deserialize(serialize(m))
+        t = parsed.table
         want = reference_bounds(m.root_box, m.max_depth, t.level, t.keys)
-        for got, w in zip((t.x_lo, t.x_hi, t.y_lo, t.y_hi), want):
+        for got, w in zip(parsed.bounds(), want):
             assert np.array_equal(got.view(np.int64), w.view(np.int64))
 
 
@@ -231,10 +236,34 @@ def test_parsed_bounds_equal_built_bounds_bit_for_bit():
         build(box, 6, hash_classifier(seed)) for box in ODD_BOXES for seed in range(5)
     ]
     for m in models:
-        t, parsed = m.table, deserialize(serialize(m)).table
-        for col in ("x_lo", "x_hi", "y_lo", "y_hi"):
-            got, want = getattr(parsed, col), getattr(t, col)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), col
+        parsed = deserialize(serialize(m))
+        for got, want in zip(parsed.bounds(), m.bounds()):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _bits_of(cols) -> np.ndarray:
+    return np.stack([c.view(np.int64) for c in cols])
+
+
+def test_bounds_of_rows_equal_rows_of_all_bounds_bit_for_bit():
+    # single rows, Black rows, empty rows and random subsets; a few rows
+    # cap the edge grid at a low level, so the deep bisection takes over
+    rng = np.random.default_rng(11)
+    deep = 0
+    for m in _read_path_models() + [build(UNIT, 3, lambda box: -1)]:
+        t = m.table
+        n = len(t.keys)
+        every, area = _bits_of(m.bounds()), m.area().view(np.int64)
+        black = t.kind == CODE_BLACK
+        subsets = [np.arange(0), black, np.flatnonzero(black), np.flatnonzero(black)[:1]]
+        subsets += [np.array([i]) for i in range(0, n, max(1, n // 9))]
+        subsets += [rng.choice(n, size=min(k, n), replace=False) for k in (2, 3, 5, 17)]
+        for rows in subsets:
+            assert np.array_equal(_bits_of(m.bounds(rows)), every[:, rows])
+            assert np.array_equal(m.area(rows).view(np.int64), area[rows])
+            cap = min(t.depth, len(t.keys[rows]).bit_length() - 1)
+            deep += bool((t.level[rows] > cap).any())
+    assert deep > 100
 
 
 class _Recorder:
@@ -367,10 +396,11 @@ def test_paths_of_rows_match_whole_table():
 def test_locate_matches_reference():
     rng = np.random.default_rng(5)
     for m in _read_path_models():
-        t, b = m.table, m.root_box
+        b = m.root_box
+        x_lo, x_hi, y_lo, y_hi = m.bounds()
         # every leaf corner and edge midpoint, where ties go to the lower leaf
-        xs = (t.x_lo, t.x_lo + (t.x_hi - t.x_lo) / 2, t.x_hi)
-        ys = (t.y_lo, t.y_lo + (t.y_hi - t.y_lo) / 2, t.y_hi)
+        xs = (x_lo, x_lo + (x_hi - x_lo) / 2, x_hi)
+        ys = (y_lo, y_lo + (y_hi - y_lo) / 2, y_hi)
         points = [
             p for x in xs for y in ys if x is not xs[1] or y is not ys[1]
             for p in zip(x.tolist(), y.tolist())
@@ -491,3 +521,27 @@ def test_aspect_groups_match_union_find_over_seams():
         assert got == resolvable
         merged += sum(len(ids) > 1 for ids in resolvable)
     assert merged > 0
+
+
+def _unordered(pairs) -> list:
+    return sorted(tuple(sorted(p)) for p in pairs)
+
+
+def test_seam_pairs_match_sweep_over_exact_bounds():
+    # random trees, the odd boxes, depth-31 chains whose Black leaves run
+    # along two box edges, and a Black root, which adjoins itself through
+    # both seams; region pairs, and leaf pairs through a labeling that
+    # gives each Black leaf its own region
+    root = build(UNIT, 3, lambda box: 1)
+    assert _seam_pairs(root, label_regions(root)) == [(0, 0), (0, 0)]
+    models = random_models(40, d_max=5) + _read_path_models() + [root]
+    sizes = 0
+    for m in models:
+        black = np.flatnonzero(m.table.kind == CODE_BLACK).tolist()
+        own = SimpleNamespace(leaf_index_to_region={row: row for row in black})
+        for labels in (label_regions(m), own):
+            got = _unordered(_seam_pairs(m, labels))
+            assert got == _unordered(reference_seam_pairs(m, labels))
+        level = m.table.level
+        sizes += sum(level[a] != level[b] for a, b in got)
+    assert sizes > 100

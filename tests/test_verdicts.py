@@ -4,8 +4,9 @@ The reference is the verdict the box classifiers computed from the full
 solution sets of `dkp_box` / `ikp_box` (in `helpers`), box by box with
 scalar intervals, before the verdict functions existed. The batch kernel
 shares no code with it. Also covered: batches that straddle the CHUNK
-seams of a build, the per-box call of a classifier, and builds through the
-per-box fallback. The joint verdict maps sin and cos once per distinct
+seams of a build, the per-box call of a classifier, builds through the
+per-box fallback, and a geometry whose rounded law-of-cosines constant
+once made White leaves of reachable boxes. The joint verdict maps sin and cos once per distinct
 angle endpoint of a batch: it must agree on batches whose boxes share
 their edges, and a build must not map more values than that.
 """
@@ -225,6 +226,24 @@ def test_verdicts_match_reference_across_annulus_radii():
         seen = _assert_agree(WORKSPACE, g, _boxes_around(points, rng))
         seen |= _assert_agree(WORKSPACE, g, _ulp_scan(points[2::16]))
         assert {-1, 0, 1} <= seen
+
+
+def test_no_white_leaf_inside_the_inner_radius_of_a_rounded_annulus():
+    # L1 * L1 - L3 * L3 rounds with a relative error of about 1e-11 at
+    # c1 close to -1, far beyond the widening of one operation. Once both
+    # legs reach the box strictly, a c1 enclosure below -1 is that rounding
+    # and leaves the box undecided: a White leaf lies wholly within the
+    # inner radius L3 - L1 (exact here), at or below it on the x axis.
+    g = mech.FiveBarGeometry(9.0, 5.0, 8.0, 5.000005, 8.0)
+    box = Box2.from_bounds(4.99999999981e-06, 4.99999999983e-06, -1e-20, 1e-20)
+    r1_in = g.L3 - g.L1
+    assert box.x.lo < r1_in < box.x.hi
+    plus, minus = WorkingMode(1, 1), WorkingMode(-1, 1)
+    for wm, am in ((None, None), (plus, None), (minus, None),
+                   (plus, AssemblyMode(1)), (minus, AssemblyMode(1))):
+        m = build(box, 3, BoxClassifier(WORKSPACE, g, wm, am))
+        _, x_hi, _, _ = m.bounds(m.table.kind == qt.CODE_WHITE)
+        assert (x_hi <= r1_in).all(), (wm, am)
 
 
 def _shared_edge_boxes(rng, count=600):
