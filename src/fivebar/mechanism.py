@@ -11,6 +11,14 @@ invalid, or indeterminate, including certification of the assembly mode
 (sign of det A, via the cross product (B1-P) x (B2-P)) and the working
 mode (signs of the elbow cross products u_z, v_z).
 
+Every mode setting runs a prefix of one list of stages: the mode-free
+stages, one sine stage, one sign stage. The sine stage certifies the sign
+that the first mode selects, by exact identities with distances certified
+positive before it: det A = branch * L3 * |B1B2| * sin(alpha) in the joint
+space, u_z = wm.s1 * L1 * |A1P| * sin(beta1) (v_z likewise) in the
+workspace. The sign stage tests the other sign: u_z and v_z in the joint
+space, det A in the workspace.
+
 The classification kernel is the batch verdicts `joint_verdicts` and
 `workspace_verdicts`: they classify a whole array of boxes at once with
 the interval arrays of `interval`, and return only the verdict (+1 / -1 /
@@ -37,8 +45,12 @@ from . import interval as iv
 from .interval import Box2
 
 POINT_TOL = 1e-12
-# Smallest accepted link length: below it, products of a length and a small
-# distance underflow to 0, and interval divisions by them fail.
+# Smallest accepted link length: below it, products of two lengths, and of
+# a length and a distance on the order of the lengths, underflow to 0.
+# Distances to A1 and A2 have no lower bound (a box may lie a subnormal
+# distance from a base joint), so the verdicts divide by a product of
+# distances and lengths through `_vquot`, which leaves a divisor that
+# rounds to 0 undecided.
 MIN_LENGTH = 1e-150
 
 
@@ -49,7 +61,8 @@ class FiveBarGeometry:
     Every length must be finite and at least MIN_LENGTH (1e-150), and the
     sums and squares the classifiers form from them must stay finite: with
     S = L0 + ... + L4, 2 * S * S must not overflow (S below about 9.4e153).
-    ValueError otherwise.
+    ValueError otherwise. The lengths bound no distance to A1 or A2 from
+    below (see MIN_LENGTH).
     """
 
     L0: float
@@ -200,10 +213,23 @@ def _vunit_sine(c: iv.IArray) -> iv.IArray:
     return iv.vsqrt(iv.vshift(iv.vneg(iv.vsqr(c)), 1.0))
 
 
+def _vquot(n: iv.IArray, d: iv.IArray) -> iv.IArray:
+    """n / d for a divisor d that is positive in exact arithmetic: a row
+    whose lower bound of d rounds to 0 or below (a subnormal distance times
+    a length) gets the whole line, which every test that reads it leaves
+    undecided."""
+    ok = d[0] > 0.0
+    if ok.all():
+        return iv.vdiv(n, d)
+    lo, hi = np.full(len(ok), -np.inf), np.full(len(ok), np.inf)
+    lo[ok], hi[ok] = iv.vdiv(*_take(ok, n, d))
+    return lo, hi
+
+
 def _vlaw_cos(m: iv.IArray, a: float, b: float) -> iv.IArray:
     """Cosine of the angle between the sides m and a of a triangle whose
     third side is b: (m^2 + a^2 - b^2) / (2 a m), the law of cosines."""
-    return iv.vdiv(iv.vshift(iv.vsqr(m), a * a - b * b), iv.vscale(m, 2.0 * a))
+    return _vquot(iv.vshift(iv.vsqr(m), a * a - b * b), iv.vscale(m, 2.0 * a))
 
 
 def joint_verdicts(
@@ -219,13 +245,14 @@ def joint_verdicts(
     [x_lo, x_hi] x [y_lo, y_hi] of base angles (theta1, theta2).
 
     Mode-free: assemblable and never stretched or folded. With ``am``: the
-    branch of that assembly mode is certified nonsingular. With ``am`` and
-    ``wm``: in addition u_z and v_z of that branch carry the working-mode
-    signs (-1 when one of them certainly carries the other sign).
+    branch of that assembly mode is certified nonsingular (sin(alpha) > 0,
+    which fixes the sign of its det A). With ``am`` and ``wm``: in addition
+    u_z and v_z of that branch carry the working-mode signs (-1 when one of
+    them certainly carries the other sign).
 
     Only the enclosures the verdict reads are computed: nothing past
     cos(alpha) mode-free, past sin(alpha) with ``am`` alone, and with a full
-    combo the one branch ``am``, without P.
+    combo u_z and v_z of the one branch ``am``, without P or det A.
     """
     _check_modes(JOINTSPACE, wm, am)
     b = _Batch(len(x_lo))
@@ -258,14 +285,11 @@ def joint_verdicts(
     keep = b.settle((sin_a[0] <= 0.0, 0))
     if wm is None:
         return b.finish(1)
-    branch = int(am)
-    dist, cos_a, sin_a = _take(keep, dist, cos_a, sin_a)
-    # identity: (B1-P) x (B2-P) = branch * L3 * |B1B2| * sin(alpha)
-    det_a = iv.vscale(iv.vmul(dist, sin_a), branch * g.L3)
-    keep = b.settle((iv.vsign(det_a) != branch, 0))
+    # det(A) = branch * L3 * |B1B2| * sin(alpha) carries the sign of the
+    # branch: |B1B2| > 0 and sin(alpha) > 0 are certified above
     dist, cos_a, sin_a = _take(keep, dist, cos_a, sin_a)
     u_z, v_z = _vdkp_elbow_crosses(
-        *_take(b.rows, t1, t2, c1t, s1t, c2t, s2t), g, dist, cos_a, sin_a, branch
+        *_take(b.rows, t1, t2, c1t, s1t, c2t, s2t), g, dist, cos_a, sin_a, int(am)
     )
     su, sv = iv.vsign(u_z), iv.vsign(v_z)
     b.settle(
@@ -314,14 +338,15 @@ def workspace_verdicts(
     [x_lo, x_hi] x [y_lo, y_hi] of end-point positions.
 
     Mode-free: strictly reachable by both legs. With ``wm``: in addition the
-    working-mode signs are certified. With ``wm`` and ``am``: in addition
-    det(A) of the solution of working mode ``wm`` carries the assembly-mode
-    sign (-1 when it certainly carries the other sign).
+    working-mode signs are certified (both sines > 0, which fix the signs of
+    u_z and v_z). With ``wm`` and ``am``: in addition det(A) of the solution
+    of working mode ``wm`` carries the assembly-mode sign (-1 when it
+    certainly carries the other sign).
 
     Only the enclosures the verdict reads are computed: nothing past the
     cosines c1, c2 of the angles at A1 and A2 mode-free, past the sines with
-    ``wm`` alone, and with a full combo u_z, v_z and the one det(A) of elbow
-    branches (-wm.s1, -wm.s2), without angles or elbows.
+    ``wm`` alone, and with a full combo the one det(A) of elbow branches
+    (-wm.s1, -wm.s2), without u_z, v_z, angles or elbows.
     """
     _check_modes(WORKSPACE, wm, am)
     b = _Batch(len(x_lo))
@@ -354,17 +379,12 @@ def workspace_verdicts(
     keep = b.settle(((s1[0] <= 0.0) | (s2[0] <= 0.0), 0))
     if am is None:
         return b.finish(1)
-    m1, m2, s1, s2 = _take(keep, m1, m2, s1, s2)
-    # u_z = -i L1 |A1P| sin(beta1), v_z = -j L2 |A2P| sin(beta2)
-    i, j = -wm.s1, -wm.s2
-    keep = b.settle((
-        (iv.vsign(iv.vscale(iv.vmul(m1, s1), -i * g.L1)) != wm.s1)
-        | (iv.vsign(iv.vscale(iv.vmul(m2, s2), -j * g.L2)) != wm.s2),
-        0,
-    ))
+    # u_z = -i L1 |A1P| sin(beta1) and v_z = -j L2 |A2P| sin(beta2) carry the
+    # working-mode signs in elbow branches (i, j) = (-wm.s1, -wm.s2):
+    # |A1P|, |A2P| > 0 and both sines > 0 are certified above
     m1, m2, s1, s2 = _take(keep, m1, m2, s1, s2)
     px, py = _take(b.rows, px, py)
-    s = iv.vsign(_vikp_det_a(px, py, g, m1, m2, s1, s2, i, j))
+    s = iv.vsign(_vikp_det_a(px, py, g, m1, m2, s1, s2, -wm.s1, -wm.s2))
     b.settle((s == int(am), 1), (s != 0, -1))
     return b.verdict
 
@@ -394,7 +414,10 @@ def _vikp_det_a(px, py, g, m1, m2, s1, s2, i, j):
         iv.vscale(iv.vmul(py, iv.vadd(cc, iv.vscale(ss, i * j))), g.L0),
         iv.vmul(s_quad, iv.vsub(iv.vscale(cs, i), iv.vscale(sc, j))),
     )
-    return iv.vscale(iv.vdiv(n, iv.vmul(m1, m2)), g.L3 * g.L4)
+    # near A1, where |A1P| |A2P| is subnormal, the bounds may overflow to
+    # +-inf: outward bounds all the same, so numpy's warning is moot
+    with np.errstate(over="ignore"):
+        return iv.vscale(_vquot(n, iv.vmul(m1, m2)), g.L3 * g.L4)
 
 
 def ikp_witness(

@@ -531,7 +531,7 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
             mid = a + (b - a) / 2
             below = lev > k
             up = (c >> (d - 1 - k)) & 1 == 1
-            a = np.where(below & up, mid, a)
+            a = np.where(up, mid, a)  # past its level a column's bits are 0
             b = np.where(below & ~up, mid, b)
         lo[deep], hi[deep] = a, b
         out += [lo, hi]

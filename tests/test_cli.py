@@ -470,6 +470,32 @@ def test_extreme_boxes_build_as_with_nextafter_widening(tmp_path, monkeypatch, b
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # equal links, so r1_in = 0: the annulus test passes a subnormal
+        # |A1P|, and 2 L1 |A1P| rounds down to 0 in the law of cosines
+        ["--mechanism", "custom", "--lengths", "0.1,0.1,0.1,0.1,0.1",
+         "--box=1e-323,2e-323,1e-323,2e-323", "--depth", "6"],
+        # a full combo also divides det A by |A1P| |A2P|
+        ["--mechanism", "custom", "--lengths", "0.001,1,0.001,1,0.001",
+         "--box=1e-322,2e-322,1e-322,2e-322", "--depth", "4",
+         "--working-mode", "++", "--assembly-mode", "+"],
+        # where that quotient exceeds the largest float
+        ["--mechanism", "m2", "--box=1.5e-323,3e-323,1.5e-323,3e-323", "--depth", "4",
+         "--working-mode", "+-", "--assembly-mode", "+"],
+    ],
+)
+def test_workspace_boxes_a_subnormal_distance_from_a1_build(tmp_path, argv):
+    out = tmp_path / "w.qt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["workspace", *argv, "--out", str(out)]) == 0
+    if "--working-mode" not in argv:
+        # every point of the box is strictly reachable by both legs
+        assert qt.CODE_WHITE not in qt.deserialize(out.read_text()).table.kind
+
+
+@pytest.mark.parametrize(
     "error",
     [
         asp.PairingError("witness landed on a W leaf"),

@@ -246,6 +246,43 @@ def test_no_white_leaf_inside_the_inner_radius_of_a_rounded_annulus():
         assert (x_hi <= r1_in).all(), (wm, am)
 
 
+def test_boxes_a_subnormal_distance_from_a_base_joint_return_verdicts():
+    # with an equal-link leg, r_in = 0 and the strict annulus test passes a
+    # box whose distance to A1 or A2 is subnormal; a length times that
+    # distance then rounds down to 0, and a division by it must leave the
+    # box undecided rather than fail. Every point here is strictly
+    # reachable, and all four working modes exist at each, so only a full
+    # combo may say -1. The reference divides by the same rounded divisors:
+    # where it does not raise, the verdicts must agree with it.
+    geometries = (
+        mech.FiveBarGeometry(0.1, 0.1, 0.1, 0.1, 0.1),
+        mech.FiveBarGeometry(0.001, 1.0, 0.001, 1.0, 0.001),
+        M2,
+    )
+    tiny = 5e-324
+    compared = 0
+    for g in geometries:
+        beyond_a2 = math.nextafter(g.L0, math.inf)
+        rows = []
+        for k in range(1, 9):
+            lo, hi = k * tiny, (k + 2) * tiny
+            rows += [(lo, hi, lo, hi), (lo, hi, -hi, -lo), (g.L0, beyond_a2, lo, hi)]
+        bounds = tuple(np.array(col) for col in zip(*rows))
+        for wm, am in WORKSPACE_MODES:
+            v = workspace_verdicts(*bounds, g, wm, am)
+            assert len(v) == len(rows)
+            if am is None:
+                assert (v >= 0).all(), (g, wm)
+            for box, verdict in zip(_boxes(*bounds), v.tolist()):
+                try:
+                    expected = reference_workspace(box, g, wm, am)
+                except iv.DomainError:
+                    continue
+                compared += 1
+                assert verdict == expected, (g, wm, am, box)
+    assert compared > 0
+
+
 def _shared_edge_boxes(rng, count=600):
     """Joint-space boxes whose edges repeat across rows, as in a frontier:
     cells of a coarse grid, signed zeros, and angles a few ulps around
