@@ -42,6 +42,7 @@ from .quadtree import (
     BLACK,
     CODE_BLACK,
     QuadtreeModel,
+    RegionInfo,
     RegionLabeling,
     _black_edges,
     build,
@@ -123,22 +124,16 @@ def aspect_regions(
     """
     pairs = np.array(_seam_pairs(model, labels) if wrap else [], dtype=np.int64)
     root = components(labels.region_count, *pairs.reshape(-1, 2).T).tolist()
-    groups: dict[int, list[int]] = {}
-    for region in labels.regions:
-        groups.setdefault(root[region.region_id], []).append(region.region_id)
-    by_id = {r.region_id: r for r in labels.regions}
+    groups: dict[int, list[RegionInfo]] = {}
+    for region in labels.regions:  # in region-id order
+        groups.setdefault(root[region.region_id], []).append(region)
     kept = []
-    for ids in groups.values():
-        resolvable = any(
-            len(path) < model.max_depth
-            for rid in ids
-            for path in by_id[rid].leaf_paths
-        )
-        if not resolvable:
-            continue
-        area = sum(by_id[rid].area for rid in ids)
-        paths = tuple(p for rid in sorted(ids) for p in by_id[rid].leaf_paths)
-        kept.append((area, tuple(sorted(ids)), paths))
+    for group in groups.values():
+        if not any(len(p) < model.max_depth for r in group for p in r.leaf_paths):
+            continue  # only smallest-size leaves: a sub-resolution fragment
+        area = sum(r.area for r in group)
+        paths = tuple(p for r in group for p in r.leaf_paths)
+        kept.append((area, tuple(r.region_id for r in group), paths))
     kept.sort(key=lambda t: (-t[0], t[1]))
     return tuple(
         AspectRegion(i, ids, area, paths)

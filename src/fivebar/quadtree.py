@@ -3,14 +3,17 @@
 A classifier maps a box to +1 (every point valid), -1 (no point valid) or
 0 (undecided). The builder subdivides undecided boxes up to a maximal
 depth; leaves are Black (valid), White (invalid) or Undetermined (still
-undecided at maximal depth). The complementary tree (Black/White swapped)
-records the certified-invalid space.
+undecided at maximal depth). A leaf's kind is its box's verdict sign (+1
+Black, -1 White, 0 Undetermined); the complementary tree, which records the
+certified-invalid space, negates it.
 
-A model is its root box and its leaf table, a linear quadtree (Gargantini,
-CACM 25(12), 1982): one row per leaf, in preorder, with the leaf's depth,
-the Morton key of its low corner and its kind. There is no object tree;
-building, refining, the text format, location, labeling, seams,
-rendering, sampling, areas and pairing all produce or read table rows.
+A model is its root box, its leaf table, a linear quadtree (Gargantini,
+CACM 25(12), 1982), and its classifier calls. The table has one row per
+leaf, in preorder, with the leaf's depth, the Morton key of its low corner
+and its kind; the node counts are read off it (`QuadtreeModel.stats`).
+There is no object tree; building, refining, the text format, location,
+labeling, seams, rendering, sampling, areas and pairing all produce or read
+table rows, and the letters B/W/U/G appear only in the text format.
 
 A box's bounds follow from its depth and key, and `_bounds` is the only
 place that computes them: it bisects the root box at the midpoints
@@ -58,17 +61,14 @@ WHITE = "W"
 UNDETERMINED = "U"
 GRAY = "G"
 
-KIND_CODE = {WHITE: 0, BLACK: 1, UNDETERMINED: 2}
+CODE_WHITE, CODE_UNDET, CODE_BLACK = -1, 0, 1  # a leaf's kind is its box's verdict sign
+KIND_CODE = {WHITE: CODE_WHITE, UNDETERMINED: CODE_UNDET, BLACK: CODE_BLACK}
 KIND_LETTER = {code: kind for kind, code in KIND_CODE.items()}
-CODE_WHITE, CODE_BLACK, CODE_UNDET = 0, 1, 2
-# indexed by kind code: its letter, and its kind in the complementary tree
-_LETTERS = np.frombuffer(b"WBU", dtype=np.uint8)
-_SWAPPED = np.array([CODE_BLACK, CODE_WHITE, CODE_UNDET], dtype=np.int8)
-# indexed by a code point below 128: its kind code, or -1 if not a leaf letter
-_CODE_OF = np.full(128, -1, dtype=np.int8)
-_CODE_OF[_LETTERS] = np.arange(3)
-# indexed by verdict + 1
-_VERDICT_CODE = np.array([CODE_WHITE, CODE_UNDET, CODE_BLACK], dtype=np.int8)
+# indexed by kind code (-1 picks the last): its letter
+_LETTERS = np.frombuffer(b"UBW", dtype=np.uint8)
+# indexed by a code point below 128: its kind code, or 2 if not a leaf letter
+_CODE_OF = np.full(128, 2, dtype=np.int8)
+_CODE_OF[_LETTERS] = [CODE_UNDET, CODE_BLACK, CODE_WHITE]
 
 # Deepest tree a model may have. The leaf table addresses cells of the
 # 2^d x 2^d grid by Morton keys of 2d bits, which must fit int64.
@@ -119,7 +119,7 @@ class LeafTable:
     depth: int  # maximal depth of the model
     level: np.ndarray  # int64, depth of each leaf
     keys: np.ndarray  # int64 Morton keys of the low corners
-    kind: np.ndarray  # int8, KIND_CODE values
+    kind: np.ndarray  # int8 verdict sign: -1 White, 0 Undetermined, +1 Black
 
     def __post_init__(self):
         for col in (self.level, self.keys, self.kind):
@@ -171,9 +171,20 @@ def _morton(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QuadtreeModel:
+    """A root box, its leaf table and the classifier calls that built it
+    (cumulative over refinements; 0 for a parsed or complementary tree)."""
+
     root_box: Box2
     table: LeafTable
-    stats: TreeStats
+    calls: int
+
+    @property
+    def stats(self) -> TreeStats:
+        """The calls and the node counts, read off the table."""
+        kind = self.table.kind
+        white, undet, black = np.bincount(kind + 1, minlength=3).tolist()
+        # every Gray node has four children, so a tree of n leaves has (n - 1) / 3
+        return TreeStats(self.calls, black, white, undet, (len(kind) - 1) // 3)
 
     @property
     def max_depth(self) -> int:
@@ -198,17 +209,7 @@ class QuadtreeModel:
     def complement_model(self) -> "QuadtreeModel":
         """The complementary tree: the same leaves with Black and White swapped."""
         t = self.table
-        return _model(self.root_box, replace(t, kind=_SWAPPED[t.kind]), 0)
-
-
-def _model(box: Box2, table: LeafTable, calls: int) -> QuadtreeModel:
-    kinds = np.bincount(table.kind, minlength=3).tolist()
-    # every Gray node has four children, so a tree of n leaves has (n - 1) / 3
-    gray = (len(table.kind) - 1) // 3
-    stats = TreeStats(
-        calls, kinds[CODE_BLACK], kinds[CODE_WHITE], kinds[CODE_UNDET], gray
-    )
-    return QuadtreeModel(box, table, stats)
+        return QuadtreeModel(self.root_box, replace(t, kind=-t.kind), 0)
 
 
 # boxes per classifier batch: bounds the kernel's temporary arrays
@@ -216,16 +217,18 @@ CHUNK = 4096
 
 
 def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
-    """Verdicts of the boxes [x_lo, x_hi] x [y_lo, y_hi], CHUNK at a time
-    through ``classify.batch``; a plain function is called once per box."""
+    """Verdict signs (int8) of the boxes [x_lo, x_hi] x [y_lo, y_hi], CHUNK at a
+    time through ``classify.batch``; a plain function is called once per box."""
     batch = getattr(classify, "batch", None)
     if batch is None:
         boxes = zip(x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist())
-        return np.array([classify(Box2.from_bounds(*b)) for b in boxes], dtype=np.int64)
-    return np.concatenate([
-        batch(x_lo[i:i + CHUNK], x_hi[i:i + CHUNK], y_lo[i:i + CHUNK], y_hi[i:i + CHUNK])
-        for i in range(0, len(x_lo), CHUNK)
-    ] or [np.zeros(0, dtype=np.int8)])
+        v = [classify(Box2.from_bounds(*b)) for b in boxes]
+    else:
+        v = np.concatenate([
+            batch(x_lo[i:i + CHUNK], x_hi[i:i + CHUNK], y_lo[i:i + CHUNK], y_hi[i:i + CHUNK])
+            for i in range(0, len(x_lo), CHUNK)
+        ] or [np.zeros(0, dtype=np.int8)])
+    return np.sign(v).astype(np.int8)
 
 
 def _split(d: int, level: int, keys: np.ndarray) -> np.ndarray:
@@ -248,7 +251,7 @@ def _grow(box: Box2, depth: int, d_max: int, classify: Classifier, keys) -> tupl
         v = _verdicts(classify, *_bounds(box, depth, level, keys >> 2 * (d_max - depth)))
         calls += len(v)
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
-        rows.append((level[leaf], keys[leaf], _VERDICT_CODE[np.sign(v[leaf]) + 1]))
+        rows.append((level[leaf], keys[leaf], v[leaf]))
         if depth == d_max:
             break
         keys = _split(d_max, depth, keys[~leaf])
@@ -290,7 +293,7 @@ def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     rows, calls = _grow(box, 0, d_max, classify, np.zeros(1, dtype=np.int64))
-    return _model(box, LeafTable(d_max, *_canonical(d_max, rows)), calls)
+    return QuadtreeModel(box, LeafTable(d_max, *_canonical(d_max, rows)), calls)
 
 
 def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
@@ -312,7 +315,7 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     rows, calls = _grow(m.root_box, d + 1, d_max, classify, _split(d_max, d, keys[u]))
     kept = (t.level[~u], keys[~u], t.kind[~u])
     table = LeafTable(d_max, *_canonical(d_max, [kept] + rows))
-    return _model(m.root_box, table, m.stats.calls + calls)
+    return QuadtreeModel(m.root_box, table, m.calls + calls)
 
 
 def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
@@ -327,8 +330,7 @@ def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
     t = m.table
     d = m.max_depth
     v = _verdicts(classify, *m.bounds())
-    want = np.select([t.kind == CODE_BLACK, t.kind == CODE_WHITE], [1, -1], 0)
-    bad = np.sign(v) != want
+    bad = v != t.kind
     merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
     for level in np.unique(t.level[merged]).tolist():
         rows = np.flatnonzero(merged & (t.level == level))
@@ -432,7 +434,7 @@ def deserialize(text: str) -> QuadtreeModel:
     if end < len(text):
         raise ParseError("trailing text after the node line", end)
 
-    return _model(box, LeafTable(d_max, *_parse_body(body, d_max, offset)), 0)
+    return QuadtreeModel(box, LeafTable(d_max, *_parse_body(body, d_max, offset)), 0)
 
 
 def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
@@ -467,7 +469,7 @@ def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
     marks = np.bincount(q + 1, minlength=n + 2) - np.bincount(ends, minlength=n + 2)
     level = np.cumsum(marks[:n])
 
-    bad = (slots[:n] <= 0) | (gray & (level >= d)) | (~gray & (code < 0))
+    bad = (slots[:n] <= 0) | (gray & (level >= d)) | (~gray & (code > 1))
     bad |= (code == CODE_UNDET) & (level != d)
     if bad.any():
         p = int(bad.argmax())
@@ -476,7 +478,7 @@ def _parse_body(body: str, d: int, offset: int) -> tuple[np.ndarray, ...]:
             message = "trailing characters after node string"
         elif gray[p]:
             message = "'G' below maximal depth"
-        elif code[p] < 0:
+        elif code[p] > 1:
             message = f"unexpected character {chr(c[p])!r}"
         else:
             message = f"'U' only legal at depth {d}, found at depth {int(level[p])}"

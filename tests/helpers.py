@@ -754,7 +754,8 @@ def _ikp_legs(box: Box2, g: FiveBarGeometry):
     of the angles at A1 and A2 between the base-to-P line and the proximal
     links. Returns ``(status, m1, m2, c1, c2)``: status is INVALID when no
     point of the box is reachable, INDETERMINATE when the box is not
-    strictly inside both annuli (c1, c2 are then None), else None.
+    strictly inside both annuli or a divisor of c1, c2 rounds to 0 (c1, c2
+    are then None), else None.
     """
     px, py = box.x, box.y
     m1 = ref.norm2(px, py)
@@ -769,10 +770,13 @@ def _ikp_legs(box: Box2, g: FiveBarGeometry):
     strict = (
         m1.lo > r1_in and m2.lo > r2_in and m1.hi < r1_out and m2.hi < r2_out
     )
-    if not strict:
+    d1, d2 = ref.scale(m1, 2.0 * g.L1), ref.scale(m2, 2.0 * g.L2)
+    # a subnormal distance times a length may round to 0; the kernel's
+    # `_vquot` leaves such a row undecided
+    if not strict or d1.lo <= 0.0 or d2.lo <= 0.0:
         return Ternary.INDETERMINATE, m1, m2, None, None
-    c1 = ref.div(ref.shift(ref.sqr(m1), g.L1 * g.L1 - g.L3 * g.L3), ref.scale(m1, 2.0 * g.L1))
-    c2 = ref.div(ref.shift(ref.sqr(m2), g.L2 * g.L2 - g.L4 * g.L4), ref.scale(m2, 2.0 * g.L2))
+    c1 = ref.div(ref.shift(ref.sqr(m1), g.L1 * g.L1 - g.L3 * g.L3), d1)
+    c2 = ref.div(ref.shift(ref.sqr(m2), g.L2 * g.L2 - g.L4 * g.L4), d2)
     if c1.lo > 1.0 or c1.hi < -1.0 or c2.lo > 1.0 or c2.hi < -1.0:
         return Ternary.INVALID, m1, m2, c1, c2
     return None, m1, m2, c1, c2
@@ -793,15 +797,17 @@ def _ikp_det_a(
                                + S (i cd2 sd1 - j cd1 sd2)] / (M1 M2)
     where (cd1, sd1), (cd2, sd2) are the cosines/sines of the triangle
     angles at P and S = px (px - L0) + py^2 (evaluated as a sharp
-    single-variable quadratic plus a sharp square).
+    single-variable quadratic plus a sharp square). Where a divisor rounds
+    to 0, as in `_ikp_legs`, the result is [-L3 L4, L3 L4], which holds any
+    cross product of vectors of lengths L3 and L4 and has no sign.
     """
     px, py = box.x, box.y
-    cd1 = _clip_unit(
-        ref.div(ref.shift(ref.sqr(m1), g.L3 * g.L3 - g.L1 * g.L1), ref.scale(m1, 2.0 * g.L3))
-    )
-    cd2 = _clip_unit(
-        ref.div(ref.shift(ref.sqr(m2), g.L4 * g.L4 - g.L2 * g.L2), ref.scale(m2, 2.0 * g.L4))
-    )
+    d1, d2, m1m2 = ref.scale(m1, 2.0 * g.L3), ref.scale(m2, 2.0 * g.L4), ref.mul(m1, m2)
+    if min(d1.lo, d2.lo, m1m2.lo) <= 0.0:
+        bound = math.nextafter(g.L3 * g.L4, math.inf)
+        return lambda i, j: Interval(-bound, bound)
+    cd1 = _clip_unit(ref.div(ref.shift(ref.sqr(m1), g.L3 * g.L3 - g.L1 * g.L1), d1))
+    cd2 = _clip_unit(ref.div(ref.shift(ref.sqr(m2), g.L4 * g.L4 - g.L2 * g.L2), d2))
     sd1 = ref.scale(s1, g.L1 / g.L3)
     sd2 = ref.scale(s2, g.L2 / g.L4)
     s_quad = ref.add(
@@ -811,7 +817,6 @@ def _ikp_det_a(
     ss = ref.mul(sd1, sd2)
     cs = ref.mul(cd2, sd1)
     sc = ref.mul(cd1, sd2)
-    m1m2 = ref.mul(m1, m2)
 
     def det_at(i: int, j: int) -> Interval:
         n = ref.add(

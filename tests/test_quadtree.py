@@ -27,6 +27,7 @@ from fivebar.quadtree import (
     WHITE,
     LeafTable,
     ParseError,
+    QuadtreeModel,
     black_area,
     build,
     deserialize,
@@ -437,6 +438,35 @@ def test_leaf_table_stores_no_bounds():
     # them for the rows a reader asks for, and the table keeps no copy
     names = [f.name for f in dataclasses.fields(LeafTable)]
     assert names == ["depth", "level", "keys", "kind"]
+
+
+def test_model_stores_no_counts():
+    # the node counts follow from the table's kinds: the model keeps only
+    # the classifier calls beside it
+    names = [f.name for f in dataclasses.fields(QuadtreeModel)]
+    assert names == ["root_box", "table", "calls"]
+
+
+def test_complement_negates_the_kinds():
+    for m in random_models(5, d_max=4) + [build(UNIT, 4, half_plane)]:
+        c = m.complement_model()
+        assert np.array_equal(c.table.kind, -m.table.kind)
+        assert c.table.kind.dtype == np.int8
+        s, cs = m.stats, c.stats
+        assert (cs.black, cs.white) == (s.white, s.black)
+        assert (cs.undetermined, cs.gray) == (s.undetermined, s.gray)
+
+
+def test_a_leaf_kind_is_the_sign_of_the_verdict():
+    # a plain function may return any verdict of the right sign
+    def scaled(box: Box2) -> int:
+        return {1: 5, -1: -3, 0: 0}[half_plane(box)]
+
+    want, got = build(UNIT, 4, half_plane).table, build(UNIT, 4, scaled).table
+    for col in ("level", "keys", "kind"):
+        assert np.array_equal(getattr(got, col), getattr(want, col))
+    assert got.kind.dtype == np.int8
+    assert set(got.kind.tolist()) == {CODE_WHITE, CODE_UNDET, CODE_BLACK} == {-1, 0, 1}
 
 
 def test_leaf_table_find_agrees_with_raster():
