@@ -16,6 +16,10 @@ which differs from the raw Black-leaf labeling in two ways:
   smallest-size leaves has no certified interior at that accuracy and is a
   sub-resolution fragment, not a resolvable aspect. Fragments stay in the
   raw labeling but carry no aspect id and are not paired.
+
+Regions and aspects are rows of the leaf table: the raw labeling is a
+region id per row, an aspect lists its Black rows, and a witness lands on
+the row of the joint-space leaf that contains it.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from .mechanism import (
 from .quadtree import (
     BLACK,
     CODE_BLACK,
+    KIND_LETTER,
     QuadtreeModel,
-    RegionInfo,
     RegionLabeling,
     _black_edges,
+    _locate_row,
     build,
     components,
     label_regions,
-    locate,
     shared_black_cells,
 )
 
@@ -86,9 +90,10 @@ def wrap_angle(t: float) -> float:
     return math.remainder(t, math.tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AspectRegion:
-    """One resolvable aspect: a group of raw label regions.
+    """One resolvable aspect: a group of raw label regions and their Black
+    leaf rows, in preorder.
 
     In the workspace the group is a single raw region; in the joint space it
     may merge several raw regions connected through the +/-pi seams.
@@ -97,16 +102,16 @@ class AspectRegion:
     aspect_id: int
     region_ids: tuple[int, ...]
     area: float
-    leaf_paths: tuple[str, ...]
+    rows: np.ndarray
 
 
-def _seam_pairs(model: QuadtreeModel, labels: RegionLabeling) -> list[tuple[int, int]]:
-    """Raw region pairs whose Black leaves adjoin through opposite box edges."""
+def _seam_pairs(model: QuadtreeModel, labels: RegionLabeling) -> tuple[np.ndarray, ...]:
+    """Raw region pairs (a[k], b[k]) whose Black leaves adjoin through
+    opposite box edges."""
     t = model.table
     black = np.flatnonzero(t.kind == CODE_BLACK)
     a, b = _black_edges(t, black, seams=True)
-    region = labels.leaf_index_to_region
-    return [(region[i], region[j]) for i, j in zip(black[a].tolist(), black[b].tolist())]
+    return labels.region[black[a]], labels.region[black[b]]
 
 
 def aspect_regions(
@@ -122,22 +127,21 @@ def aspect_regions(
     certified interior exceeds the model accuracy. Aspect ids are assigned
     by descending area, ties by smallest raw region id.
     """
-    pairs = np.array(_seam_pairs(model, labels) if wrap else [], dtype=np.int64)
-    root = components(labels.region_count, *pairs.reshape(-1, 2).T).tolist()
-    groups: dict[int, list[RegionInfo]] = {}
-    for region in labels.regions:  # in region-id order
-        groups.setdefault(root[region.region_id], []).append(region)
+    n = labels.region_count
+    root = components(n, *_seam_pairs(model, labels)) if wrap else np.arange(n)
+    black = np.flatnonzero(labels.region >= 0)
+    group = root[labels.region[black]]  # the smallest region id of its group
+    order = np.argsort(group, kind="stable")  # each group's rows in preorder
     kept = []
-    for group in groups.values():
-        if not any(len(p) < model.max_depth for r in group for p in r.leaf_paths):
+    for rows in np.split(black[order], np.flatnonzero(np.diff(group[order])) + 1):
+        if not (model.table.level[rows] < model.max_depth).any():
             continue  # only smallest-size leaves: a sub-resolution fragment
-        area = sum(r.area for r in group)
-        paths = tuple(p for r in group for p in r.leaf_paths)
-        kept.append((area, tuple(r.region_id for r in group), paths))
+        ids = tuple(np.unique(labels.region[rows]).tolist())
+        kept.append((sum(labels.area[i] for i in ids), ids, rows))
     kept.sort(key=lambda t: (-t[0], t[1]))
     return tuple(
-        AspectRegion(i, ids, area, paths)
-        for i, (area, ids, paths) in enumerate(kept)
+        AspectRegion(i, ids, area, rows)
+        for i, (area, ids, rows) in enumerate(kept)
     )
 
 
@@ -206,8 +210,6 @@ def pair_regions(
     q_labels: RegionLabeling,
     q_aspects: tuple[AspectRegion, ...],
 ) -> tuple[PairingEntry, ...]:
-    t = w_model.table
-    d = w_model.max_depth
     serial_of = {
         rid: a.aspect_id for a in q_aspects for rid in a.region_ids
     }
@@ -217,8 +219,7 @@ def pair_regions(
         # biggest leaf sits farthest from the uncertain frontier); thin
         # aspects may need a fallback when the primary witness's joint image
         # is still unresolved at this depth
-        keys = [int(p or "0", 4) << 2 * (d - len(p)) for p in aspect.leaf_paths]
-        rows = t.keys.searchsorted(keys)
+        rows = aspect.rows
         rows = rows[np.lexsort((rows, -w_model.area(rows)))]
         entry = None
         failure = None
@@ -232,13 +233,14 @@ def pair_regions(
                 )
                 continue
             t1, t2 = (wrap_angle(t) for t in theta)
-            kind, path = locate(q_model, t1, t2)
+            row = _locate_row(q_model, t1, t2)
+            kind = KIND_LETTER[int(q_model.table.kind[row])]
             if kind != BLACK:
                 failure = failure or (
                     f"joint witness ({t1}, {t2}) landed on a {kind} leaf"
                 )
                 continue
-            serial = serial_of.get(q_labels.leaf_to_region[path])
+            serial = serial_of.get(int(q_labels.region[row]))
             if serial is None:
                 failure = failure or (
                     f"joint witness ({t1}, {t2}) landed on a sub-resolution fragment"

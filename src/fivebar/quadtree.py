@@ -42,8 +42,11 @@ key order, for the end of each Gray node's children. The Black regions are
 the connected components of the table's Black edge pairs, found by cell
 probes (`_black_edges`) and min-label hooking and pointer jumping
 (`components`); the same probes, across opposite box edges, find the
-pairs that touch through the seams of a periodic box. Bounds and leaf
-paths are computed only for the rows a reader asks for.
+pairs that touch through the seams of a periodic box. A labeling is one
+more column of the table, a region id per row, with one area per region;
+aspects and pairing carry rows too. Bounds are computed only for the rows
+a reader asks for, and leaf paths only where they are returned as text
+(`locate`, `RegionLabeling.leaf_to_region`).
 """
 
 from __future__ import annotations
@@ -112,8 +115,7 @@ class LeafTable:
     its low corner is the cell whose column and row are the even and the
     odd bits of ``keys[i]``. The table holds no float: bounds depend on
     the root box as well, and the model computes them from ``level`` and
-    ``keys`` for the rows a reader asks for (`QuadtreeModel.bounds`), as it
-    formats their paths here (``paths``).
+    ``keys`` for the rows a reader asks for (`QuadtreeModel.bounds`).
     """
 
     depth: int  # maximal depth of the model
@@ -347,8 +349,8 @@ def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
 # --------------------------------------------------------------------------
 
 
-def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
-    """Leaf (kind, path) containing the point; edge ties go to the lower leaf."""
+def _locate_row(m: QuadtreeModel, qx: float, qy: float) -> int:
+    """Row of the leaf containing the point; edge ties go to the lower leaf."""
     b = m.root_box
     if not b.contains(qx, qy):
         raise DomainError(f"point ({qx}, {qy}) outside the root box")
@@ -368,10 +370,15 @@ def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
         else:
             y1 = ym
         key = key << 2 | q
+    return int(m.table.keys.searchsorted(key, side="right")) - 1
+
+
+def locate(m: QuadtreeModel, qx: float, qy: float) -> tuple[str, str]:
+    """Leaf (kind, path) containing the point; edge ties go to the lower leaf."""
     t = m.table
-    row = int(t.keys.searchsorted(key, side="right")) - 1
-    # the leaf's path is the first `level` digits of the cell's
-    d = m.max_depth
+    row = _locate_row(m, qx, qy)
+    # the leaf's path is the first `level` digits of its key
+    key, d = int(t.keys[row]), m.max_depth
     digits = range(d - 1, d - 1 - int(t.level[row]), -1)
     return KIND_LETTER[int(t.kind[row])], "".join(["0123"[key >> 2 * k & 3] for k in digits])
 
@@ -545,20 +552,25 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionInfo:
-    region_id: int
-    area: float
-    leaf_paths: tuple[str, ...]
-    largest_leaf_path: str
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RegionLabeling:
-    region_count: int
-    leaf_to_region: dict[str, int]  # Black leaf path -> region id
-    leaf_index_to_region: dict[int, int]
-    regions: tuple[RegionInfo, ...]
+    """The Black regions of a model as a column of its leaf table: the
+    region id of each row's Black leaf (-1 for any other leaf), and the
+    area of each region, in id order."""
+
+    table: LeafTable
+    region: np.ndarray  # int64, one entry per table row
+    area: tuple[float, ...]
+
+    @property
+    def region_count(self) -> int:
+        return len(self.area)
+
+    @property
+    def leaf_to_region(self) -> dict[str, int]:
+        """Black leaf path -> region id, in preorder, formatted on demand."""
+        black = np.flatnonzero(self.region >= 0)
+        return dict(zip(self.table.paths(black), self.region[black].tolist()))
 
 
 def label_regions(m: QuadtreeModel) -> RegionLabeling:
@@ -569,38 +581,22 @@ def label_regions(m: QuadtreeModel) -> RegionLabeling:
     just before its low edges; a hit that is Black and at least as large
     shares that whole edge. Together the two directions find every shared
     edge of positive length, each once. Region ids are assigned in order of
-    each region's smallest preorder leaf, so labeling is deterministic.
+    each region's smallest preorder leaf, so labeling is deterministic. A
+    region's area is the sum of its leaves' areas in preorder.
     """
     t = m.table
     black = np.flatnonzero(t.kind == CODE_BLACK)
     # components over positions in `black`, which keep the preorder; the
     # rank of a component's smallest position is its region id
     label = components(len(black), *_black_edges(t, black))
-    roots, region = np.unique(label, return_inverse=True)
-    rows = black.tolist()
-    paths = t.paths(black)
-    ids = region.tolist()
-
-    areas = m.area(black)
-    counts = np.bincount(region, minlength=len(roots))
-    starts = (np.cumsum(counts) - counts).tolist()
-    members = np.argsort(region, kind="stable")  # each region's leaves in preorder
-    member_areas = areas[members].tolist()
-    member_paths = [paths[k] for k in members.tolist()]
-    # the leaf of greatest area, the first in preorder on ties
-    largest = np.lexsort((-areas, region))[starts].tolist()
-    regions = []
-    for rid, (start, count) in enumerate(zip(starts, counts.tolist())):
-        end = start + count
-        regions.append(RegionInfo(
-            rid,
-            sum(member_areas[start:end]),
-            tuple(member_paths[start:end]),
-            paths[largest[rid]],
-        ))
-    return RegionLabeling(
-        len(roots), dict(zip(paths, ids)), dict(zip(rows, ids)), tuple(regions)
-    )
+    roots, ids = np.unique(label, return_inverse=True)
+    region = np.full(len(t.kind), -1, dtype=np.int64)
+    region[black] = ids
+    # each region's leaf areas in preorder, summed left to right
+    ends = np.cumsum(np.bincount(ids, minlength=len(roots))).tolist()
+    areas = m.area(black)[np.argsort(ids, kind="stable")].tolist()
+    area = tuple(sum(areas[a:b]) for a, b in zip([0] + ends, ends))
+    return RegionLabeling(t, region, area)
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -684,8 +680,6 @@ def sample_black_points(
     out[:, 0] = x_lo[picks] + u[:, 0] * width[picks]
     out[:, 1] = y_lo[picks] + u[:, 1] * height[picks]
     return out
-
-
 
 
 def shared_black_cells(a: QuadtreeModel, b: QuadtreeModel) -> int:

@@ -84,8 +84,7 @@ def render_svg(
         fill[black] = style.palette[0]
     else:
         palette = np.array(style.palette, dtype=object)
-        region = map(labels.leaf_index_to_region.__getitem__, rows[black].tolist())
-        fill[black] = palette[np.fromiter(region, dtype=np.int64) % len(palette)]
+        fill[black] = palette[labels.region[rows[black]] % len(palette)]
     x0, x1, y0, y1 = m.bounds(rows)
     # flip y: the svg y of a rect is measured from the top of the viewBox
     y_svg = y_lo + (y_hi - y1)

@@ -24,7 +24,12 @@ splits a build's frontier carrying the bounds of every box,
 looks the located row up in that list and `reference_seam_pairs` sweeps
 the exact bounds of the leaves on opposite box edges for the pairs that
 `aspects._seam_pairs` finds by cell probes. The tests hold the library's
-outputs equal to theirs. `reference_vdown` / `reference_vup` are the
+outputs equal to theirs. `reference_label_regions` returns a labeling in
+its legacy form, keyed by leaf path and by row, with every region's leaf
+paths (`LegacyLabeling`); `legacy_labels` and `legacy_aspects` rebuild
+that form, and the former `AspectRegion` with leaf paths, from the
+library's region column and aspect rows, so that the pinned digests keep
+hashing the same text. `reference_vdown` / `reference_vup` are the
 two-``np.nextafter`` outward rounding that the integer step of the
 interval arrays replaced. `point_classifier` grows one chain of boxes to
 any depth. `parse_table` reads back the `bench` CSV, and
@@ -71,7 +76,6 @@ from fivebar.quadtree import (
     LeafTable,
     ParseError,
     QuadtreeModel,
-    RegionInfo,
     RegionLabeling,
     _black_edges,
     build,
@@ -185,10 +189,7 @@ def rasterize(m: QuadtreeModel, labels: Optional[RegionLabeling] = None) -> Rast
         leaf_index[ix : ix + size, iy : iy + size] = i
     regions = None
     if labels is not None:
-        lut = np.full(len(leaves), -1, dtype=np.int32)
-        for leaf_idx, region_id in labels.leaf_index_to_region.items():
-            lut[leaf_idx] = region_id
-        regions = lut[leaf_index]
+        regions = labels.region.astype(np.int32)[leaf_index]
     return Raster(kinds, leaf_index, regions)
 
 
@@ -377,9 +378,75 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
+@dataclass(frozen=True)
+class RegionInfo:
+    """One region of a `LegacyLabeling`: its area, its Black leaf paths in
+    preorder and the path of its largest leaf, the first in preorder on
+    ties."""
+
+    region_id: int
+    area: float
+    leaf_paths: tuple[str, ...]
+    largest_leaf_path: str
+
+
+@dataclass
+class LegacyLabeling:
+    """A labeling keyed by leaf path and by row, with every region's leaf
+    paths: the form whose ``repr`` the pinned digests hash."""
+
+    region_count: int
+    leaf_to_region: dict[str, int]  # Black leaf path -> region id
+    leaf_index_to_region: dict[int, int]  # Black row -> region id
+    regions: tuple[RegionInfo, ...]
+
+
+@dataclass(frozen=True)
+class AspectRegion:
+    """An aspect with its Black leaf paths listed region by region, in
+    region-id order, each region's in preorder."""
+
+    aspect_id: int
+    region_ids: tuple[int, ...]
+    area: float
+    leaf_paths: tuple[str, ...]
+
+
+def legacy_labels(m: QuadtreeModel, labels: RegionLabeling) -> LegacyLabeling:
+    """The `LegacyLabeling` of the region column of ``labels``."""
+    paths = reference_paths(m.table)
+    black = np.flatnonzero(labels.region >= 0)
+    rows, ids = black.tolist(), labels.region[black].tolist()
+    members: list[list[tuple[float, int]]] = [[] for _ in labels.area]
+    for row, rid, area in zip(rows, ids, m.area(black).tolist()):
+        members[rid].append((area, row))
+    regions = tuple(
+        RegionInfo(
+            rid, area, tuple(paths[row] for _, row in leaves),
+            paths[max(leaves, key=lambda leaf: (leaf[0], -leaf[1]))[1]],
+        )
+        for rid, (area, leaves) in enumerate(zip(labels.area, members))
+    )
+    return LegacyLabeling(
+        labels.region_count, labels.leaf_to_region, dict(zip(rows, ids)), regions
+    )
+
+
+def legacy_aspects(m: QuadtreeModel, labels: RegionLabeling, aspects) -> tuple[AspectRegion, ...]:
+    """The aspects of ``labels`` with their rows as legacy leaf paths."""
+    paths = reference_paths(m.table)
+    out = []
+    for a in aspects:
+        rows = a.rows[np.argsort(labels.region[a.rows], kind="stable")]
+        out.append(AspectRegion(
+            a.aspect_id, a.region_ids, a.area, tuple(paths[row] for row in rows.tolist())
+        ))
+    return tuple(out)
+
+
+def reference_label_regions(m: QuadtreeModel) -> LegacyLabeling:
     """`quadtree.label_regions` by a union-find over the same Black edges
-    and one loop over the Black leaves."""
+    and one loop over the Black leaves, in the legacy form."""
     t = m.table
     black = np.flatnonzero(t.kind == CODE_BLACK)
     # union-find over positions in `black`, which keep the preorder
@@ -412,7 +479,7 @@ def reference_label_regions(m: QuadtreeModel) -> RegionLabeling:
         regions.append(RegionInfo(
             rid, area, tuple(paths[rows[k]] for k in ks), paths[rows[largest]]
         ))
-    return RegionLabeling(
+    return LegacyLabeling(
         len(members), leaf_to_region, leaf_index_to_region, tuple(regions)
     )
 
@@ -435,7 +502,7 @@ def reference_seam_pairs(
             list(zip(
                 other_lo[rows].tolist(),
                 other_hi[rows].tolist(),
-                [labels.leaf_index_to_region[i] for i in rows.tolist()],
+                labels.region[rows].tolist(),
             ))
             for rows in (
                 np.flatnonzero(black & (own_lo == bounds[0])),
@@ -476,6 +543,7 @@ def reference_render_svg(
         stroke_attr = f' stroke="{style.stroke}" stroke-width="{float(style.stroke_width)!r}"'
     t = m.table
     paths = reference_paths(t)
+    region_of = labels.leaf_to_region if labels is not None else None
     shown = t.kind == CODE_BLACK
     if style.show_undetermined:
         shown |= t.kind == CODE_UNDET
@@ -492,7 +560,7 @@ def reference_render_svg(
         if kind != CODE_BLACK:
             fill = style.undetermined_fill
         elif labels is not None:
-            rid = labels.leaf_to_region[paths[i]]
+            rid = region_of[paths[i]]
             fill = style.palette[rid % len(style.palette)]
         else:
             fill = style.palette[0]

@@ -14,8 +14,10 @@ interior point of each.
 A mode-free Black verdict certifies the first fact alone: in the joint
 space |L3 - L4| < |B1B2| < L3 + L4, in the workspace the end point lies
 strictly inside both annuli. Its samples are taken from the Black leaves
-next to an Undetermined leaf, found by the probes of labeling: the cell
-just past each edge at the leaf's low corner.
+next to an Undetermined leaf, and from those next to a White leaf, found
+by the probes of labeling: the cell just past each edge at the leaf's low
+corner. A Black and a White box that share an edge would make the points
+of that edge both valid and invalid, so no tree has such a pair.
 
 The geometries are M1, M2 and M2 with its lengths scaled apart by up to
 1 % (perfbench's seed 7), whose constants are not exact in float64.
@@ -115,8 +117,8 @@ def _frontier_points(model, rng):
     return _sample_points(model, black[t.level[black] == t.level[black].max()], rng)
 
 
-def _next_to_undetermined(t: qt.LeafTable) -> np.ndarray:
-    """Black rows with an Undetermined leaf just past one of their edges,
+def _next_to(t: qt.LeafTable, kind: int) -> np.ndarray:
+    """Black rows with a leaf of ``kind`` just past one of their edges,
     probed as `qt._black_edges` does: at the cell past the edge at the
     leaf's low corner, inside the grid."""
     n = 1 << t.depth
@@ -126,7 +128,7 @@ def _next_to_undetermined(t: qt.LeafTable) -> np.ndarray:
     near = np.zeros(len(black), dtype=bool)
     for cx, cy in ((x + s, y), (x, y + s), (x - 1, y), (x, y - 1)):
         inside = (cx >= 0) & (cx < n) & (cy >= 0) & (cy < n)
-        near[inside] |= t.kind[t.find(cx[inside], cy[inside])] == qt.CODE_UNDET
+        near[inside] |= t.kind[t.find(cx[inside], cy[inside])] == kind
     return black[near]
 
 
@@ -156,6 +158,7 @@ def test_finest_black_leaves_of_every_combo_hold_in_200_bits(name, space):
             model = qt.build(
                 space_box(g, space), DEPTH, BoxClassifier(space, g, combo.wm, combo.am)
             )
+            assert not len(_next_to(model.table, qt.CODE_WHITE)), str(combo)
             for x, y in _frontier_points(model, rng):
                 if space == JOINTSPACE:
                     failed = _joint_facts(x, y, g, combo.am, combo.wm)
@@ -168,17 +171,34 @@ def test_finest_black_leaves_of_every_combo_hold_in_200_bits(name, space):
     assert not failures, failures[:5]
 
 
-@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_mode_free_black_leaves_next_to_undetermined_ones_hold_in_200_bits(name, space):
+def _mode_free_leaves(name, space, neighbour):
+    """The mode-free tree's Black rows next to a ``neighbour`` leaf, and
+    the 200-bit check of their sample points: (points, failures)."""
     g = GEOMETRIES[name]
     rng = np.random.default_rng(17)
     model = qt.build(space_box(g, space), DEPTH, space_classifier(g, space))
-    rows = _next_to_undetermined(model.table)
-    assert len(rows) >= LEAVES_PER_TREE
+    rows = _next_to(model.table, neighbour)
     facts = _joint_facts if space == JOINTSPACE else _workspace_facts
     with mpmath.workprec(PREC):
         points = _sample_points(model, rows, rng)
         failures = [(float(x), float(y)) for x, y in points if facts(x, y, g)]
+    return points, failures
+
+
+@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_mode_free_black_leaves_next_to_undetermined_ones_hold_in_200_bits(name, space):
+    points, failures = _mode_free_leaves(name, space, qt.CODE_UNDET)
     assert len(points) == 3 * LEAVES_PER_TREE
     assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_mode_free_black_leaves_next_to_white_ones_hold_in_200_bits(name, space):
+    # a defect that decides a whole boundary band Black puts Black leaves
+    # next to White ones; the points of an edge that a Black and a White
+    # box share cannot be both valid and invalid, so there are none
+    points, failures = _mode_free_leaves(name, space, qt.CODE_WHITE)
+    assert not failures, failures[:5]
+    assert not points

@@ -514,6 +514,21 @@ def test_sparse_deep_tree_labels_and_renders_in_little_memory():
     assert svg.count("<rect") == 40
 
 
+def test_labeling_keeps_one_region_id_per_row(modefree_chains):
+    # the labeling is a column of the table: no path, dict or per-region
+    # object per leaf stays behind
+    m = modefree_chains["m1", bench.WORKSPACE][10]
+    assert len(m.table.keys) == 19426
+    tracemalloc.start()
+    try:
+        labels = label_regions(m)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert labels.region_count == 1
+    assert kept <= 12 * len(m.table.keys)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -558,19 +573,54 @@ def _is_midpoint(node: ast.AST) -> bool:
     )
 
 
+def _functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    # (qualified name, definition) of the module's functions and methods
+    defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    return defs + [
+        (f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef)
+    ]
+
+
 def test_only_bounds_and_locate_compute_midpoints():
     # every box's bounds come from `_bounds`; `locate` compares a point
     # with the same midpoints on its way down to the point's cell
     tree = ast.parse(Path(quadtree.__file__).read_text())
-    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    defs += [
-        f for c in tree.body if isinstance(c, ast.ClassDef)
-        for f in c.body if isinstance(f, ast.FunctionDef)
-    ]
-    count = {f.name: sum(map(_is_midpoint, ast.walk(f))) for f in defs}
-    assert {name for name, n in count.items() if n} == {"_bounds", "locate"}
+    count = {name: sum(map(_is_midpoint, ast.walk(f))) for name, f in _functions(tree)}
+    assert {name for name, n in count.items() if n} == {"_bounds", "_locate_row"}
     # and none outside a function
     assert sum(count.values()) == sum(map(_is_midpoint, ast.walk(tree)))
+
+
+def _parses_a_path(node: ast.AST) -> bool:
+    # int(..., 4): a string of quadrant digits read as a number
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "int" and len(node.args) == 2
+        and isinstance(node.args[1], ast.Constant) and node.args[1].value == 4
+    )
+
+
+def _calls_paths(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "paths"
+    )
+
+
+def test_only_the_path_keyed_labeling_formats_leaf_paths():
+    # readers carry table rows: no function parses a path, and only
+    # `RegionLabeling.leaf_to_region` formats the paths of many leaves
+    assert _parses_a_path(ast.parse("int(p, 4)").body[0].value)
+    callers = set()
+    for source in Path(quadtree.__file__).parent.glob("*.py"):
+        tree = ast.parse(source.read_text())
+        assert not any(map(_parses_a_path, ast.walk(tree))), source.name
+        count = {name: sum(map(_calls_paths, ast.walk(f))) for name, f in _functions(tree)}
+        callers |= {f"{source.stem}.{name}" for name, n in count.items() if n}
+        # and none outside a function
+        assert sum(count.values()) == sum(map(_calls_paths, ast.walk(tree)))
+    assert callers == {"quadtree.RegionLabeling.leaf_to_region"}
 
 
 def test_deserialize_depth_bound():
@@ -593,7 +643,7 @@ def test_label_single_black_root():
     m = build(UNIT, 2, lambda box: 1)
     labels = label_regions(m)
     assert labels.region_count == 1
-    assert labels.regions[0].area == pytest.approx(1.0)
+    assert labels.area == (1.0,)
 
 
 def test_label_corner_touching_quadrants_stay_separate():
@@ -613,8 +663,7 @@ def test_label_region_ids_ordered_by_smallest_preorder_leaf():
     for m in random_models(20, d_max=4):
         labels = label_regions(m)
         firsts = [
-            min(idx for idx, rid in labels.leaf_index_to_region.items() if rid == r)
-            for r in range(labels.region_count)
+            int(np.flatnonzero(labels.region == r)[0]) for r in range(labels.region_count)
         ]
         assert firsts == sorted(firsts)
 

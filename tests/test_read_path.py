@@ -36,6 +36,7 @@ from helpers import (
     UnionFind,
     chain_text,
     hash_classifier,
+    legacy_labels,
     point_classifier,
     random_models,
     reference_bounds,
@@ -420,10 +421,13 @@ def _bits(regions) -> list:
 
 def _assert_labels_and_svg_match(m) -> None:
     got, want = label_regions(m), reference_label_regions(m)
+    assert got.table is m.table
     assert got.region_count == want.region_count
     assert list(got.leaf_to_region.items()) == list(want.leaf_to_region.items())
-    assert list(got.leaf_index_to_region.items()) == list(want.leaf_index_to_region.items())
-    assert _bits(got.regions) == _bits(want.regions)
+    index = want.leaf_index_to_region
+    assert got.region.tolist() == [index.get(row, -1) for row in range(len(m.table.kind))]
+    assert all(type(area) is float for area in got.area)
+    assert _bits(legacy_labels(m, got).regions) == _bits(want.regions)
     styles = (
         RenderStyle(),
         RenderStyle(palette=("#000000", "#ffffff", "#ff0000"), show_undetermined=True),
@@ -456,7 +460,7 @@ def test_largest_leaf_tie_goes_to_the_first_in_preorder():
         ("QT1 2 0.0 1.0 0.0 1.0\nGGWWBBWBB\n", "2"),
     ):
         m = deserialize(text)
-        assert label_regions(m).regions[0].largest_leaf_path == largest
+        assert legacy_labels(m, label_regions(m)).regions[0].largest_leaf_path == largest
         _assert_labels_and_svg_match(m)
 
 
@@ -508,17 +512,21 @@ def test_aspect_groups_match_union_find_over_seams():
     for m in random_models(40, d_max=5):
         labels = label_regions(m)
         uf = UnionFind(labels.region_count)
-        for a, b in _seam_pairs(m, labels):
+        for a, b in zip(*(p.tolist() for p in _seam_pairs(m, labels))):
             uf.union(a, b)
         groups: dict[int, list[int]] = {}
         for rid in range(labels.region_count):
             groups.setdefault(uf.find(rid), []).append(rid)
-        got = {a.region_ids for a in aspect_regions(m, labels, wrap=True)}
+        aspects = aspect_regions(m, labels, wrap=True)
+        got = {a.region_ids for a in aspects}
+        fine = m.table.level < m.max_depth
         resolvable = {
             tuple(ids) for ids in groups.values()
-            if any(len(p) < m.max_depth for rid in ids for p in labels.regions[rid].leaf_paths)
+            if fine[np.isin(labels.region, ids)].any()
         }
         assert got == resolvable
+        for a in aspects:
+            assert a.rows.tolist() == np.flatnonzero(np.isin(labels.region, a.region_ids)).tolist()
         merged += sum(len(ids) > 1 for ids in resolvable)
     assert merged > 0
 
@@ -533,14 +541,14 @@ def test_seam_pairs_match_sweep_over_exact_bounds():
     # both seams; region pairs, and leaf pairs through a labeling that
     # gives each Black leaf its own region
     root = build(UNIT, 3, lambda box: 1)
-    assert _seam_pairs(root, label_regions(root)) == [(0, 0), (0, 0)]
+    assert [p.tolist() for p in _seam_pairs(root, label_regions(root))] == [[0, 0], [0, 0]]
     models = random_models(40, d_max=5) + _read_path_models() + [root]
     sizes = 0
     for m in models:
-        black = np.flatnonzero(m.table.kind == CODE_BLACK).tolist()
-        own = SimpleNamespace(leaf_index_to_region={row: row for row in black})
+        rows = np.arange(len(m.table.kind))
+        own = SimpleNamespace(region=np.where(m.table.kind == CODE_BLACK, rows, -1))
         for labels in (label_regions(m), own):
-            got = _unordered(_seam_pairs(m, labels))
+            got = _unordered(zip(*(p.tolist() for p in _seam_pairs(m, labels))))
             assert got == _unordered(reference_seam_pairs(m, labels))
         level = m.table.level
         sizes += sum(level[a] != level[b] for a, b in got)

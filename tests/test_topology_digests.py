@@ -4,7 +4,9 @@ Labeling, aspect grouping (with the +/-pi seams in the joint space), SVG
 rendering, Black-point sampling, Black area, witness pairing and the
 overlap report are hashed for m1/m2 x both spaces, mode-free and for the
 combo panels (a) and (h). The digests were taken while these layers still
-read a 2^d x 2^d raster and per-consumer leaf walks; any change to a
+read a 2^d x 2^d raster and per-consumer leaf walks, and labelings and
+aspects still carried leaf paths; they are hashed in that form
+(`helpers.legacy_labels`, `helpers.legacy_aspects`). Any change to a
 region id, an area bit, a rect or a sample shows up here.
 """
 
@@ -24,6 +26,8 @@ from fivebar.bench import JOINTSPACE, WORKSPACE
 from fivebar.mechanism import M1, M2
 from fivebar.quadtree import black_area, label_regions, sample_black_points
 from fivebar.render import render_svg
+
+from helpers import legacy_aspects, legacy_labels
 
 GEOMETRIES = {"m1": M1, "m2": M2}
 PANELS = ("a", "h")
@@ -58,14 +62,15 @@ def layer_digests(model, space) -> dict[str, str]:
     labels = label_regions(model)
     aspects = aspect_regions(model, labels, wrap=space == JOINTSPACE)
     points = sample_black_points(model, 500, np.random.default_rng(SAMPLE_SEED))
+    legacy = legacy_labels(model, labels)
     return {
         "label": _sha(repr((
-            labels.region_count,
-            list(labels.leaf_to_region.items()),
-            list(labels.leaf_index_to_region.items()),
-            labels.regions,
+            legacy.region_count,
+            list(legacy.leaf_to_region.items()),
+            list(legacy.leaf_index_to_region.items()),
+            legacy.regions,
         ))),
-        "aspects": _sha(repr(aspects)),
+        "aspects": _sha(repr(legacy_aspects(model, labels, aspects))),
         "render": _sha(render_svg(model, labels)),
         "sample": _sha(points.tobytes()),
         "area": repr(black_area(model)),
