@@ -393,19 +393,27 @@ def _vhypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
+def vabs(a: IArray) -> IArray:
+    """Enclosures of |a| over the rows: the mignitude and the magnitude."""
+    lo, hi = np.abs(a[0]), np.abs(a[1])
+    mig = np.where((a[0] <= 0.0) & (0.0 <= a[1]), 0.0, np.minimum(lo, hi))
+    return mig, np.maximum(lo, hi)
+
+
+def vhypot(a: IArray, b: IArray) -> IArray:
+    """Enclosures of sqrt(a^2 + b^2) over the rows of the nonnegative
+    interval arrays a and b (from `vabs`)."""
+    lo = np.where(
+        (a[0] == 0.0) & (b[0] == 0.0),
+        0.0,
+        np.maximum(0.0, _vdown(_vhypot(a[0], b[0]))),
+    )
+    return lo, _vup(_vhypot(a[1], b[1]))
+
+
 def vnorm2(dx: IArray, dy: IArray) -> IArray:
     """Enclosures of sqrt(dx^2 + dy^2) over the boxes (dx, dy)."""
-    mig = [
-        np.where((lo <= 0.0) & (0.0 <= hi), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-        for lo, hi in (dx, dy)
-    ]
-    mag = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in (dx, dy)]
-    lo = np.where(
-        (mig[0] == 0.0) & (mig[1] == 0.0),
-        0.0,
-        np.maximum(0.0, _vdown(_vhypot(*mig))),
-    )
-    return lo, _vup(_vhypot(*mag))
+    return vhypot(vabs(dx), vabs(dy))
 
 
 def vsign(a: IArray) -> np.ndarray:

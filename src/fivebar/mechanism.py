@@ -22,10 +22,15 @@ space, det A in the workspace.
 The classification kernel is the batch verdicts `joint_verdicts` and
 `workspace_verdicts`: they classify a whole array of boxes at once with
 the interval arrays of `interval`, and return only the verdict (+1 / -1 /
-0) of each, computing only the enclosures it reads. Each early return of
-a box-by-box verdict is a mask over the rows still undecided, so every row
-gets the verdict its box would get alone. Every quadtree classifier is a
-`BoxClassifier`, which calls them. `ikp_witness` maps a workspace point
+0) of each, computing only the enclosures it reads. A batch is given as
+two axis tables, the distinct intervals of its columns and of its rows,
+and an index into each per box: box k is ``x[ix[k]] x y[iy[k]]``. The
+enclosures that depend on one axis alone are computed once per table
+entry and gathered by row; the caller with arbitrary boxes passes
+``ix = iy = arange(n)``. Each early return of a box-by-box verdict is a
+mask over the rows still undecided, so every row gets the verdict its box
+would get alone. Every quadtree classifier is a `BoxClassifier`, which
+calls them. `ikp_witness` maps a workspace point
 that the kernel certifies for a working mode to its base angles, the
 pairing witness of the aspects; it solves on the same interval arrays, as
 a batch of one row. The law-of-cosines quotients of every stage go
@@ -233,16 +238,17 @@ def _vlaw_cos(m: iv.IArray, a: float, b: float) -> iv.IArray:
 
 
 def joint_verdicts(
-    x_lo: np.ndarray,
-    x_hi: np.ndarray,
-    y_lo: np.ndarray,
-    y_hi: np.ndarray,
+    x: iv.IArray,
+    y: iv.IArray,
+    ix: np.ndarray,
+    iy: np.ndarray,
     g: FiveBarGeometry,
     am: Optional[AssemblyMode] = None,
     wm: Optional[WorkingMode] = None,
 ) -> np.ndarray:
     """Verdicts (+1 / -1 / 0, int8) of the joint-space boxes
-    [x_lo, x_hi] x [y_lo, y_hi] of base angles (theta1, theta2).
+    ``x[ix[k]] x y[iy[k]]`` of base angles (theta1, theta2), from the axis
+    tables x of theta1 and y of theta2.
 
     Mode-free: assemblable and never stretched or folded. With ``am``: the
     branch of that assembly mode is certified nonsingular (sin(alpha) > 0,
@@ -252,16 +258,17 @@ def joint_verdicts(
 
     Only the enclosures the verdict reads are computed: nothing past
     cos(alpha) mode-free, past sin(alpha) with ``am`` alone, and with a full
-    combo u_z and v_z of the one branch ``am``, without P or det A.
+    combo u_z and v_z of the one branch ``am``, without P or det A. The
+    cosine and sine of each angle, and the elbow B1 or B2 they place, are
+    computed once per table entry and gathered by row.
     """
     _check_modes(JOINTSPACE, wm, am)
-    b = _Batch(len(x_lo))
-    t1, t2 = (x_lo, x_hi), (y_lo, y_hi)
-    (c1t, s1t), (c2t, s2t) = iv.vcossin(t1), iv.vcossin(t2)
+    b = _Batch(len(ix))
+    (c1t, s1t), (c2t, s2t) = iv.vcossin(x), iv.vcossin(y)
+    b1x, b1y = _take(ix, iv.vscale(c1t, g.L1), iv.vscale(s1t, g.L1))
+    b2x, b2y = _take(iy, iv.vshift(iv.vscale(c2t, g.L2), g.L0), iv.vscale(s2t, g.L2))
     # the gap B2 - B1 between the elbows
-    dx = iv.vsub(iv.vshift(iv.vscale(c2t, g.L2), g.L0), iv.vscale(c1t, g.L1))
-    dy = iv.vsub(iv.vscale(s2t, g.L2), iv.vscale(s1t, g.L1))
-    dist = iv.vnorm2(dx, dy)
+    dist = iv.vnorm2(iv.vsub(b2x, b1x), iv.vsub(b2y, b1y))
     keep = b.settle(
         ((dist[0] > g.L3 + g.L4) | (dist[1] < abs(g.L3 - g.L4)), -1),
         # possible B1 = B2 coincidence: P would rotate freely around B1
@@ -289,7 +296,8 @@ def joint_verdicts(
     # branch: |B1B2| > 0 and sin(alpha) > 0 are certified above
     dist, cos_a, sin_a = _take(keep, dist, cos_a, sin_a)
     u_z, v_z = _vdkp_elbow_crosses(
-        *_take(b.rows, t1, t2, c1t, s1t, c2t, s2t), g, dist, cos_a, sin_a, int(am)
+        *_take(ix[b.rows], x, c1t, s1t), *_take(iy[b.rows], y, c2t, s2t),
+        g, dist, cos_a, sin_a, int(am),
     )
     su, sv = iv.vsign(u_z), iv.vsign(v_z)
     b.settle(
@@ -299,7 +307,7 @@ def joint_verdicts(
     return b.verdict
 
 
-def _vdkp_elbow_crosses(t1, t2, c1t, s1t, c2t, s2t, g, dist, c, sin_a, branch):
+def _vdkp_elbow_crosses(t1, c1t, s1t, t2, c2t, s2t, g, dist, c, sin_a, branch):
     """Elbow cross products (u_z, v_z) of DKP branch ``branch``.
 
     Tangential/radial projections of the base and opposite links give them
@@ -326,16 +334,17 @@ def _vdkp_elbow_crosses(t1, t2, c1t, s1t, c2t, s2t, g, dist, c, sin_a, branch):
 
 
 def workspace_verdicts(
-    x_lo: np.ndarray,
-    x_hi: np.ndarray,
-    y_lo: np.ndarray,
-    y_hi: np.ndarray,
+    x: iv.IArray,
+    y: iv.IArray,
+    ix: np.ndarray,
+    iy: np.ndarray,
     g: FiveBarGeometry,
     wm: Optional[WorkingMode] = None,
     am: Optional[AssemblyMode] = None,
 ) -> np.ndarray:
     """Verdicts (+1 / -1 / 0, int8) of the workspace boxes
-    [x_lo, x_hi] x [y_lo, y_hi] of end-point positions.
+    ``x[ix[k]] x y[iy[k]]`` of end-point positions (px, py), from the axis
+    tables x of px and y of py.
 
     Mode-free: strictly reachable by both legs. With ``wm``: in addition the
     working-mode signs are certified (both sines > 0, which fix the signs of
@@ -346,13 +355,16 @@ def workspace_verdicts(
     Only the enclosures the verdict reads are computed: nothing past the
     cosines c1, c2 of the angles at A1 and A2 mode-free, past the sines with
     ``wm`` alone, and with a full combo the one det(A) of elbow branches
-    (-wm.s1, -wm.s2), without u_z, v_z, angles or elbows.
+    (-wm.s1, -wm.s2), without u_z, v_z, angles or elbows. The enclosures
+    of |px|, |px - L0| and |py| are computed once per table entry and
+    gathered by row.
     """
     _check_modes(WORKSPACE, wm, am)
-    b = _Batch(len(x_lo))
-    px, py = (x_lo, x_hi), (y_lo, y_hi)
-    m1 = iv.vnorm2(px, py)
-    m2 = iv.vnorm2(iv.vshift(px, -g.L0), py)
+    b = _Batch(len(ix))
+    abs_x1, abs_x2 = _take(ix, iv.vabs(x), iv.vabs(iv.vshift(x, -g.L0)))
+    (abs_y,) = _take(iy, iv.vabs(y))
+    m1 = iv.vhypot(abs_x1, abs_y)
+    m2 = iv.vhypot(abs_x2, abs_y)
     r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
     r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
     # r_in >= 0, so strictness also keeps A1 and A2 out of the box
@@ -383,7 +395,7 @@ def workspace_verdicts(
     # working-mode signs in elbow branches (i, j) = (-wm.s1, -wm.s2):
     # |A1P|, |A2P| > 0 and both sines > 0 are certified above
     m1, m2, s1, s2 = _take(keep, m1, m2, s1, s2)
-    px, py = _take(b.rows, px, py)
+    (px,), (py,) = _take(ix[b.rows], x), _take(iy[b.rows], y)
     s = iv.vsign(_vikp_det_a(px, py, g, m1, m2, s1, s2, -wm.s1, -wm.s2))
     b.settle((s == int(am), 1), (s != 0, -1))
     return b.verdict
@@ -433,7 +445,8 @@ def ikp_witness(
     theta1 = alpha1 + i beta1 and theta2 = pi - alpha2 + j beta2.
     """
     x, y = (np.array([px]),) * 2, (np.array([py]),) * 2
-    if workspace_verdicts(*x, *y, g, wm)[0] != 1:
+    one = np.zeros(1, dtype=np.intp)
+    if workspace_verdicts(x, y, one, one, g, wm)[0] != 1:
         return None
     m1 = iv.vnorm2(x, y)
     m2 = iv.vnorm2(iv.vshift(x, -g.L0), y)
@@ -452,9 +465,9 @@ def ikp_witness(
 class BoxClassifier:
     """The quadtree classifier of one space and mode setting.
 
-    ``batch(x_lo, x_hi, y_lo, y_hi)`` returns the verdicts of many boxes
-    at once, and calling it with a `Box2` classifies one box (a batch of
-    one). A working mode needs an assembly mode in the joint space, and an
+    ``batch(x, y, ix, iy)`` returns the verdicts of many boxes at once,
+    box k being ``x[ix[k]] x y[iy[k]]`` of the axis tables x and y, and
+    calling it with a `Box2` classifies one box (a batch of one). A working mode needs an assembly mode in the joint space, and an
     assembly mode needs a working mode in the workspace (ValueError).
     """
 
@@ -466,16 +479,16 @@ class BoxClassifier:
     def __post_init__(self):
         _check_modes(self.space, self.wm, self.am)
 
-    def batch(
-        self, x_lo: np.ndarray, x_hi: np.ndarray, y_lo: np.ndarray, y_hi: np.ndarray
-    ) -> np.ndarray:
+    def batch(self, x: iv.IArray, y: iv.IArray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         if self.space == JOINTSPACE:
-            return joint_verdicts(x_lo, x_hi, y_lo, y_hi, self.g, self.am, self.wm)
-        return workspace_verdicts(x_lo, x_hi, y_lo, y_hi, self.g, self.wm, self.am)
+            return joint_verdicts(x, y, ix, iy, self.g, self.am, self.wm)
+        return workspace_verdicts(x, y, ix, iy, self.g, self.wm, self.am)
 
     def __call__(self, box: Box2) -> int:
-        bounds = (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
-        return int(self.batch(*(np.array([v]) for v in bounds))[0])
+        x = (np.array([box.x.lo]), np.array([box.x.hi]))
+        y = (np.array([box.y.lo]), np.array([box.y.hi]))
+        one = np.zeros(1, dtype=np.intp)
+        return int(self.batch(x, y, one, one)[0])
 
 
 # --------------------------------------------------------------------------

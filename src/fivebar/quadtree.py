@@ -15,23 +15,32 @@ There is no object tree; building, refining, the text format, location,
 labeling, seams, rendering, sampling, areas and pairing all produce or read
 table rows, and the letters B/W/U/G appear only in the text format.
 
-A box's bounds follow from its depth and key, and `_bounds` is the only
-place that computes them: it bisects the root box at the midpoints
-``lo + (hi - lo) / 2`` down each box's path, gathering the edges of many
-boxes at once from the edge grid of one level. The table stores no
+A box's bounds follow from its depth and key, and one helper,
+`_midpoint`, computes them all: the midpoints ``lo + (hi - lo) / 2`` that
+bisect the root box down each box's path. `_bounds` gathers the edges of
+many boxes at once from the edge grid of one level. The table stores no
 bounds; a reader asks the model for those of the rows it reads
 (`QuadtreeModel.bounds`, `QuadtreeModel.area`).
 
 The build is level-synchronous. The frontier of boxes to test at one
-depth is the array of their keys; `_bounds` gives their bounds on the
-grid of that depth, and they are classified CHUNK boxes at a time through
-the classifier's ``batch`` method (a plain function is called once per
-box). Decided boxes, and the undecided ones at maximal depth, become leaf
-rows of (level, key, kind); the other undecided boxes split into the keys
-of the next frontier. One canonical pass then sorts the rows by key and,
-deepest level first, collapses every four Black or White siblings of one
-kind into their parent, so the table is that of the depth-first
-recursion's canonical tree, with the same number of classifier calls.
+depth is the array of their keys and the product of two axis tables: the
+distinct x intervals of its columns and the distinct y intervals of its
+rows, with an index into each table per box, so box k is
+``x[ix[k]] x y[iy[k]]``. The boxes are classified CHUNK at a time through
+the classifier's ``batch(x, y, ix, iy)`` method, each chunk with the
+table entries it uses (a plain function is called once per box), and the
+kernel computes what depends on one axis alone once per table entry.
+Decided boxes, and the undecided ones at maximal depth, become leaf rows
+of (level, key, kind); the other undecided boxes split into the keys of
+the next frontier. Its tables drop the entries that no open box uses (a
+presence mask and a prefix sum, no sort) and halve the others at their
+midpoints, which are the bits of `_bounds` on the grid of the next level;
+the build starts from the root box, a refinement from one `_bounds` call
+over its Undetermined leaves. One canonical pass then sorts the rows by
+key and, deepest level first, collapses every four Black or White
+siblings of one kind into their parent, so the table is that of the
+depth-first recursion's canonical tree, with the same number of
+classifier calls.
 Refining a model to a higher depth keeps its Black and White rows and
 starts the frontier at the children of its Undetermined leaves, which are
 known to be undecided, so no decided box is ever retested.
@@ -77,8 +86,9 @@ _CODE_OF[_LETTERS] = [CODE_UNDET, CODE_BLACK, CODE_WHITE]
 # 2^d x 2^d grid by Morton keys of 2d bits, which must fit int64.
 MAX_DEPTH = 31
 
-# A box classifier. One with a method ``batch(x_lo, x_hi, y_lo, y_hi)``,
-# returning the verdicts of many boxes as one array, is called through it.
+# A box classifier. One with a method ``batch(x, y, ix, iy)``, returning
+# the verdicts of the boxes x[ix[k]] x y[iy[k]] of the axis tables x and y
+# (interval arrays, (lo, hi)) as one array, is called through it.
 Classifier = Callable[[Box2], int]
 
 
@@ -167,7 +177,7 @@ def _compact_bits(v: np.ndarray) -> np.ndarray:
 
 
 def _morton(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    # quadrant digit = x bit + 2 * y bit, as in `_split`'s order
+    # quadrant digit = x bit + 2 * y bit, as in `_children`'s order
     return _spread_bits(cx) | (_spread_bits(cy) << 1)
 
 
@@ -215,48 +225,99 @@ class QuadtreeModel:
 
 
 # boxes per classifier batch: bounds the kernel's temporary arrays
-CHUNK = 4096
+CHUNK = 16384
 
 
-def _verdicts(classify: Classifier, x_lo, x_hi, y_lo, y_hi) -> np.ndarray:
-    """Verdict signs (int8) of the boxes [x_lo, x_hi] x [y_lo, y_hi], CHUNK at a
-    time through ``classify.batch``; a plain function is called once per box."""
+def _verdicts(classify: Classifier, x, y, ix, iy) -> np.ndarray:
+    """Verdict signs (int8) of the boxes ``x[ix[k]] x y[iy[k]]``, given by
+    the axis tables x and y (interval arrays) and the index arrays ix and
+    iy, CHUNK boxes at a time through ``classify.batch``, each chunk with
+    the table entries it uses; a plain function is called once per box."""
     batch = getattr(classify, "batch", None)
     if batch is None:
-        boxes = zip(x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist())
+        bounds = (x[0][ix], x[1][ix], y[0][iy], y[1][iy])
+        boxes = zip(*(b.tolist() for b in bounds))
         v = [classify(Box2.from_bounds(*b)) for b in boxes]
     else:
-        v = np.concatenate([
-            batch(x_lo[i:i + CHUNK], x_hi[i:i + CHUNK], y_lo[i:i + CHUNK], y_hi[i:i + CHUNK])
-            for i in range(0, len(x_lo), CHUNK)
-        ] or [np.zeros(0, dtype=np.int8)])
+        v = []
+        for i in range(0, len(ix), CHUNK):
+            (xc, ixc), (yc, iyc) = _used(x, ix[i:i + CHUNK]), _used(y, iy[i:i + CHUNK])
+            v.append(batch(xc, yc, ixc, iyc))
+        v = np.concatenate(v or [np.zeros(0, dtype=np.int8)])
     return np.sign(v).astype(np.int8)
 
 
-def _split(d: int, level: int, keys: np.ndarray) -> np.ndarray:
-    """The keys of the quadrants of each box at ``level`` of a depth-``d``
-    grid, in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi, x-hi/y-hi; the
-    children of box i are rows 4i..4i+3."""
+def _used(table, index: np.ndarray):
+    """The entries of an axis table that ``index`` uses, in table order, and
+    ``index`` into them: a presence mask and its prefix sum, no sort."""
+    used = np.zeros(len(table[0]), dtype=bool)
+    used[index] = True
+    if used.all():
+        return table, index
+    at = np.cumsum(used) - 1
+    return (table[0][used], table[1][used]), at[index]
+
+
+def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The midpoints ``lo + (hi - lo) / 2`` that bisect every box."""
+    return lo + (hi - lo) / 2
+
+
+def _tables(box: Box2, d: int, level: int, keys: np.ndarray) -> tuple:
+    """Axis tables (x, y, ix, iy) of the boxes at ``level`` with ``keys`` on
+    the depth-``d`` grid: their bounds from one `_bounds` call, each column
+    and each row once."""
+    bounds = _bounds(box, d, np.full(len(keys), level), keys)
+    out = []
+    for cells, lo, hi in ((_compact_bits(keys), *bounds[:2]),
+                          (_compact_bits(keys >> 1), *bounds[2:])):
+        _, first, index = np.unique(cells, return_index=True, return_inverse=True)
+        out.append(((lo[first], hi[first]), index))
+    (x, ix), (y, iy) = out
+    return x, y, ix, iy
+
+
+def _quadrants(v: np.ndarray, step) -> np.ndarray:
+    """``v[i] + step[c]`` at row 4i + c."""
+    return np.repeat(v, 4) + np.tile(step, len(v))
+
+
+def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
+    """The frontier of the quadrants of the boxes at ``level`` of a
+    depth-``d`` grid, as keys and axis tables (x, y, ix, iy). The quadrants
+    are in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi, x-hi/y-hi, the
+    children of box i rows 4i..4i+3. Each table keeps the entries that its
+    index uses and halves each of them at its midpoint, so child c of box b
+    takes entries 2 ix[b] + (c & 1) and 2 iy[b] + (c >> 1)."""
     cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
-    return (keys[:, None] + np.arange(4) * cells).ravel()
+    keys = _quadrants(keys, np.arange(4) * cells)
+    tables = []
+    # the x bit and the y bit of quadrants 0..3
+    for table, index, bit in ((x, ix, [0, 1, 0, 1]), (y, iy, [0, 0, 1, 1])):
+        (lo, hi), index = _used(table, index)
+        mid = _midpoint(lo, hi)
+        halves = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        tables.append((halves, _quadrants(2 * index, bit)))
+    (x, ix), (y, iy) = tables
+    return keys, x, y, ix, iy
 
 
-def _grow(box: Box2, depth: int, d_max: int, classify: Classifier, keys) -> tuple[list, int]:
+def _grow(depth: int, d_max: int, classify: Classifier, keys, x, y, ix, iy) -> tuple[list, int]:
     """Classify a frontier of boxes at ``depth``, given by their keys on the
-    depth-``d_max`` grid, and grow the undecided ones level by level down to
-    ``d_max``. Each level's bounds are those of `_bounds` on the grid of
-    that level. Returns the leaf rows of each level, as columns (level,
-    keys, kind), and the number of classifier calls."""
+    depth-``d_max`` grid and their axis tables, and grow the undecided ones
+    level by level down to ``d_max``. Returns the leaf rows of each level,
+    as columns (level, keys, kind), and the number of classifier calls."""
     rows, calls = [], 0
     while len(keys):
-        level = np.full(len(keys), depth)
-        v = _verdicts(classify, *_bounds(box, depth, level, keys >> 2 * (d_max - depth)))
+        v = _verdicts(classify, x, y, ix, iy)
         calls += len(v)
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
-        rows.append((level[leaf], keys[leaf], v[leaf]))
+        kind = v[leaf]
+        rows.append((np.full(len(kind), depth), keys[leaf], kind))
         if depth == d_max:
             break
-        keys = _split(d_max, depth, keys[~leaf])
+        open_ = ~leaf
+        keys, x, y, ix, iy = _children(d_max, depth, keys[open_], x, y, ix[open_], iy[open_])
         depth += 1
     return rows, calls
 
@@ -294,7 +355,8 @@ def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Build a quadtree model of the region accepted by ``classify``."""
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
-    rows, calls = _grow(box, 0, d_max, classify, np.zeros(1, dtype=np.int64))
+    root = np.zeros(1, dtype=np.int64)
+    rows, calls = _grow(0, d_max, classify, root, *_tables(box, d_max, 0, root))
     return QuadtreeModel(box, LeafTable(d_max, *_canonical(d_max, rows)), calls)
 
 
@@ -314,7 +376,8 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     d = m.max_depth
     keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
     u = t.kind == CODE_UNDET
-    rows, calls = _grow(m.root_box, d + 1, d_max, classify, _split(d_max, d, keys[u]))
+    tables = _tables(m.root_box, d, d, t.keys[u])
+    rows, calls = _grow(d + 1, d_max, classify, *_children(d_max, d, keys[u], *tables))
     kept = (t.level[~u], keys[~u], t.kind[~u])
     table = LeafTable(d_max, *_canonical(d_max, [kept] + rows))
     return QuadtreeModel(m.root_box, table, m.calls + calls)
@@ -331,12 +394,16 @@ def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
     """
     t = m.table
     d = m.max_depth
-    v = _verdicts(classify, *m.bounds())
+    x_lo, x_hi, y_lo, y_hi = m.bounds()
+    every = np.arange(len(x_lo))
+    v = _verdicts(classify, (x_lo, x_hi), (y_lo, y_hi), every, every)
     bad = v != t.kind
     merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
     for level in np.unique(t.level[merged]).tolist():
         rows = np.flatnonzero(merged & (t.level == level))
-        grown, _ = _grow(m.root_box, level + 1, d, classify, _split(d, level, t.keys[rows]))
+        tables = _tables(m.root_box, d, level, t.keys[rows])
+        frontier = _children(d, level, t.keys[rows], *tables)
+        grown, _ = _grow(level + 1, d, classify, *frontier)
         g_level, g_keys, g_kind = _canonical(d, grown, top=level)
         # each box's rows start at its own key
         first = np.searchsorted(g_keys, t.keys[rows])
@@ -531,13 +598,13 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
         for _ in range(cap):
             grid = np.empty(2 * len(edges) - 1)
             grid[::2] = edges
-            grid[1::2] = edges[:-1] + (edges[1:] - edges[:-1]) / 2
+            grid[1::2] = _midpoint(edges[:-1], edges[1:])
             edges = grid
         lo, hi = edges[col >> shift], edges[(col + s) >> shift]
         c = col[deep]
         a, b = edges[c >> shift], edges[(c >> shift) + 1]
         for k in range(cap, int(level.max(initial=cap))):  # none for no boxes
-            mid = a + (b - a) / 2
+            mid = _midpoint(a, b)
             below = lev > k
             up = (c >> (d - 1 - k)) & 1 == 1
             a = np.where(up, mid, a)  # past its level a column's bits are 0

@@ -31,10 +31,13 @@ that form, and the former `AspectRegion` with leaf paths, from the
 library's region column and aspect rows, so that the pinned digests keep
 hashing the same text. `reference_vdown` / `reference_vup` are the
 two-``np.nextafter`` outward rounding that the integer step of the
-interval arrays replaced. `point_classifier` grows one chain of boxes to
-any depth. `parse_table` reads back the `bench` CSV, and
-`run_discretization` executes the grid baseline whose cell count the
-bench tests check.
+interval arrays replaced. `box_bounds` gathers the bounds of every box of
+a classifier batch from its axis tables, and `box_tables` turns boxes given
+by their bounds into such a batch (one table entry per box), so that the
+tests' classifiers and kernel calls speak per-box bounds.
+`point_classifier` grows one chain of boxes to any depth. `parse_table`
+reads back the `bench` CSV, and `run_discretization` executes the grid
+baseline whose cell count the bench tests check.
 """
 
 from __future__ import annotations
@@ -294,7 +297,7 @@ def reference_split(
     depth-``d`` grid, in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi,
     x-hi/y-hi, split at midpoints ``lo + (hi - lo) / 2`` that siblings
     share; the children of box i are rows 4i..4i+3. The reference of the
-    frontier bounds that `quadtree._bounds` gives a build."""
+    frontier bounds that a build's halved axis tables give its boxes."""
     cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
     xm = x_lo + (x_hi - x_lo) / 2
     ym = y_lo + (y_hi - y_lo) / 2
@@ -307,11 +310,25 @@ def reference_split(
     )
 
 
+def box_bounds(x, y, ix, iy) -> tuple[np.ndarray, ...]:
+    """(x_lo, x_hi, y_lo, y_hi) of the boxes ``x[ix[k]] x y[iy[k]]`` of a
+    classifier batch, gathered from its axis tables."""
+    return x[0][ix], x[1][ix], y[0][iy], y[1][iy]
+
+
+def box_tables(x_lo, x_hi, y_lo, y_hi) -> tuple:
+    """The boxes [x_lo, x_hi] x [y_lo, y_hi] as the arguments (x, y, ix, iy)
+    of a classifier batch, one table entry per box: ix = iy = arange(n)."""
+    every = np.arange(len(x_lo))
+    return (x_lo, x_hi), (y_lo, y_hi), every, every
+
+
 def point_classifier(px: float, py: float):
     """A batch classifier that leaves undecided only the boxes holding the
     point (px, py): Black left of it, White elsewhere."""
 
-    def batch(x_lo, x_hi, y_lo, y_hi):
+    def batch(*tables):
+        x_lo, x_hi, y_lo, y_hi = box_bounds(*tables)
         holds = (x_lo <= px) & (px <= x_hi) & (y_lo <= py) & (py <= y_hi)
         return np.where(holds, 0, np.where(x_hi < px, 1, -1))
 

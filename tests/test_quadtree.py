@@ -43,6 +43,7 @@ from fivebar.render import render_svg
 
 from helpers import (
     assert_labeling_matches_flood_fill,
+    box_tables,
     chain_text,
     hash_classifier,
     leaf_cells,
@@ -220,7 +221,7 @@ def test_mismatched_leaves_regrows_merged_leaves():
     classify = bench.space_classifier(g, bench.WORKSPACE)
     m = build(bench.space_box(g, bench.WORKSPACE), 6, classify)
     t = m.table
-    verdicts = classify.batch(*m.bounds())
+    verdicts = classify.batch(*box_tables(*m.bounds()))
     merged = (t.kind == CODE_BLACK) & (verdicts == 0)
     assert merged.any()
     # a tree whose merged leaves are White instead is not reproduced
@@ -583,11 +584,13 @@ def _functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
 
 
 def test_only_bounds_and_locate_compute_midpoints():
-    # every box's bounds come from `_bounds`; `locate` compares a point
-    # with the same midpoints on its way down to the point's cell
+    # every box's bounds come from `_midpoint`, which `_bounds` bisects the
+    # root box with and a build halves its axis tables with; `locate`
+    # compares a point with the same midpoints on its way down to the
+    # point's cell
     tree = ast.parse(Path(quadtree.__file__).read_text())
     count = {name: sum(map(_is_midpoint, ast.walk(f))) for name, f in _functions(tree)}
-    assert {name for name, n in count.items() if n} == {"_bounds", "_locate_row"}
+    assert {name for name, n in count.items() if n} == {"_midpoint", "_locate_row"}
     # and none outside a function
     assert sum(count.values()) == sum(map(_is_midpoint, ast.walk(tree)))
 

@@ -1,7 +1,7 @@
 """The array passes of the read path against the loops they replaced:
 `deserialize` against a per-character parse and a level-by-level bisection
-of every leaf, the bounds a build's frontier gets from the edge grid
-against a split that carries them, the bounds of some rows against the
+of every leaf, the bounds a build's frontier gets from its halved axis
+tables against a split that carries them, the bounds of some rows against the
 same rows of the whole table's, `label_regions` and `aspect_regions`
 against a union-find, the seam pairs of the cell probes against a sweep
 over exact bounds, `render_svg` against one ``repr`` per number, and
@@ -34,6 +34,7 @@ from fivebar.render import RenderStyle, render_svg
 
 from helpers import (
     UnionFind,
+    box_bounds,
     chain_text,
     hash_classifier,
     legacy_labels,
@@ -277,10 +278,11 @@ class _Recorder:
         self.seed, self.p_open, self.wide, self.inner = seed, p_open, wide, inner
         self.bits, self.verdicts = [], []
 
-    def batch(self, *bounds):
+    def batch(self, *tables):
+        bounds = box_bounds(*tables)
         bits = np.stack([b.view(np.int64) for b in bounds])
         if self.inner is not None:
-            v = self.inner.batch(*bounds)
+            v = self.inner.batch(*tables)
         else:
             h = np.full(bits.shape[1], self.seed + 1, dtype=np.uint64)
             for col in bits.view(np.uint64):

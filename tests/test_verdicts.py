@@ -6,9 +6,12 @@ scalar intervals, before the verdict functions existed. The batch kernel
 shares no code with it. Also covered: batches that straddle the CHUNK
 seams of a build, the per-box call of a classifier, builds through the
 per-box fallback, and a geometry whose rounded law-of-cosines constant
-once made White leaves of reachable boxes. The joint verdict maps sin and cos once per distinct
-angle endpoint of a batch: it must agree on batches whose boxes share
-their edges, and a build must not map more values than that.
+once made White leaves of reachable boxes. A batch gives its boxes as
+axis tables and indices into them: any tables give the verdicts of the
+same boxes passed one entry per box. The joint verdict maps sin and cos
+once per distinct angle endpoint of its tables: it must agree on batches
+whose boxes share their edges, and a build must not map more values than
+that.
 """
 
 import math
@@ -34,7 +37,14 @@ from fivebar.mechanism import (
 )
 from fivebar.quadtree import CHUNK, build, refine, serialize
 
-from helpers import Ternary, coincidence_configurations, dkp_box, ikp_box
+from helpers import (
+    Ternary,
+    box_bounds,
+    box_tables,
+    coincidence_configurations,
+    dkp_box,
+    ikp_box,
+)
 
 GEOMETRIES = {"m1": M1, "m2": M2}
 WORKING_MODES = [WorkingMode(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
@@ -114,7 +124,7 @@ def _assert_agree(space, g, boxes) -> set[int]:
     bounds = _bounds(list(boxes))
     seen = set()
     for a, b in modes:
-        v = verdict(*bounds, g, a, b)
+        v = verdict(*box_tables(*bounds), g, a, b)
         _assert_rows_agree(space, g, a, b, bounds, v)
         seen.update(v.tolist())
     return seen
@@ -151,9 +161,9 @@ class _CheckedBatches:
         self.space, self.g, self.a, self.b = space, g, a, b
         self.sizes = []
 
-    def batch(self, *bounds):
-        v = SPACES[self.space][0](*bounds, self.g, self.a, self.b)
-        _assert_rows_agree(self.space, self.g, self.a, self.b, bounds, v)
+    def batch(self, *tables):
+        v = SPACES[self.space][0](*tables, self.g, self.a, self.b)
+        _assert_rows_agree(self.space, self.g, self.a, self.b, box_bounds(*tables), v)
         self.sizes.append(len(v))
         return v
 
@@ -269,7 +279,7 @@ def test_boxes_a_subnormal_distance_from_a_base_joint_return_verdicts():
             rows += [(lo, hi, lo, hi), (lo, hi, -hi, -lo), (g.L0, beyond_a2, lo, hi)]
         bounds = tuple(np.array(col) for col in zip(*rows))
         for wm, am in WORKSPACE_MODES:
-            v = workspace_verdicts(*bounds, g, wm, am)
+            v = workspace_verdicts(*box_tables(*bounds), g, wm, am)
             assert len(v) == len(rows)
             if am is None:
                 assert (v >= 0).all(), (g, wm)
@@ -313,7 +323,8 @@ def test_joint_verdicts_match_reference_on_shared_edges():
 
 def test_joint_build_maps_trig_once_per_distinct_endpoint(monkeypatch):
     # mode-free, the joint verdict reads cos and sin of theta1 and theta2
-    # only: per batch, math.cos may run once per distinct endpoint of each
+    # only: per batch, math.cos may run once per distinct endpoint of the
+    # axis tables of each
     counting = types.SimpleNamespace(**vars(math))
     calls = []
 
@@ -326,31 +337,30 @@ def test_joint_build_maps_trig_once_per_distinct_endpoint(monkeypatch):
     batches = []
     real = mech.joint_verdicts
 
-    def joint_verdicts(x_lo, x_hi, y_lo, y_hi, *args):
+    def joint_verdicts(x, y, ix, iy, *args):
         before = len(calls)
-        v = real(x_lo, x_hi, y_lo, y_hi, *args)
-        distinct = sum(
-            len(np.unique(np.concatenate(side).view(np.int64)))
-            for side in ((x_lo, x_hi), (y_lo, y_hi))
-        )
-        batches.append((len(calls) - before, distinct, len(x_lo)))
+        v = real(x, y, ix, iy, *args)
+        distinct = sum(len(np.unique(np.concatenate(t).view(np.int64))) for t in (x, y))
+        batches.append((len(calls) - before, distinct, len(x[0]) + len(y[0]), len(ix)))
         return v
 
     monkeypatch.setattr(mech, "joint_verdicts", joint_verdicts)
-    model = build(space_box(M1, JOINTSPACE), 8, space_classifier(M1, JOINTSPACE))
-    assert sum(rows for _, _, rows in batches) == model.stats.calls
-    for mapped, distinct, rows in batches:
-        assert mapped <= distinct, (mapped, distinct, rows)
-    # the frontiers share their edges: per-row maps would be 4 per box
-    assert sum(d for _, d, _ in batches) < sum(rows for _, _, rows in batches)
+    model = build(space_box(M1, JOINTSPACE), 10, space_classifier(M1, JOINTSPACE))
+    assert model.stats.calls == 33397
+    assert sum(boxes for *_, boxes in batches) == model.stats.calls
+    for mapped, distinct, _, boxes in batches:
+        assert mapped <= distinct, (mapped, distinct, boxes)
+    # a box's column and row are shared by the boxes beside it: the tables
+    # hold each once, per-box bounds would take two entries per box
+    assert 5 * sum(entries for _, _, entries, _ in batches) < model.stats.calls
 
 
 def test_partial_modes_outside_their_space_are_rejected():
     bounds = _bounds([Box2.point(1.0, 2.0)])
     with pytest.raises(ValueError):
-        joint_verdicts(*bounds, M1, None, WORKING_MODES[0])
+        joint_verdicts(*box_tables(*bounds), M1, None, WORKING_MODES[0])
     with pytest.raises(ValueError):
-        workspace_verdicts(*bounds, M1, None, AssemblyMode.POSITIVE)
+        workspace_verdicts(*box_tables(*bounds), M1, None, AssemblyMode.POSITIVE)
     with pytest.raises(ValueError):
         BoxClassifier(JOINTSPACE, M1, wm=WORKING_MODES[0])
     with pytest.raises(ValueError):
@@ -386,11 +396,66 @@ def test_chunked_frontier_matches_reference(space, n):
     a, b = FULL_COMBO[space]
     bounds = _random_bounds(space, g, n, np.random.default_rng(n))
     classify = _CheckedBatches(space, g, a, b)
-    v = qt._verdicts(classify, *bounds)
+    v = qt._verdicts(classify, *box_tables(*bounds))
     full, rest = divmod(n, CHUNK)
     assert classify.sizes == [CHUNK] * full + ([rest] if rest else [])
-    assert v.tolist() == SPACES[space][0](*bounds, g, a, b).tolist()
+    assert v.tolist() == SPACES[space][0](*box_tables(*bounds), g, a, b).tolist()
     assert {-1, 0, 1} <= set(v.tolist())
+
+
+def _shuffled_tables(bounds, rng) -> tuple:
+    """Axis tables of the boxes ``bounds``, then of as many more that pair
+    the x of one with the y of another: each side's intervals, some twice,
+    in a random table order, with unsorted and repeated indices."""
+    n = len(bounds[0])
+    out = []
+    for lo, hi in (bounds[:2], bounds[2:]):
+        entries = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, n // 4)]))
+        at = np.empty(n, dtype=np.intp)
+        at[entries] = np.arange(len(entries))  # an entry of each box's interval
+        index = np.concatenate([at, rng.integers(0, len(entries), n)])
+        out.append(((lo[entries], hi[entries]), index))
+    (x, ix), (y, iy) = out
+    return x, y, ix, iy
+
+
+def _special_bounds(space, g) -> tuple[np.ndarray, ...]:
+    """Point boxes, boxes with edges on multiples of pi/2 and boxes a
+    subnormal distance from A1 and A2."""
+    tiny = 5e-324
+    quarters = [k * (math.pi / 2) for k in range(-2, 3)]
+    rows = [(a, a, b, b) for a in quarters for b in quarters[::2]]
+    rows += [(a, a + 0.5, b - 0.25, b) for a in quarters for b in quarters[1::2]]
+    rows += [(-0.0, 0.0, 0.0, 1.0), (0.0, 0.0, -0.0, -0.0)]
+    if space == WORKSPACE:
+        for k in (1, 3):
+            lo, hi = k * tiny, (k + 2) * tiny
+            rows += [(lo, hi, lo, hi), (lo, hi, -hi, -lo)]
+            rows += [(g.L0, math.nextafter(g.L0, math.inf), lo, hi)]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
+def test_axis_tables_give_the_verdicts_of_per_box_bounds(space):
+    # a box is x[ix[k]] x y[iy[k]] wherever its intervals sit in the tables:
+    # every row's verdict is that of its bounds passed one entry per box
+    rng = np.random.default_rng(36)
+    verdict, _, modes = SPACES[space]
+    for name, g in sorted(GEOMETRIES.items()):
+        random = _random_bounds(space, g, 600, rng)
+        special = _special_bounds(space, g)
+        bounds = tuple(np.concatenate(cols) for cols in zip(random, special))
+        tables = _shuffled_tables(bounds, rng)
+        per_box = box_bounds(*tables)
+        n = len(bounds[0])
+        for got, want in zip(per_box, bounds):
+            assert np.array_equal(got[:n].view(np.int64), want.view(np.int64))
+        seen = set()
+        for a, b in modes:
+            v = verdict(*tables, g, a, b)
+            assert v.tolist() == verdict(*box_tables(*per_box), g, a, b).tolist(), (name, a, b)
+            seen.update(v.tolist())
+        assert {-1, 0, 1} <= seen, name
 
 
 @pytest.mark.parametrize("space", [JOINTSPACE, WORKSPACE])
@@ -402,7 +467,7 @@ def test_per_box_call_equals_batch(space):
         for a, b in SPACES[space][2]:
             wm, am = (b, a) if space == JOINTSPACE else (a, b)
             classify = BoxClassifier(space, g, wm, am)
-            v = classify.batch(*bounds)
+            v = classify.batch(*box_tables(*bounds))
             assert [classify(box) for box in boxes] == v.tolist(), (name, a, b)
 
 
