@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -90,11 +89,9 @@ def _parse_box(spec: str, parser) -> Box2:
         parser.error("--box needs xlo,xhi,ylo,yhi")
     try:
         box = Box2.from_bounds(*(float(v) for v in parts))
+        qt.check_root_box(box)
     except ValueError as exc:
         parser.error(f"bad --box: {exc}")
-    for side in (box.x, box.y):
-        if not 0 < side.width < math.inf:
-            parser.error(f"bad --box: side [{side.lo}, {side.hi}] must have a positive finite width")
     return box
 
 

@@ -30,7 +30,11 @@ entry and gathered by row; the caller with arbitrary boxes passes
 ``ix = iy = arange(n)``. Each early return of a box-by-box verdict is a
 mask over the rows still undecided, so every row gets the verdict its box
 would get alone. Every quadtree classifier is a `BoxClassifier`, which
-calls them. `ikp_witness` maps a workspace point
+calls them and states the mirror symmetry of its verdicts
+(`BoxClassifier.mirror`): reflecting the linkage in its base line maps
+(theta1, theta2) to (-theta1, -theta2) and (px, py) to (px, -py), and a
+box and its image get the same verdict mode-free and with one mode, so a
+build classifies only one of them. `ikp_witness` maps a workspace point
 that the kernel certifies for a working mode to its base angles, the
 pairing witness of the aspects; it solves on the same interval arrays, as
 a batch of one row. The law-of-cosines quotients of every stage go
@@ -467,8 +471,18 @@ class BoxClassifier:
 
     ``batch(x, y, ix, iy)`` returns the verdicts of many boxes at once,
     box k being ``x[ix[k]] x y[iy[k]]`` of the axis tables x and y, and
-    calling it with a `Box2` classifies one box (a batch of one). A working mode needs an assembly mode in the joint space, and an
-    assembly mode needs a working mode in the workspace (ValueError).
+    calling it with a `Box2` classifies one box (a batch of one). A working
+    mode needs an assembly mode in the joint space, and an assembly mode
+    needs a working mode in the workspace (ValueError).
+
+    ``mirror`` is the XOR that reflecting the linkage in the base line, the
+    x axis, applies to every quadrant digit of a box's path in a root box
+    symmetric about 0: 3 in the joint space, where (theta1, theta2) becomes
+    (-theta1, -theta2), and 2 in the workspace, where py becomes -py. The
+    reflection keeps assembly, reachability and singularity, so a box and
+    its image get the same verdict mode-free and with ``am`` alone (joint
+    space) or ``wm`` alone (workspace). It turns a full combo into the
+    opposite one, (-wm, -am), so a full combo has ``mirror`` 0.
     """
 
     space: str
@@ -478,6 +492,12 @@ class BoxClassifier:
 
     def __post_init__(self):
         _check_modes(self.space, self.wm, self.am)
+
+    @property
+    def mirror(self) -> int:
+        if self.space == JOINTSPACE:
+            return 3 if self.wm is None else 0
+        return 2 if self.am is None else 0
 
     def batch(self, x: iv.IArray, y: iv.IArray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         if self.space == JOINTSPACE:

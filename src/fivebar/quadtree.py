@@ -41,6 +41,13 @@ key and, deepest level first, collapses every four Black or White
 siblings of one kind into their parent, so the table is that of the
 depth-first recursion's canonical tree, with the same number of
 classifier calls.
+A classifier may state a mirror symmetry (``mirror``): the twin of a box,
+its mirror image, has the path whose quadrant digits are all XOR
+``mirror`` and gets the same verdict. When the root box and the bisection
+of its flipped sides are symmetric bit for bit (`_mirror`), the build
+classifies one box of each pair of twins in the frontier, and the leaf
+rows of the other are those of the first, reflected; the calls still
+count both, so they are the boxes of the tree.
 Refining a model to a higher depth keeps its Black and White rows and
 starts the frontier at the children of its Undetermined leaves, which are
 known to be undecided, so no decided box is ever retested.
@@ -61,6 +68,7 @@ a reader asks for, and leaf paths only where they are returned as text
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -88,7 +96,10 @@ MAX_DEPTH = 31
 
 # A box classifier. One with a method ``batch(x, y, ix, iy)``, returning
 # the verdicts of the boxes x[ix[k]] x y[iy[k]] of the axis tables x and y
-# (interval arrays, (lo, hi)) as one array, is called through it.
+# (interval arrays, (lo, hi)) as one array, is called through it. One with
+# an int attribute ``mirror`` states that a box and its mirror image, the
+# box whose quadrant digits are all XOR ``mirror``, get the same verdict
+# (see `_mirror`).
 Classifier = Callable[[Box2], int]
 
 
@@ -302,21 +313,93 @@ def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
     return keys, x, y, ix, iy
 
 
-def _grow(depth: int, d_max: int, classify: Classifier, keys, x, y, ix, iy) -> tuple[list, int]:
-    """Classify a frontier of boxes at ``depth``, given by their keys on the
-    depth-``d_max`` grid and their axis tables, and grow the undecided ones
-    level by level down to ``d_max``. Returns the leaf rows of each level,
-    as columns (level, keys, kind), and the number of classifier calls."""
+def check_root_box(box: Box2) -> None:
+    """ValueError unless every side of ``box`` has a positive finite width,
+    so that it bisects into boxes of positive area."""
+    for side in (box.x, box.y):
+        if not 0 < side.width < math.inf:
+            raise ValueError(
+                f"root box side [{side.lo}, {side.hi}] must have a positive finite width"
+            )
+
+
+# the smallest nominal finest side at which `_mirror` takes pairs
+_MIN_FINEST = 2 * sys.float_info.min
+
+
+def _mirror(box: Box2, d: int, classify: Classifier) -> int:
+    """The ``mirror`` of ``classify`` (0 if it has none) if the depth-``d``
+    grid of ``box`` is its own mirror image bit for bit, else 0.
+
+    The mirror flips x if its bit 0 is set and y if its bit 1 is. A flipped
+    side must be symmetric about 0, and each of its halvings down to depth
+    d exact: then the bounds of a box and of its twin are exact negations.
+    In ``lo + (hi - lo) / 2``, ``hi - lo`` is exact (past the root a box's
+    bounds are 0 and a positive float, or within a factor 2 of each other:
+    Sterbenz), and so is its half while ``hi - lo`` is at least
+    2 * sys.float_info.min; the rounding of the sum is symmetric. The guard
+    asks for a nominal finest side ``width / 2^d`` of at least twice the
+    smallest normal float, a margin for the drift of the computed edges.
+    """
+    mirror = getattr(classify, "mirror", 0)
+    for bit, side in ((1, box.x), (2, box.y)):
+        if mirror & bit and (side.lo != -side.hi or side.width < _MIN_FINEST * 2.0**d):
+            return 0
+    return mirror
+
+
+def _twins(d: int, level, keys: np.ndarray, mirror: int) -> np.ndarray:
+    """Keys of the twins of the boxes at ``level`` with ``keys`` on the
+    depth-``d`` grid: every quadrant digit of their paths XOR ``mirror``."""
+    path = mirror * ((np.left_shift(1, 2 * level) - 1) // 3)  # `level` digits
+    return keys ^ (path << 2 * (d - level))
+
+
+def _twin_rows(d: int, level, keys: np.ndarray, mirror: int) -> np.ndarray:
+    """Index of each box's twin among the boxes at ``level`` (one level for
+    all, or one per box) with the sorted ``keys`` on the depth-``d`` grid,
+    or -1 where the twin is not among them."""
+    level = np.broadcast_to(level, keys.shape)
+    twin = _twins(d, level, keys, mirror)
+    j = np.minimum(np.searchsorted(keys, twin), len(keys) - 1)
+    return np.where((keys[j] == twin) & (level[j] == level), j, -1)
+
+
+def _grow(
+    depth: int, d_max: int, classify: Classifier, mirror: int, keys, x, y, ix, iy
+) -> tuple[list, int]:
+    """Classify a frontier of boxes at ``depth``, given by their sorted keys
+    on the depth-``d_max`` grid and their axis tables, and grow the
+    undecided ones level by level down to ``d_max``. Returns the leaf rows
+    of each level, as columns (level, keys, kind), and the number of
+    classifier calls, twins counted.
+
+    With a nonzero ``mirror`` (from `_mirror`), every box not yet flagged
+    whose twin is in the frontier as well is paired with it: the one with
+    the smaller key is dropped unclassified and the other flagged. A
+    flagged box stands for its twin too: its children are flagged, and
+    each of its leaf rows brings its twin's row.
+    """
     rows, calls = [], 0
+    flag = np.zeros(len(keys), dtype=bool)
     while len(keys):
+        if mirror and not flag.all():
+            j = _twin_rows(d_max, depth, keys, mirror)
+            i = np.arange(len(keys))
+            keep = flag | (j <= i)
+            flag = (flag | (j >= 0) & (j < i))[keep]
+            keys, ix, iy = keys[keep], ix[keep], iy[keep]
         v = _verdicts(classify, x, y, ix, iy)
-        calls += len(v)
+        calls += len(v) + int(flag.sum())
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
-        kind = v[leaf]
-        rows.append((np.full(len(kind), depth), keys[leaf], kind))
+        twin = leaf & flag
+        keys_out = np.concatenate((keys[leaf], _twins(d_max, depth, keys[twin], mirror)))
+        kind = np.concatenate((v[leaf], v[twin]))
+        rows.append((np.full(len(kind), depth), keys_out, kind))
         if depth == d_max:
             break
         open_ = ~leaf
+        flag = np.repeat(flag[open_], 4)
         keys, x, y, ix, iy = _children(d_max, depth, keys[open_], x, y, ix[open_], iy[open_])
         depth += 1
     return rows, calls
@@ -324,39 +407,55 @@ def _grow(depth: int, d_max: int, classify: Classifier, keys, x, y, ix, iy) -> t
 
 def _canonical(d: int, rows: list, top: int = 0) -> tuple[np.ndarray, ...]:
     """The (level, keys, kind) columns of leaf ``rows`` (per-level columns
-    as from `_grow`): rows sorted by key, and every quadruple of Black or
-    White siblings of one kind collapsed into their parent, deepest level
-    first, down to parents at level ``top``. The parent keeps child 0's
-    key."""
-    cols = [np.concatenate(c) for c in zip(*rows)]
-    order = np.argsort(cols[1])  # the keys are distinct
-    level, keys, kind = (c[order] for c in cols)
-    alive = np.arange(len(keys))  # sorted rows not yet collapsed into a parent
+    as from `_grow`, in any order): rows sorted by key, and every quadruple
+    of Black or White siblings of one kind collapsed into their parent,
+    deepest level first, down to parents at level ``top``. The parent keeps
+    child 0's key.
+
+    One sort puts the rows in key order. The Black and White rows, the only
+    ones that merge, are then listed level by level in that order (a stable
+    sort of their levels), and each level tests only its own and the
+    parents just merged from the level below: in key order, four of them
+    are siblings when the first is a quadrant 0 and the fourth lies three
+    of their sides past it.
+    """
+    level, keys, kind = (np.concatenate(c) for c in zip(*rows))
+    # the keys are distinct; a stable sort merges the runs in which `_grow`
+    # emits them (ascending, and descending for the joint-space twins)
+    order = np.argsort(keys, kind="stable")
+    level, keys, kind = level[order], keys[order], kind[order]
+    bw = np.flatnonzero(kind != CODE_UNDET)
+    bw = bw[np.argsort(level[bw].astype(np.int8), kind="stable")]
+    ends = np.cumsum(np.bincount(level[bw], minlength=d + 1)).tolist()
+    dead = np.zeros(len(keys), dtype=bool)
+    up = bw[:0]  # parents merged at the level below, in key order
     for lev in range(d, top, -1):
-        lv, kd = level[alive], kind[alive]
-        # quadrant-0 rows of this level with three more rows after them
-        p = np.flatnonzero(lv[:-3] == lev)
-        p = p[(keys[alive[p]] >> 2 * (d - lev)) & 3 == 0]
-        same = kd[p] != CODE_UNDET
-        for k in (1, 2, 3):
-            same &= (lv[p + k] == lev) & (kd[p + k] == kd[p])
-        p = p[same]
-        if not len(p):
-            continue
-        level[alive[p]] = lev - 1
-        keep = np.ones(len(alive), dtype=bool)
-        for k in (1, 2, 3):
-            keep[p + k] = False
-        alive = alive[keep]
+        p = bw[ends[lev - 1]:ends[lev]]
+        if len(up):
+            p = np.sort(np.concatenate((p, up)))
+        k, kd = keys[p], kind[p]
+        side = 1 << 2 * (d - lev)  # finest cells of one row
+        same = (kd[3:] == kd[:-3]) & (kd[2:-1] == kd[:-3]) & (kd[1:-2] == kd[:-3])
+        i = np.flatnonzero(same & (k[3:] - k[:-3] == 3 * side))
+        i = i[(k[i] >> 2 * (d - lev)) & 3 == 0]
+        up = p[i]
+        level[up] = lev - 1
+        for n in (1, 2, 3):
+            dead[p[i + n]] = True
+    alive = ~dead
     return level[alive], keys[alive], kind[alive]
 
 
 def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
-    """Build a quadtree model of the region accepted by ``classify``."""
+    """Build a quadtree model of the region accepted by ``classify``.
+    ValueError unless 1 <= d_max <= MAX_DEPTH and the box passes
+    `check_root_box`."""
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
+    check_root_box(box)
     root = np.zeros(1, dtype=np.int64)
-    rows, calls = _grow(0, d_max, classify, root, *_tables(box, d_max, 0, root))
+    frontier = root, *_tables(box, d_max, 0, root)
+    rows, calls = _grow(0, d_max, classify, _mirror(box, d_max, classify), *frontier)
     return QuadtreeModel(box, LeafTable(d_max, *_canonical(d_max, rows)), calls)
 
 
@@ -377,7 +476,8 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
     u = t.kind == CODE_UNDET
     tables = _tables(m.root_box, d, d, t.keys[u])
-    rows, calls = _grow(d + 1, d_max, classify, *_children(d_max, d, keys[u], *tables))
+    frontier = _children(d_max, d, keys[u], *tables)
+    rows, calls = _grow(d + 1, d_max, classify, _mirror(m.root_box, d_max, classify), *frontier)
     kept = (t.level[~u], keys[~u], t.kind[~u])
     table = LeafTable(d_max, *_canonical(d_max, [kept] + rows))
     return QuadtreeModel(m.root_box, table, m.calls + calls)
@@ -387,23 +487,32 @@ def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
     """Leaves of ``m`` that ``classify`` would not grow again.
 
     Every leaf is classified in one batch: a Black leaf must get +1, a
-    White one -1 and an Undetermined one 0. A Black or White leaf above
-    maximal depth may also be the merge of four equal children of a box
-    the classifier leaves undecided; such a leaf is grown again to the
-    model's depth and must come back as one row of its kind at its level.
+    White one -1 and an Undetermined one 0. Of two leaves that are twins
+    (`_mirror`), only the one with the larger key is classified, and the
+    other takes its verdict. A Black or White leaf above maximal depth may
+    also be the merge of four equal children of a box the classifier leaves
+    undecided; such a leaf is grown again to the model's depth and must
+    come back as one row of its kind at its level.
     """
     t = m.table
     d = m.max_depth
-    x_lo, x_hi, y_lo, y_hi = m.bounds()
+    mirror = _mirror(m.root_box, d, classify)
+    src = np.arange(len(t.keys))  # the row whose verdict each row takes
+    if mirror:
+        src = np.maximum(src, _twin_rows(d, t.level, t.keys, mirror))
+    own = src == np.arange(len(src))
+    x_lo, x_hi, y_lo, y_hi = m.bounds(own)
     every = np.arange(len(x_lo))
-    v = _verdicts(classify, (x_lo, x_hi), (y_lo, y_hi), every, every)
+    v = np.zeros(len(src), dtype=np.int8)
+    v[own] = _verdicts(classify, (x_lo, x_hi), (y_lo, y_hi), every, every)
+    v = v[src]
     bad = v != t.kind
     merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
     for level in np.unique(t.level[merged]).tolist():
         rows = np.flatnonzero(merged & (t.level == level))
         tables = _tables(m.root_box, d, level, t.keys[rows])
         frontier = _children(d, level, t.keys[rows], *tables)
-        grown, _ = _grow(level + 1, d, classify, *frontier)
+        grown, _ = _grow(level + 1, d, classify, mirror, *frontier)
         g_level, g_keys, g_kind = _canonical(d, grown, top=level)
         # each box's rows start at its own key
         first = np.searchsorted(g_keys, t.keys[rows])
@@ -493,14 +602,9 @@ def deserialize(text: str) -> QuadtreeModel:
     bounds_pos = len(fields[0]) + len(fields[1]) + 2
     try:
         box = Box2.from_bounds(*bounds)
+        check_root_box(box)
     except ValueError as exc:
         raise ParseError(str(exc), bounds_pos) from None
-    for side in (box.x, box.y):
-        if not 0 < side.width < math.inf:
-            raise ParseError(
-                f"root box side [{side.lo}, {side.hi}] must have a positive finite width",
-                bounds_pos,
-            )
 
     body = lines[1]
     offset = len(lines[0]) + 1

@@ -35,6 +35,7 @@ interval arrays replaced. `box_bounds` gathers the bounds of every box of
 a classifier batch from its axis tables, and `box_tables` turns boxes given
 by their bounds into such a batch (one table entry per box), so that the
 tests' classifiers and kernel calls speak per-box bounds.
+`CountingClassifier` counts the rows a build sends to the kernel.
 `point_classifier` grows one chain of boxes to any depth. `parse_table`
 reads back the `bench` CSV, and `run_discretization` executes the grid
 baseline whose cell count the bench tests check.
@@ -321,6 +322,21 @@ def box_tables(x_lo, x_hi, y_lo, y_hi) -> tuple:
     of a classifier batch, one table entry per box: ix = iy = arange(n)."""
     every = np.arange(len(x_lo))
     return (x_lo, x_hi), (y_lo, y_hi), every, every
+
+
+class CountingClassifier:
+    """A classifier's batch, counting the rows it is sent; its ``mirror``
+    is passed on unless ``hide``, so that a build takes no mirror pairs."""
+
+    def __init__(self, classify, hide: bool = False):
+        self.classify = classify
+        self.rows = 0
+        if not hide:
+            self.mirror = classify.mirror
+
+    def batch(self, x, y, ix, iy):
+        self.rows += len(ix)
+        return self.classify.batch(x, y, ix, iy)
 
 
 def point_classifier(px: float, py: float):

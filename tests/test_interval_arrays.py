@@ -35,7 +35,7 @@ from fivebar.interval import DomainError, Interval
 from fivebar.mechanism import M1
 
 import interval_reference as ref
-from helpers import reference_vdown, reference_vup
+from helpers import CountingClassifier, reference_vdown, reference_vup
 
 HALF_PI = math.pi / 2
 
@@ -457,6 +457,8 @@ def test_build_maps_math_hypot_on_few_rows(monkeypatch):
 
     monkeypatch.setattr(iv, "math", CountingMath())
     monkeypatch.setattr(iv, "_vhypot", counting_vhypot)
-    qt.build(space_box(M1, WORKSPACE), 10, space_classifier(M1, WORKSPACE))
-    assert received[0] > 100_000
+    counting = CountingClassifier(space_classifier(M1, WORKSPACE))
+    qt.build(space_box(M1, WORKSPACE), 10, counting)
+    # both distances of every kernel row, each from a mig and a mag pair
+    assert received[0] >= 4 * counting.rows
     assert mapped[0] < 0.05 * received[0]

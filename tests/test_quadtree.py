@@ -92,6 +92,17 @@ def test_build_requires_positive_depth():
         build(UNIT, 0, lambda box: 1)
 
 
+def test_build_rejects_a_root_box_that_cannot_be_bisected():
+    # an overflowing width bisects into inf and NaN bounds, a zero width
+    # into leaves without area; `deserialize` and `--box` reject both too
+    classify = mech.BoxClassifier("workspace", mech.M1)
+    for bounds in ((-1e308, 1e308, -1.0, 1.0), (0.0, 0.0, 0.0, 1.0), (-1.0, 1.0, 2.0, 2.0)):
+        with pytest.raises(ValueError, match="positive finite width"):
+            build(Box2.from_bounds(*bounds), 3, classify)
+        with pytest.raises(ValueError, match="positive finite width"):
+            build(Box2.from_bounds(*bounds), 3, lambda box: 0)
+
+
 def test_build_half_plane_structure():
     m = build(UNIT, 3, half_plane)
     raster = rasterize(m)
