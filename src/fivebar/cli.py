@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -291,6 +292,7 @@ def cmd_verify(args, parser) -> int:
     return 0 if violations == 0 else 1
 
 
+@functools.cache  # one parser per process, built at the first call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fivebar",

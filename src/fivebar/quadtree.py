@@ -355,14 +355,13 @@ def _twins(d: int, level, keys: np.ndarray, mirror: int) -> np.ndarray:
     return keys ^ (path << 2 * (d - level))
 
 
-def _twin_rows(d: int, level, keys: np.ndarray, mirror: int) -> np.ndarray:
-    """Index of each box's twin among the boxes at ``level`` (one level for
-    all, or one per box) with the sorted ``keys`` on the depth-``d`` grid,
-    or -1 where the twin is not among them."""
-    level = np.broadcast_to(level, keys.shape)
+def _twin_rows(d: int, level: int, keys: np.ndarray, mirror: int) -> np.ndarray:
+    """Index of each box's twin among the boxes at ``level`` with the sorted
+    ``keys`` on the depth-``d`` grid, or -1 where the twin is not among
+    them."""
     twin = _twins(d, level, keys, mirror)
     j = np.minimum(np.searchsorted(keys, twin), len(keys) - 1)
-    return np.where((keys[j] == twin) & (level[j] == level), j, -1)
+    return np.where(keys[j] == twin, j, -1)
 
 
 def _grow(
@@ -405,12 +404,11 @@ def _grow(
     return rows, calls
 
 
-def _canonical(d: int, rows: list, top: int = 0) -> tuple[np.ndarray, ...]:
+def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
     """The (level, keys, kind) columns of leaf ``rows`` (per-level columns
     as from `_grow`, in any order): rows sorted by key, and every quadruple
     of Black or White siblings of one kind collapsed into their parent,
-    deepest level first, down to parents at level ``top``. The parent keeps
-    child 0's key.
+    deepest level first. The parent keeps child 0's key.
 
     One sort puts the rows in key order. The Black and White rows, the only
     ones that merge, are then listed level by level in that order (a stable
@@ -429,7 +427,7 @@ def _canonical(d: int, rows: list, top: int = 0) -> tuple[np.ndarray, ...]:
     ends = np.cumsum(np.bincount(level[bw], minlength=d + 1)).tolist()
     dead = np.zeros(len(keys), dtype=bool)
     up = bw[:0]  # parents merged at the level below, in key order
-    for lev in range(d, top, -1):
+    for lev in range(d, 0, -1):
         p = bw[ends[lev - 1]:ends[lev]]
         if len(up):
             p = np.sort(np.concatenate((p, up)))
@@ -484,40 +482,17 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
 
 
 def mismatched_leaves(m: QuadtreeModel, classify: Classifier) -> int:
-    """Leaves of ``m`` that ``classify`` would not grow again.
-
-    Every leaf is classified in one batch: a Black leaf must get +1, a
-    White one -1 and an Undetermined one 0. Of two leaves that are twins
-    (`_mirror`), only the one with the larger key is classified, and the
-    other takes its verdict. A Black or White leaf above maximal depth may
-    also be the merge of four equal children of a box the classifier leaves
-    undecided; such a leaf is grown again to the model's depth and must
-    come back as one row of its kind at its level.
+    """Leaves of ``m`` that are not leaves of the tree ``classify`` builds:
+    the rows of ``m.table`` with no row of the same level, key and kind in
+    the table of `build` over ``m.root_box`` to ``m.max_depth``. It is 0
+    only for that tree, the one whose `refine` equals a fresh build at the
+    new depth. The cost is one build at the model's depth.
     """
     t = m.table
-    d = m.max_depth
-    mirror = _mirror(m.root_box, d, classify)
-    src = np.arange(len(t.keys))  # the row whose verdict each row takes
-    if mirror:
-        src = np.maximum(src, _twin_rows(d, t.level, t.keys, mirror))
-    own = src == np.arange(len(src))
-    x_lo, x_hi, y_lo, y_hi = m.bounds(own)
-    every = np.arange(len(x_lo))
-    v = np.zeros(len(src), dtype=np.int8)
-    v[own] = _verdicts(classify, (x_lo, x_hi), (y_lo, y_hi), every, every)
-    v = v[src]
-    bad = v != t.kind
-    merged = bad & (v == 0) & (t.kind != CODE_UNDET) & (t.level < d)
-    for level in np.unique(t.level[merged]).tolist():
-        rows = np.flatnonzero(merged & (t.level == level))
-        tables = _tables(m.root_box, d, level, t.keys[rows])
-        frontier = _children(d, level, t.keys[rows], *tables)
-        grown, _ = _grow(level + 1, d, classify, mirror, *frontier)
-        g_level, g_keys, g_kind = _canonical(d, grown, top=level)
-        # each box's rows start at its own key
-        first = np.searchsorted(g_keys, t.keys[rows])
-        bad[rows] = (g_level[first] != level) | (g_kind[first] != t.kind[rows])
-    return int(bad.sum())
+    fresh = build(m.root_box, m.max_depth, classify).table
+    j = np.minimum(np.searchsorted(fresh.keys, t.keys), len(fresh.keys) - 1)
+    same = (fresh.keys[j] == t.keys) & (fresh.level[j] == t.level) & (fresh.kind[j] == t.kind)
+    return int((~same).sum())
 
 
 # --------------------------------------------------------------------------

@@ -210,6 +210,20 @@ def test_subcommand_usage_error_prints_its_own_usage(tmp_path, capsys):
     assert not (tmp_path / "x.qt").exists()
 
 
+def test_usage_error_after_a_run_prints_its_own_usage(tmp_path, capsys):
+    # the parser is built once per process: a command that ran before does
+    # not change which usage a later usage error prints
+    out = str(tmp_path / "w.qt")
+    assert run(["workspace", "--mechanism", "m1", "--depth", "2", "--out", out]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--space", "jointspace", "--depth", "2", "--samples", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("usage: fivebar verify ")
+    assert err[-1] == "fivebar verify: error: --samples must be >= 0"
+
+
 def test_refine_from_other_space_is_usage_error(tmp_path, capsys):
     w3 = tmp_path / "w3.qt"
     j4 = tmp_path / "j4.qt"
@@ -250,6 +264,30 @@ def test_refine_from_other_mode_setting_is_usage_error(tmp_path, capsys):
             r"classifier: \d+ of \d+ leaves differ",
             _usage_error(capsys),
         )
+
+
+def test_refine_from_split_leaf_is_usage_error(tmp_path, capsys):
+    # a Black leaf above maximal depth split into four Black children: each
+    # child is Black to the classifier too, but the tree is not the one it
+    # builds, whose leaf is the merged one
+    built, split, out = (tmp_path / n for n in ("d5.qt", "split.qt", "d6.qt"))
+    assert run(["workspace", "--mechanism", "m1", "--depth", "5", "--out", str(built)]) == 0
+    capsys.readouterr()
+    text = built.read_text()
+    t = qt.deserialize(text).table
+    row = int(np.flatnonzero((t.kind == qt.CODE_BLACK) & (t.level < t.depth))[0])
+    header, body = text.splitlines()
+    at = [i for i, c in enumerate(body) if c != qt.GRAY][row]
+    split.write_text(f"{header}\n{body[:at]}GBBBB{body[at + 1:]}\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["workspace", "--mechanism", "m1", "--depth", "6", "--refine-from", str(split),
+             "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert _usage_error(capsys) == (
+        "fivebar workspace: error: --refine-from tree does not match this workspace "
+        f"classifier: 4 of {len(t.keys) + 3} leaves differ"
+    )
 
 
 def test_refine_from_same_mode_setting_equals_fresh(tmp_path):

@@ -254,6 +254,39 @@ def test_mismatched_leaves_regrows_merged_leaves():
     assert mismatched_leaves(deserialize("QT1 2 0.0 1.0 0.0 1.0\nGBBBB\n"), white_corner) == 1
 
 
+def _split(m: QuadtreeModel, row: int) -> QuadtreeModel:
+    """``m`` with the leaf at ``row`` split into four leaves of its kind."""
+    t = m.table
+    side = 1 << 2 * (t.depth - t.level[row] - 1)  # finest cells of one child
+    level = np.insert(t.level, row + 1, [t.level[row] + 1] * 3)
+    level[row] += 1
+    keys = np.insert(t.keys, row + 1, t.keys[row] + side * np.arange(1, 4))
+    kind = np.insert(t.kind, row + 1, [t.kind[row]] * 3)
+    return QuadtreeModel(m.root_box, LeafTable(t.depth, level, keys, kind), 0)
+
+
+def test_mismatched_leaves_is_zero_only_for_the_built_tree():
+    # Undetermined leaves under a box that the classifier decides Black:
+    # none of the seven leaves is the build's one Black leaf, and refining
+    # the tree would not give the fresh build
+    def wide_black(box: Box2) -> int:
+        return 1 if box.x.width > 0.3 else 0
+
+    assert serialize(build(UNIT, 2, wide_black)).splitlines()[1] == BLACK
+    forged = deserialize("QT1 2 0.0 1.0 0.0 1.0\nGGUUUUBBB\n")
+    assert mismatched_leaves(forged, wide_black) == 7
+    assert serialize(refine(forged, 3, wide_black)) != serialize(build(UNIT, 3, wide_black))
+    # a built tree checks clean and refines to the fresh build; each leaf
+    # above maximal depth split into four of its kind makes four rows differ
+    for seed, m in enumerate(random_models(4, d_max=3)):
+        classify = hash_classifier(seed)
+        assert mismatched_leaves(m, classify) == 0
+        assert serialize(refine(m, 5, classify)) == serialize(build(UNIT, 5, classify))
+        t = m.table
+        for row in np.flatnonzero(t.level < t.depth).tolist():
+            assert mismatched_leaves(_split(m, row), classify) == 4
+
+
 def test_mismatched_leaves_of_another_classifier():
     box = bench.space_box(mech.M1, bench.JOINTSPACE)
     m = build(box, 5, bench.space_classifier(mech.M1, bench.JOINTSPACE))
@@ -604,6 +637,27 @@ def test_only_bounds_and_locate_compute_midpoints():
     assert {name for name, n in count.items() if n} == {"_midpoint", "_locate_row"}
     # and none outside a function
     assert sum(count.values()) == sum(map(_is_midpoint, ast.walk(tree)))
+
+
+def _callers(tree: ast.Module, callee: str) -> set[str]:
+    # the functions of the module that call `callee` by name
+    def calls(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == callee
+        )
+
+    return {name for name, f in _functions(tree) if any(map(calls, ast.walk(f)))}
+
+
+def test_one_growth_path_classifies_boxes():
+    # `_grow` is the only code that classifies boxes, and so the only one
+    # that pairs mirror twins; `build` and `refine` start it, and the check
+    # of a tree against a classifier is a fresh build
+    tree = ast.parse(Path(quadtree.__file__).read_text())
+    assert _callers(tree, "_verdicts") == {"_grow"}
+    assert _callers(tree, "_grow") == {"build", "refine"}
+    assert "mismatched_leaves" in _callers(tree, "build")
 
 
 def _parses_a_path(node: ast.AST) -> bool:

@@ -334,7 +334,7 @@ def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
     # every batch of build, refine and mismatched_leaves against a replay
     # of the split that carries each box's bounds, on frontiers that fill
     # the grid of their level and on sparse ones that do not
-    levels, regrown = [], 0
+    levels = []
     d = 6
     for box in (UNIT,) + ODD_BOXES:
         for seed, p_open in ((0, 30), (1, 30), (2, 70), (3, 70)):
@@ -356,26 +356,11 @@ def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
             assert n == len(v)
             levels += lv
 
-            # the own classifier and another one, which regrows many leaves
-            t = m.table
-            leaf_bounds = reference_bounds(box, d, t.level, t.keys)
+            # the own classifier and another one: the check is a build of
+            # the model's depth
             for other in (rec, _Recorder(seed + 10, p_open, box.x.width / 3)):
                 mismatched_leaves(m, other)
-                bits, v = other.take()
-                n = len(t.keys)
-                want = np.stack([b.view(np.int64) for b in leaf_bounds])
-                assert np.array_equal(bits[:, :n], want)
-                merged = (v[:n] == 0) & (t.kind != CODE_UNDET) & (t.level < d)
-                for level in np.unique(t.level[merged]).tolist():
-                    rows = np.flatnonzero(merged & (t.level == level))
-                    children = reference_split(
-                        d, level, t.keys[rows], *(b[rows] for b in leaf_bounds)
-                    )
-                    k, lv = _replay(bits[:, n:], v[n:], level + 1, d, *children)
-                    n += k
-                    levels += lv
-                    regrown += len(rows)
-                assert n == len(v)
+                levels += _replay_build(other, box, d)
     # one chain of boxes down to maximal depth: four boxes or so a level
     for box in ODD_BOXES:
         rec = _Recorder(inner=point_classifier(box.x.lo + 0.3, box.y.hi - 0.1))
@@ -384,7 +369,6 @@ def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
     sparse = [(k, n) for k, n in levels if n < 2**k]
     assert len(sparse) > 100 and len(levels) - len(sparse) > 100
     assert max(k for k, _ in sparse) == MAX_DEPTH
-    assert regrown > 100
 
 
 def test_paths_of_rows_match_whole_table():
