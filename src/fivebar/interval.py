@@ -19,10 +19,9 @@ largest finite value; the other rows (zeros, the smallest subnormals, the
 largest floats, infinities and NaN) take ``np.nextafter``. The endpoint
 values of sin, cos, acos and atan2 come from `math` mapped over the rows,
 because numpy's own may round differently; sin and cos are mapped once per
-distinct endpoint float. hypot is not mapped per row: `_vhypot` repeats the
-float operations of CPython's ``math.hypot`` as array passes (``np.hypot``
-differs in the last bit), and maps ``math.hypot`` only over batches too
-short to pay for those passes and over rows outside its scaled range.
+distinct endpoint float. The values of hypot come from ``np.hypot``, one
+call per bound. All of them are the platform libm's, whose error stays
+under one ulp, and the two-ulp widening covers it.
 """
 
 from __future__ import annotations
@@ -296,103 +295,6 @@ def vatan2(y: IArray, x: IArray) -> IArray:
     return np.where(full, angle.lo, lo), np.where(full, angle.hi, hi)
 
 
-# Below this many rows a batch maps math.hypot: there the transcription's
-# fixed cost of some seventy numpy calls exceeds the map's per-row cost
-_HYPOT_MIN_ROWS = 512
-# Veltkamp's constant 2**27 + 1: x * _SPLIT splits x into two 26-bit halves
-# whose products are exact
-_SPLIT = 134217729.0
-
-
-def _vsquare(x: np.ndarray, t: np.ndarray, u: np.ndarray, z: np.ndarray):
-    """Dekker's exact square of every row: x * x == z + u, as CPython's
-    ``dl_mul(x, x)``. The buffers x and t are overwritten."""
-    np.multiply(x, _SPLIT, out=t)
-    np.subtract(t, x, out=u)
-    t -= u  # hi
-    x -= t  # lo
-    np.multiply(t, t, out=u)  # p = hi * hi
-    t *= x
-    t += t  # q = hi * lo + lo * hi
-    x *= x  # lo * lo
-    np.add(u, t, out=z)  # z = p + q
-    u -= z
-    u += t
-    u += x  # (p - z + q) + lo * lo
-    return z, u
-
-
-def _vhypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of the rows of the nonnegative arrays a and b, bit for
-    bit.
-
-    The rows repeat CPython's ``vector_norm`` for two arguments: scale both
-    by 2**-e, where e is the frexp exponent of the larger; square each
-    exactly (Dekker); add the squares to 1 as a double-length sum; take the
-    square root h, subtract h * h exactly and correct h once (Borges 2019).
-    Every step is an in-place pass over preallocated rows: fresh temporaries
-    of this size make the allocator hand pages back and fault them in again.
-    Batches under `_HYPOT_MIN_ROWS` rows, and rows whose larger argument
-    has a biased exponent outside [1, 2044] (zeros, subnormals, 2**1022 and
-    above, inf, NaN), take ``math.hypot`` itself.
-    """
-    n = len(a)
-    if n < _HYPOT_MIN_ROWS:
-        return _vmap(math.hypot, a, b)
-    # frexp(max) = (m, e) with e = E - 1022 for the biased exponent E of
-    # max, so the scale 2**-e has the biased exponent 2045 - E
-    bits = np.maximum(a, b).view(np.int64)
-    bits >>= 52
-    odd = (bits - 1).view(np.uint64) > 2043
-    any_odd = odd.any()
-    if any_odd:
-        bits[odd] = 1022  # scale 1.0; these rows are replaced below
-    np.subtract(2045, bits, out=bits)
-    bits <<= 52
-    scale = bits.view(np.float64)
-    x = a * scale
-    y = b * scale
-    if any_odd:
-        # finite stand-ins, so that no pass meets inf or NaN on these rows
-        x[odd] = y[odd] = 0.5
-    t, u, v, w = (np.empty(n) for _ in range(4))
-    xh, xl = _vsquare(x, t, u, v)
-    yh, yl = _vsquare(y, x, t, w)
-    # csum = 1 + xh and its rounding error f2 = (1 - csum) + xh; f1 = xl.
-    # Then yh and yl join the same way.
-    csum = np.add(xh, 1.0, out=x)
-    f2 = np.subtract(1.0, csum, out=y)
-    f2 += xh
-    f1 = xl
-    f1 += yl
-    err = csum
-    csum = np.add(err, yh, out=v)
-    err -= csum
-    err += yh
-    f2 += err
-    h = np.subtract(csum, 1.0, out=x)
-    h += np.add(f1, f2, out=t)
-    np.sqrt(h, out=h)
-    # csum - h * h, again with its rounding errors in f1 and f2
-    hh, hl = _vsquare(h.copy(), t, w, np.empty(n))
-    err = csum
-    csum = np.subtract(err, hh, out=t)
-    err -= csum
-    err -= hh
-    f2 += err
-    f1 -= hl
-    # h + (csum - 1 + (f1 + f2)) / (2 h)
-    csum -= 1.0
-    f1 += f2
-    csum += f1
-    csum /= np.multiply(h, 2.0, out=w)
-    h += csum
-    h /= scale
-    if any_odd:
-        h[odd] = _vmap(math.hypot, a[odd], b[odd])
-    return h
-
-
 def vabs(a: IArray) -> IArray:
     """Enclosures of |a| over the rows: the mignitude and the magnitude."""
     lo, hi = np.abs(a[0]), np.abs(a[1])
@@ -402,13 +304,11 @@ def vabs(a: IArray) -> IArray:
 
 def vhypot(a: IArray, b: IArray) -> IArray:
     """Enclosures of sqrt(a^2 + b^2) over the rows of the nonnegative
-    interval arrays a and b (from `vabs`)."""
-    lo = np.where(
-        (a[0] == 0.0) & (b[0] == 0.0),
-        0.0,
-        np.maximum(0.0, _vdown(_vhypot(a[0], b[0]))),
-    )
-    return lo, _vup(_vhypot(a[1], b[1]))
+    interval arrays a and b (from `vabs`). A bound whose hypot overflows
+    to inf is still an upper bound, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        lo, hi = (np.hypot(x, y) for x, y in zip(a, b))
+        return np.maximum(0.0, _vdown(lo)), _vup(hi)
 
 
 def vnorm2(dx: IArray, dy: IArray) -> IArray:

@@ -35,7 +35,9 @@ interval arrays replaced. `box_bounds` gathers the bounds of every box of
 a classifier batch from its axis tables, and `box_tables` turns boxes given
 by their bounds into such a batch (one table entry per box), so that the
 tests' classifiers and kernel calls speak per-box bounds.
-`CountingClassifier` counts the rows a build sends to the kernel.
+`CountingClassifier` counts the rows a build sends to the kernel, and
+`module_functions` lists the functions of a parsed module for the tests
+that pin where the library calls what.
 `point_classifier` grows one chain of boxes to any depth. `parse_table`
 reads back the `bench` CSV, and `run_discretization` executes the grid
 baseline whose cell count the bench tests check.
@@ -43,6 +45,7 @@ baseline whose cell count the bench tests check.
 
 from __future__ import annotations
 
+import ast
 import csv
 import enum
 import io
@@ -1101,3 +1104,13 @@ def run_discretization(g: FiveBarGeometry, space: str, depth: int) -> tuple[int,
             if classify_point(cx, cy, g) == VALID:
                 n_valid += 1
     return n_valid, n_calls
+
+
+def module_functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """(qualified name, definition) of the functions and methods of a
+    parsed module."""
+    defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    return defs + [
+        (f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+        for f in c.body if isinstance(f, ast.FunctionDef)
+    ]

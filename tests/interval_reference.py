@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from fivebar.interval import (
     HALF_PI,
     TRIG_SLACK,
@@ -195,10 +197,11 @@ def _mag(a: Interval) -> float:
 
 
 def norm2(dx: Interval, dy: Interval) -> Interval:
-    """Enclosure of sqrt(dx^2 + dy^2) over the box (dx, dy)."""
-    mx, my = _mig(dx), _mig(dy)
-    lo = 0.0 if mx == 0.0 and my == 0.0 else max(0.0, _down(math.hypot(mx, my)))
-    return _iv(lo, _up(math.hypot(_mag(dx), _mag(dy))))
+    """Enclosure of sqrt(dx^2 + dy^2) over the box (dx, dy). Its hypot
+    values are libm's, through ``np.hypot``, as the trig twins take libm's
+    ``math.cos`` and ``math.sin``."""
+    lo = max(0.0, _down(float(np.hypot(_mig(dx), _mig(dy)))))
+    return _iv(lo, _up(float(np.hypot(_mag(dx), _mag(dy)))))
 
 
 def cross_z(ux: Interval, uy: Interval, vx: Interval, vy: Interval) -> Interval:

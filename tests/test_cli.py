@@ -25,6 +25,14 @@ def run(argv):
     return main(argv)
 
 
+def _module_env() -> dict:
+    # the environment of a `python -m fivebar` child that imports this
+    # checkout's package
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(qt.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    )}
+
+
 # ---------------------------------------------------------------------------
 # jointspace / workspace
 # ---------------------------------------------------------------------------
@@ -303,9 +311,7 @@ def test_refine_from_same_mode_setting_equals_fresh(tmp_path):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(Path(qt.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
-    )}
+    env = _module_env()
     done = subprocess.run(
         [sys.executable, "-m", "fivebar", "--help"],
         capture_output=True, text=True, env=env, timeout=60,
@@ -531,6 +537,21 @@ def test_workspace_boxes_a_subnormal_distance_from_a1_build(tmp_path, argv):
     if "--working-mode" not in argv:
         # every point of the box is strictly reachable by both legs
         assert qt.CODE_WHITE not in qt.deserialize(out.read_text()).table.kind
+
+
+def test_workspace_box_whose_norms_overflow_builds_silently(tmp_path):
+    # |A1P| of the far corner overflows to inf, which is still an upper
+    # bound: the build warns about nothing and decides the box as before
+    out = tmp_path / "w.qt"
+    done = subprocess.run(
+        [sys.executable, "-m", "fivebar", "workspace", "--mechanism", "m1", "--depth", "3",
+         "--box=0,1.7e308,0,1.7e308", "--out", str(out)],
+        capture_output=True, text=True, env=_module_env(), timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout == "nodes=13 black=0 calls=13\n"
+    assert out.read_bytes() == b"QT1 3 0.0 1.7e+308 0.0 1.7e+308\nGGGUWWWWWWWWW\n"
 
 
 @pytest.mark.parametrize(

@@ -9,33 +9,34 @@ pi/2 a few ulps off and at the 1e-9 slack of `_trig_quarters`, widths of
 acos arguments at +-1 and one ulp outside; atan2 boxes that hold the
 origin, touch an axis with 0.0 or -0.0, or straddle the negative x axis.
 
-Three cheap primitives under them have their own reference: the outward
+Two cheap primitives under them have their own reference: the outward
 rounding by an integer step on the int64 view, against two
 ``np.nextafter`` (`helpers.reference_vdown` / `reference_vup`) on random
-bit patterns and on every float where the step does not apply; sin and
+bit patterns and on every float where the step does not apply; and sin and
 cos mapped once per distinct endpoint, against the scalar functions on
-batches whose rows share endpoints the way a quadtree frontier does; and
-hypot as CPython's own float operations on arrays, against ``math.hypot``
-on batches long enough to reach them (random pairs over every exponent,
-zeros, subnormals, the top of the range, inf and NaN), with a guard that
-a build maps ``math.hypot`` over few of its rows.
+batches whose rows share endpoints the way a quadtree frontier does.
+hypot, which the arrays and the reference both take from ``np.hypot``, is
+held to the exact norm instead: squared bounds against exact rational
+squares, on random pairs over every exponent, zeros, subnormals, the top
+of the range, inf and NaN, and on boxes across zero, with a guard that
+``np.hypot`` in `vhypot` is the kernel's one source of norms.
 """
 
+import ast
 import itertools
 import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fivebar import interval as iv
-from fivebar import quadtree as qt
-from fivebar.bench import WORKSPACE, space_box, space_classifier
 from fivebar.interval import DomainError, Interval
-from fivebar.mechanism import M1
 
 import interval_reference as ref
-from helpers import CountingClassifier, reference_vdown, reference_vup
+from helpers import module_functions, reference_vdown, reference_vup
 
 HALF_PI = math.pi / 2
 
@@ -201,8 +202,6 @@ def test_atan2_rows_equal_scalar_at_origin_axes_and_cut():
     ids=["add", "sub", "mul", "norm2", "atan2"],
 )
 def test_binary_rows_equal_scalar(vector, scalar):
-    # a batch this long takes the hypot transcription in vnorm2
-    assert len(PAIRS) >= iv._HYPOT_MIN_ROWS
     a, b = zip(*PAIRS)
     _assert_same_bits(vector(_arr(a), _arr(b)), [scalar(x, y) for x, y in PAIRS])
 
@@ -378,21 +377,14 @@ def test_endpoint_values_keep_signed_zeros_apart():
 
 
 # ---------------------------------------------------------------------------
-# hypot: CPython's float operations as array passes
+# hypot: libm's values, widened, hold the exact norm
 # ---------------------------------------------------------------------------
-
-
-def _assert_hypot_equals_math(a: np.ndarray, b: np.ndarray) -> None:
-    # shorter batches map math.hypot and never reach the transcription
-    assert len(a) >= iv._HYPOT_MIN_ROWS
-    want = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
-    _assert_same_float_bits(iv._vhypot(a, b), want)
 
 
 def _hypot_specials() -> np.ndarray:
     """Zeros, the smallest subnormal, the smallest normal and its neighbours,
-    the floats at the top of the scaled range and above, inf and NaN, next
-    to ordinary values."""
+    2**1021, 2**1022 and their neighbours, the largest floats, inf and NaN,
+    next to ordinary values."""
     vals = [0.0, -0.0, 5e-324, 1e-323, 1e-310, 1.0, 3.0, 4.0, 1e-300, 1e300]
     vals += [_steps(TINY, n) for n in (-2, -1, 0, 1, 2)]
     for top in (2.0**1021, 2.0**1022):
@@ -401,64 +393,124 @@ def _hypot_specials() -> np.ndarray:
     return np.array(vals)
 
 
-def test_hypot_equals_math_on_special_pairs():
+def _hypot_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Argument arrays (a, b): every pair of the special floats; equal
+    arguments and ratios 2**-k (k = 0..60), either argument the larger;
+    Pythagorean triples at scales from the subnormals to the top; random
+    pairs over every exponent, then within 60 binades and in one binade."""
     v = _hypot_specials()
-    a, b = (side.ravel() for side in np.meshgrid(v, v))
-    _assert_hypot_equals_math(a, b)
-
-
-def test_hypot_equals_math_on_equal_arguments_powers_of_two_ratios_and_triples():
+    pairs = [tuple(side.ravel() for side in np.meshgrid(v, v))]
     rng = np.random.default_rng(79)
-    x = rng.uniform(0.5, 1.0, 1000) * 2.0 ** rng.integers(-1020, 1020, 1000)
-    # y = x * 2**-k for k = 0..60, either argument the larger
+    x = rng.uniform(0.5, 1.0, 300) * 2.0 ** rng.integers(-1020, 1020, 300)
     a = np.concatenate([x] + [x * 2.0**-k for k in range(61)])
     b = np.concatenate([x] * 62)
-    _assert_hypot_equals_math(a, b)
-    _assert_hypot_equals_math(b, a)
-    # (m^2 - n^2, 2 m n), whose hypot m^2 + n^2 is exact, at every scale
+    pairs += [(a, b), (b, a)]
+    # (m^2 - n^2, 2 m n), whose hypot m^2 + n^2 is exact
     m, n = np.meshgrid(np.arange(2.0, 60.0), np.arange(1.0, 59.0))
     keep = n < m
     legs = (m[keep] ** 2 - n[keep] ** 2, 2.0 * m[keep] * n[keep])
-    for e in (-1070, -1022, -600, 0, 600, 1000):
-        _assert_hypot_equals_math(*(np.ldexp(leg, e) for leg in legs))
-
-
-def test_hypot_equals_math_on_random_pairs_over_all_exponents():
-    # random biased exponents 0..2046 and mantissas, both sides independent,
-    # then the second side within 60 binades of the first and in its binade
+    pairs += [tuple(np.ldexp(leg, e) for leg in legs) for e in (-1070, -1022, -600, 0, 600, 1000)]
+    # random biased exponents 0..2046 and mantissas
     rng = np.random.default_rng(80)
-    n = 350_000
+    count = 40_000
     for spread in (None, 60, 0):
-        e = rng.integers(0, 2047, (2, n))
+        e = rng.integers(0, 2047, (2, count))
         if spread is not None:
-            e[1] = np.clip(e[0] + rng.integers(-spread, spread + 1, n), 0, 2046)
-        bits = (e.astype(np.uint64) << np.uint64(52)) | rng.integers(0, 1 << 52, (2, n), dtype=np.uint64)
-        _assert_hypot_equals_math(*bits.view(np.float64))
+            e[1] = np.clip(e[0] + rng.integers(-spread, spread + 1, count), 0, 2046)
+        bits = (e.astype(np.uint64) << np.uint64(52)) | rng.integers(0, 1 << 52, (2, count), dtype=np.uint64)
+        pairs.append(tuple(bits.view(np.float64)))
+    return pairs
 
 
-def test_build_maps_math_hypot_on_few_rows(monkeypatch):
-    # the transcription, not a per-row map, gives the norms of a build
-    mapped = [0]
-    received = [0]
+def _square(x: float) -> Fraction:
+    f = Fraction(x)
+    return f * f
 
-    def hypot(x, y):
-        mapped[0] += 1
-        return math.hypot(x, y)
 
-    class CountingMath:
-        def __getattr__(self, name):
-            return hypot if name == "hypot" else getattr(math, name)
+# an upper bound is inf only where hypot reached the float below max; with
+# an error under one ulp, the exact norm is then at least the float two
+# below max
+NEAR_MAX_SQUARE = _square(_steps(MAX, -2))
 
-    transcription = iv._vhypot
 
-    def counting_vhypot(a, b):
-        received[0] += len(a)
-        return transcription(a, b)
+def _assert_encloses(lo: float, hi: float, low_square: Fraction, high_square: Fraction) -> None:
+    assert 0.0 <= lo and _square(lo) <= low_square, lo
+    if hi == math.inf:
+        assert high_square >= NEAR_MAX_SQUARE
+    else:
+        assert high_square <= _square(hi), hi
 
-    monkeypatch.setattr(iv, "math", CountingMath())
-    monkeypatch.setattr(iv, "_vhypot", counting_vhypot)
-    counting = CountingClassifier(space_classifier(M1, WORKSPACE))
-    qt.build(space_box(M1, WORKSPACE), 10, counting)
-    # both distances of every kernel row, each from a mig and a mag pair
-    assert received[0] >= 4 * counting.rows
-    assert mapped[0] < 0.05 * received[0]
+
+def test_hypot_bounds_hold_the_exact_norm():
+    # lo^2 <= a^2 + b^2 <= hi^2 in exact rationals, on point intervals, so
+    # that both bounds meet every pair
+    rows = inf_rows = 0
+    for a, b in _hypot_pairs():
+        lo, hi = iv.vhypot((a, a), (b, b))
+        for x, y, low, high in zip(a.tolist(), b.tolist(), lo.tolist(), hi.tolist()):
+            if math.isinf(x) or math.isinf(y):
+                assert high == math.inf
+                inf_rows += 1
+            elif not (math.isnan(x) or math.isnan(y)):
+                exact = _square(x) + _square(y)
+                _assert_encloses(low, high, exact, exact)
+                rows += 1
+    assert rows > 150_000 and inf_rows > 0
+
+
+def test_norm2_of_boxes_across_zero_holds_their_exact_extremes():
+    # boxes (dx, dy) whose sides straddle 0, touch it with a signed zero or
+    # lie on either side of it: the least norm over the box is that of the
+    # sides' mignitudes (0 on a side that holds 0), the greatest that of
+    # their magnitudes
+    rng = np.random.default_rng(81)
+    n = 20_000
+    scale = rng.integers(-1070, 1020, n)
+    sides = []
+    for _ in range(2):
+        e = scale + rng.integers(-30, 31, n)
+        ends = rng.uniform(-1.0, 1.0, (2, n)) * 2.0 ** np.clip(e + rng.integers(-2, 3, (2, n)), -1074, 1023)
+        ends[rng.random((2, n)) < 0.05] = 0.0
+        ends[rng.random((2, n)) < 0.05] = -0.0
+        sides.append((np.minimum(*ends), np.maximum(*ends)))
+    straddles = [(lo < 0.0) & (0.0 < hi) for lo, hi in sides]
+    assert (straddles[0] & straddles[1]).sum() > 1000
+    assert (straddles[0] ^ straddles[1]).sum() > 1000
+    norms = iv.vnorm2(*sides)
+    (xl, xh), (yl, yh), (lo, hi) = ([end.tolist() for end in side] for side in (*sides, norms))
+    for row in range(n):
+        ends = ((xl[row], xh[row]), (yl[row], yh[row]))
+        least = sum(0 if a <= 0.0 <= b else min(_square(a), _square(b)) for a, b in ends)
+        most = sum(max(_square(a), _square(b)) for a, b in ends)
+        _assert_encloses(lo[row], hi[row], least, most)
+
+
+def _is_hypot(node: ast.AST) -> bool:
+    # a mention of hypot: `math.hypot`, `np.hypot`, a bare `hypot`, or an
+    # import of it
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "hypot")
+        or (isinstance(node, ast.Name) and node.id == "hypot")
+        or (isinstance(node, ast.alias) and node.name == "hypot")
+    )
+
+
+def test_hypot_comes_from_one_site_in_the_kernel():
+    # the interval arrays take every norm from `np.hypot` in `vhypot`, and
+    # only the point oracle of `mechanism` takes scalar norms from
+    # `math.hypot`
+    uses = []
+    for source in sorted(Path(iv.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        found = [
+            (f"{source.stem}.{name}", ast.unparse(node))
+            for name, f in module_functions(tree) for node in ast.walk(f) if _is_hypot(node)
+        ]
+        # and none outside a function
+        assert len(found) == sum(map(_is_hypot, ast.walk(tree))), source.name
+        uses += found
+    assert [u for u in uses if u[0].startswith("interval.")] == [("interval.vhypot", "np.hypot")]
+    assert {u for u in uses if not u[0].startswith("interval.")} == {
+        ("mechanism.point_classify_joint", "math.hypot"),
+        ("mechanism.point_classify_workspace", "math.hypot"),
+    }

@@ -47,6 +47,7 @@ from helpers import (
     chain_text,
     hash_classifier,
     leaf_cells,
+    module_functions,
     point_classifier,
     random_models,
     rasterize,
@@ -618,22 +619,13 @@ def _is_midpoint(node: ast.AST) -> bool:
     )
 
 
-def _functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
-    # (qualified name, definition) of the module's functions and methods
-    defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
-    return defs + [
-        (f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
-        for f in c.body if isinstance(f, ast.FunctionDef)
-    ]
-
-
 def test_only_bounds_and_locate_compute_midpoints():
     # every box's bounds come from `_midpoint`, which `_bounds` bisects the
     # root box with and a build halves its axis tables with; `locate`
     # compares a point with the same midpoints on its way down to the
     # point's cell
     tree = ast.parse(Path(quadtree.__file__).read_text())
-    count = {name: sum(map(_is_midpoint, ast.walk(f))) for name, f in _functions(tree)}
+    count = {name: sum(map(_is_midpoint, ast.walk(f))) for name, f in module_functions(tree)}
     assert {name for name, n in count.items() if n} == {"_midpoint", "_locate_row"}
     # and none outside a function
     assert sum(count.values()) == sum(map(_is_midpoint, ast.walk(tree)))
@@ -647,7 +639,7 @@ def _callers(tree: ast.Module, callee: str) -> set[str]:
             and node.func.id == callee
         )
 
-    return {name for name, f in _functions(tree) if any(map(calls, ast.walk(f)))}
+    return {name for name, f in module_functions(tree) if any(map(calls, ast.walk(f)))}
 
 
 def test_one_growth_path_classifies_boxes():
@@ -684,7 +676,7 @@ def test_only_the_path_keyed_labeling_formats_leaf_paths():
     for source in Path(quadtree.__file__).parent.glob("*.py"):
         tree = ast.parse(source.read_text())
         assert not any(map(_parses_a_path, ast.walk(tree))), source.name
-        count = {name: sum(map(_calls_paths, ast.walk(f))) for name, f in _functions(tree)}
+        count = {name: sum(map(_calls_paths, ast.walk(f))) for name, f in module_functions(tree)}
         callers |= {f"{source.stem}.{name}" for name, n in count.items() if n}
         # and none outside a function
         assert sum(count.values()) == sum(map(_calls_paths, ast.walk(tree)))
