@@ -18,7 +18,8 @@ batches whose rows share endpoints the way a quadtree frontier does.
 hypot, which the arrays and the reference both take from ``np.hypot``, is
 held to the exact norm instead: squared bounds against exact rational
 squares, on random pairs over every exponent, zeros, subnormals, the top
-of the range, inf and NaN, and on boxes across zero, with a guard that
+of the range, inf and NaN, and on boxes across zero, with ``math.hypot``
+inside the bounds and at most three ulps from each, and with a guard that
 ``np.hypot`` in `vhypot` is the kernel's one source of norms.
 """
 
@@ -393,35 +394,6 @@ def _hypot_specials() -> np.ndarray:
     return np.array(vals)
 
 
-def _hypot_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Argument arrays (a, b): every pair of the special floats; equal
-    arguments and ratios 2**-k (k = 0..60), either argument the larger;
-    Pythagorean triples at scales from the subnormals to the top; random
-    pairs over every exponent, then within 60 binades and in one binade."""
-    v = _hypot_specials()
-    pairs = [tuple(side.ravel() for side in np.meshgrid(v, v))]
-    rng = np.random.default_rng(79)
-    x = rng.uniform(0.5, 1.0, 300) * 2.0 ** rng.integers(-1020, 1020, 300)
-    a = np.concatenate([x] + [x * 2.0**-k for k in range(61)])
-    b = np.concatenate([x] * 62)
-    pairs += [(a, b), (b, a)]
-    # (m^2 - n^2, 2 m n), whose hypot m^2 + n^2 is exact
-    m, n = np.meshgrid(np.arange(2.0, 60.0), np.arange(1.0, 59.0))
-    keep = n < m
-    legs = (m[keep] ** 2 - n[keep] ** 2, 2.0 * m[keep] * n[keep])
-    pairs += [tuple(np.ldexp(leg, e) for leg in legs) for e in (-1070, -1022, -600, 0, 600, 1000)]
-    # random biased exponents 0..2046 and mantissas
-    rng = np.random.default_rng(80)
-    count = 40_000
-    for spread in (None, 60, 0):
-        e = rng.integers(0, 2047, (2, count))
-        if spread is not None:
-            e[1] = np.clip(e[0] + rng.integers(-spread, spread + 1, count), 0, 2046)
-        bits = (e.astype(np.uint64) << np.uint64(52)) | rng.integers(0, 1 << 52, (2, count), dtype=np.uint64)
-        pairs.append(tuple(bits.view(np.float64)))
-    return pairs
-
-
 def _square(x: float) -> Fraction:
     f = Fraction(x)
     return f * f
@@ -441,21 +413,61 @@ def _assert_encloses(lo: float, hi: float, low_square: Fraction, high_square: Fr
         assert high_square <= _square(hi), hi
 
 
-def test_hypot_bounds_hold_the_exact_norm():
-    # lo^2 <= a^2 + b^2 <= hi^2 in exact rationals, on point intervals, so
-    # that both bounds meet every pair
+def _assert_hypot_holds_exact_norm_and_math(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """Run `vhypot` on point intervals, so that both bounds meet every pair,
+    and assert lo^2 <= a^2 + b^2 <= hi^2 in exact rationals, hi = inf on
+    every row with an inf argument, and math.hypot inside [lo, hi] and at
+    most three ulps from either bound: libm's and CPython's hypot both err
+    by under one ulp, so they are equal or neighbours, and the bounds are
+    libm's widened by two ulps. Returns the counts of finite and inf rows."""
+    lo, hi = iv.vhypot((a, a), (b, b))
     rows = inf_rows = 0
-    for a, b in _hypot_pairs():
-        lo, hi = iv.vhypot((a, a), (b, b))
-        for x, y, low, high in zip(a.tolist(), b.tolist(), lo.tolist(), hi.tolist()):
-            if math.isinf(x) or math.isinf(y):
-                assert high == math.inf
-                inf_rows += 1
-            elif not (math.isnan(x) or math.isnan(y)):
-                exact = _square(x) + _square(y)
-                _assert_encloses(low, high, exact, exact)
-                rows += 1
-    assert rows > 150_000 and inf_rows > 0
+    for x, y, low, high in zip(a.tolist(), b.tolist(), lo.tolist(), hi.tolist()):
+        if math.isinf(x) or math.isinf(y):
+            assert high == math.inf
+            inf_rows += 1
+        elif not (math.isnan(x) or math.isnan(y)):
+            exact = _square(x) + _square(y)
+            _assert_encloses(low, high, exact, exact)
+            m = math.hypot(x, y)
+            assert _steps(m, -3) <= low <= m <= high <= _steps(m, 3), (x, y)
+            rows += 1
+    return rows, inf_rows
+
+
+def test_hypot_equals_math_on_special_pairs():
+    v = _hypot_specials()
+    rows, inf_rows = _assert_hypot_holds_exact_norm_and_math(*(side.ravel() for side in np.meshgrid(v, v)))
+    assert rows > 400 and inf_rows > 0
+
+
+def test_hypot_equals_math_on_equal_arguments_powers_of_two_ratios_and_triples():
+    rng = np.random.default_rng(79)
+    x = rng.uniform(0.5, 1.0, 300) * 2.0 ** rng.integers(-1020, 1020, 300)
+    # y = x * 2**-k for k = 0..60, either argument the larger
+    a = np.concatenate([x] + [x * 2.0**-k for k in range(61)])
+    b = np.concatenate([x] * 62)
+    rows = _assert_hypot_holds_exact_norm_and_math(a, b)[0] + _assert_hypot_holds_exact_norm_and_math(b, a)[0]
+    # (m^2 - n^2, 2 m n), whose hypot m^2 + n^2 is exact, at every scale
+    m, n = np.meshgrid(np.arange(2.0, 60.0), np.arange(1.0, 59.0))
+    keep = n < m
+    legs = (m[keep] ** 2 - n[keep] ** 2, 2.0 * m[keep] * n[keep])
+    for e in (-1070, -1022, -600, 0, 600, 1000):
+        rows += _assert_hypot_holds_exact_norm_and_math(*(np.ldexp(leg, e) for leg in legs))[0]
+    assert rows == 2 * 62 * 300 + 6 * len(legs[0])
+
+
+def test_hypot_equals_math_on_random_pairs_over_all_exponents():
+    # random biased exponents 0..2046 and mantissas, both sides independent,
+    # then the second side within 60 binades of the first and in its binade
+    rng = np.random.default_rng(80)
+    count = 40_000
+    for spread in (None, 60, 0):
+        e = rng.integers(0, 2047, (2, count))
+        if spread is not None:
+            e[1] = np.clip(e[0] + rng.integers(-spread, spread + 1, count), 0, 2046)
+        bits = (e.astype(np.uint64) << np.uint64(52)) | rng.integers(0, 1 << 52, (2, count), dtype=np.uint64)
+        assert _assert_hypot_holds_exact_norm_and_math(*bits.view(np.float64)) == (count, 0)
 
 
 def test_norm2_of_boxes_across_zero_holds_their_exact_extremes():
