@@ -163,10 +163,12 @@ def _cmd_space(args, parser, space: str) -> int:
     if args.format == "svg":
         _write_text(out, render_svg(model))
     else:
-        _write_text(out, qt.serialize(model))
-        _write_text(
-            out.with_name(out.name + ".comp"), qt.serialize(model.complement_model())
-        )
+        text = qt.serialize(model)
+        _write_text(out, text)
+        # the text of `model.complement_model()`: B and W swapped in the node line
+        header, body = text.split("\n", 1)
+        body = body.translate(str.maketrans("BW", "WB"))
+        _write_text(out.with_name(out.name + ".comp"), f"{header}\n{body}")
     print(f"nodes={model.stats.nodes} black={model.stats.black} calls={model.stats.calls}")
     return 0
 

@@ -201,7 +201,7 @@ class _Batch:
             self.verdict[self.rows[hit]] = v
             done |= hit
         keep = ~done
-        self.rows = self.rows[keep]
+        self.rows = self.rows.compress(keep)
         return keep
 
     def finish(self, v: int) -> np.ndarray:
@@ -210,8 +210,10 @@ class _Batch:
 
 
 def _take(rows: np.ndarray, *arrays: iv.IArray) -> list[iv.IArray]:
-    """The ``rows`` (a mask or indices) of each interval array."""
-    return [(lo[rows], hi[rows]) for lo, hi in arrays]
+    """The ``rows`` (a mask or indices) of each interval array, by
+    ``compress`` or ``take``: cheaper than boolean or fancy indexing."""
+    pick = np.ndarray.compress if rows.dtype == bool else np.ndarray.take
+    return [(pick(lo, rows), pick(hi, rows)) for lo, hi in arrays]
 
 
 def _vclip_unit(a: iv.IArray) -> iv.IArray:

@@ -36,11 +36,15 @@ the next frontier. Its tables drop the entries that no open box uses (a
 presence mask and a prefix sum, no sort) and halve the others at their
 midpoints, which are the bits of `_bounds` on the grid of the next level;
 the build starts from the root box, a refinement from one `_bounds` call
-over its Undetermined leaves. One canonical pass then sorts the rows by
-key and, deepest level first, collapses every four Black or White
-siblings of one kind into their parent, so the table is that of the
-depth-first recursion's canonical tree, with the same number of
-classifier calls.
+over its Undetermined leaves. A batch has a fixed cost that the few boxes
+of the top levels would pay once per level, so a build through ``batch``
+first classifies every box of levels 0..TOP in one batch, the grid of
+those levels (`_grid`), and its level loop reads their verdicts from it;
+a plain function, and a refinement, classify each level as it comes.
+One canonical pass then sorts the rows by key and, deepest level first,
+collapses every four Black or White siblings of one kind into their
+parent, so the table is that of the depth-first recursion's canonical
+tree, with the same number of classifier calls.
 A classifier may state a mirror symmetry (``mirror``): the twin of a box,
 its mirror image, has the path whose quadrant digits are all XOR
 ``mirror`` and gets the same verdict. When the root box and the bisection
@@ -274,6 +278,51 @@ def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) / 2
 
 
+def _halved(edges: np.ndarray) -> np.ndarray:
+    """The edge grid of the next level: ``edges`` with the `_midpoint` of
+    every two neighbours put in between."""
+    grid = np.empty(2 * len(edges) - 1)
+    grid[::2] = edges
+    grid[1::2] = _midpoint(edges[:-1], edges[1:])
+    return grid
+
+
+# A build classifies every box of levels 0..TOP in one batch (`_grid`). A
+# batch has a fixed cost, that of some 1 500-2 300 rows at 0.16-0.19 us a
+# row (levels 8-10); levels 0..6 hold 5 461 boxes, or 2 731 with mirror
+# pairs, and a grid to level 7 would add 8 192 rows to save one batch.
+TOP = 6
+
+
+def _grid(t: int, x, y, mirror: int) -> tuple:
+    """Every box of levels 0..t of the root box ``x[0] x y[0]``, or with a
+    nonzero ``mirror`` the one of each pair of twins that has the larger
+    key, in level and then Morton order: the slot of each box and of its
+    twin among the boxes of all levels (level L from (4^L - 1) / 3 on), and
+    axis tables (x, y, ix, iy). The tables of a level are the intervals of
+    its edge grid (`_halved`: the bits of `_bounds` and of the carried
+    bisection); box i takes column ``_compact_bits(i)`` and row
+    ``_compact_bits(i >> 1)``."""
+    slot, twin, ix, iy, xs, ys = [], [], [], [], [], []
+    ex, ey = np.concatenate(x), np.concatenate(y)  # [lo, hi] of the root
+    for lev in range(t + 1):
+        i = np.arange(1 << 2 * lev)
+        mate = _twins(lev, lev, i, mirror)
+        i, mate = i[i >= mate], mate[i >= mate]
+        above = ((1 << 2 * lev) - 1) // 3  # boxes of the levels above
+        slot.append(above + i)
+        twin.append(above + mate)
+        ix.append((1 << lev) - 1 + _compact_bits(i))  # past the columns above
+        iy.append((1 << lev) - 1 + _compact_bits(i >> 1))
+        xs.append(ex)
+        ys.append(ey)
+        ex, ey = _halved(ex), _halved(ey)
+    x, y = ((np.concatenate([e[:-1] for e in es]), np.concatenate([e[1:] for e in es]))
+            for es in (xs, ys))
+    slot, twin, ix, iy = (np.concatenate(c) for c in (slot, twin, ix, iy))
+    return slot, twin, x, y, ix, iy
+
+
 def _tables(box: Box2, d: int, level: int, keys: np.ndarray) -> tuple:
     """Axis tables (x, y, ix, iy) of the boxes at ``level`` with ``keys`` on
     the depth-``d`` grid: their bounds from one `_bounds` call, each column
@@ -378,8 +427,21 @@ def _grow(
     the smaller key is dropped unclassified and the other flagged. A
     flagged box stands for its twin too: its children are flagged, and
     each of its leaf rows brings its twin's row.
+
+    From the root (``depth`` 0) of a classifier with ``batch``, the
+    verdicts of levels 0..min(d_max, TOP) come from one batch over every
+    box of those levels, one of each pair of twins with a nonzero
+    ``mirror`` (`_grid`): the boxes the loop classifies there are among
+    them, so the rows, flags and calls are those of a batch per level.
     """
     rows, calls = [], 0
+    top = []  # verdicts of every box of levels 0..len(top) - 1, per level
+    if depth == 0 and hasattr(classify, "batch"):
+        t = min(d_max, TOP)
+        slot, twin_slot, *grid = _grid(t, x, y, mirror)
+        top = np.empty(((4 << 2 * t) - 1) // 3, dtype=np.int8)
+        top[slot] = top[twin_slot] = _verdicts(classify, *grid)
+        top = np.split(top, [((1 << 2 * lev) - 1) // 3 for lev in range(1, t + 1)])
     flag = np.zeros(len(keys), dtype=bool)
     while len(keys):
         if mirror and not flag.all():
@@ -388,7 +450,10 @@ def _grow(
             keep = flag | (j <= i)
             flag = (flag | (j >= 0) & (j < i))[keep]
             keys, ix, iy = keys[keep], ix[keep], iy[keep]
-        v = _verdicts(classify, x, y, ix, iy)
+        if depth < len(top):
+            v = top[depth][keys >> 2 * (d_max - depth)]
+        else:
+            v = _verdicts(classify, x, y, ix, iy)
         calls += len(v) + int(flag.sum())
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
         twin = leaf & flag
@@ -675,10 +740,7 @@ def _bounds(box: Box2, d: int, level: np.ndarray, keys: np.ndarray) -> tuple[np.
     for col, side in ((_compact_bits(keys), box.x), (_compact_bits(keys >> 1), box.y)):
         edges = np.array([side.lo, side.hi])
         for _ in range(cap):
-            grid = np.empty(2 * len(edges) - 1)
-            grid[::2] = edges
-            grid[1::2] = _midpoint(edges[:-1], edges[1:])
-            edges = grid
+            edges = _halved(edges)
         lo, hi = edges[col >> shift], edges[(col + s) >> shift]
         c = col[deep]
         a, b = edges[c >> shift], edges[(c >> shift) + 1]

@@ -35,9 +35,11 @@ interval arrays replaced. `box_bounds` gathers the bounds of every box of
 a classifier batch from its axis tables, and `box_tables` turns boxes given
 by their bounds into such a batch (one table entry per box), so that the
 tests' classifiers and kernel calls speak per-box bounds.
-`CountingClassifier` counts the rows a build sends to the kernel, and
-`module_functions` lists the functions of a parsed module for the tests
-that pin where the library calls what.
+`CountingClassifier` records the size of each batch a build sends to the
+kernel; `grid_rows` and `build_rows` are the exact counts a build sends:
+the grid of its top levels in one batch, then the boxes below them level
+by level. `module_functions` lists the functions of a parsed module for
+the tests that pin where the library calls what.
 `point_classifier` grows one chain of boxes to any depth. `parse_table`
 reads back the `bench` CSV, and `run_discretization` executes the grid
 baseline whose cell count the bench tests check.
@@ -81,6 +83,7 @@ from fivebar.quadtree import (
     UNDETERMINED,
     WHITE,
     LeafTable,
+    TOP,
     ParseError,
     QuadtreeModel,
     RegionLabeling,
@@ -328,18 +331,40 @@ def box_tables(x_lo, x_hi, y_lo, y_hi) -> tuple:
 
 
 class CountingClassifier:
-    """A classifier's batch, counting the rows it is sent; its ``mirror``
-    is passed on unless ``hide``, so that a build takes no mirror pairs."""
+    """A classifier's batch, counting the rows it is sent and recording the
+    size of each batch; its ``mirror`` is passed on unless ``hide``, so
+    that a build takes no mirror pairs."""
 
     def __init__(self, classify, hide: bool = False):
         self.classify = classify
-        self.rows = 0
+        self.sizes = []
         if not hide:
             self.mirror = classify.mirror
 
+    @property
+    def rows(self) -> int:
+        return sum(self.sizes)
+
     def batch(self, x, y, ix, iy):
-        self.rows += len(ix)
+        self.sizes.append(len(ix))
         return self.classify.batch(x, y, ix, iy)
+
+
+def grid_rows(d: int, paired: bool) -> int:
+    """The rows of the first batch of a build to depth ``d``: every box of
+    levels 0..min(d, TOP), or with mirror pairs the root and one box of
+    each pair of twins."""
+    n = ((4 << 2 * min(d, TOP)) - 1) // 3
+    return 1 + (n - 1) // 2 if paired else n
+
+
+def build_rows(d: int, calls: int, top_calls: int, paired: bool) -> int:
+    """The rows a build to depth ``d`` with ``calls`` sends the kernel: the
+    grid (`grid_rows`), then the boxes it tests below level TOP, which are
+    ``calls - top_calls`` for ``top_calls`` the calls of the same build to
+    depth min(d, TOP); with mirror pairs, one box of each pair of them."""
+    below = calls - top_calls
+    return grid_rows(d, paired) + (below // 2 if paired else below)
 
 
 def point_classifier(px: float, py: float):

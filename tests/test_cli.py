@@ -57,6 +57,18 @@ def test_jointspace_writes_tree_and_complement(tmp_path, capsys):
     assert int(match.group(3)) >= int(match.group(1))
 
 
+@pytest.mark.parametrize("space", ["jointspace", "workspace"])
+@pytest.mark.parametrize("name", ["m1", "m2"])
+def test_complement_file_is_the_serialized_complement(tmp_path, name, space):
+    # the .comp text is the .qt text with B and W swapped in the node line
+    out = tmp_path / f"{name}.qt"
+    assert run([space, "--mechanism", name, "--depth", "7", "--out", str(out)]) == 0
+    model = qt.deserialize(out.read_text())
+    comp = Path(f"{out}.comp").read_text()
+    assert comp == qt.serialize(model.complement_model())
+    assert comp != out.read_text()
+
+
 def test_custom_lengths_equal_builtin(tmp_path):
     a = tmp_path / "a.qt"
     b = tmp_path / "b.qt"

@@ -23,7 +23,7 @@ from fivebar.mechanism import M1, M2, AssemblyMode, BoxClassifier, FiveBarGeomet
 from fivebar.quadtree import CODE_BLACK, CODE_UNDET, CODE_WHITE, LeafTable, build, deserialize
 from fivebar.quadtree import mismatched_leaves, refine, serialize
 
-from helpers import CountingClassifier
+from helpers import CountingClassifier, build_rows
 
 
 def _scaled(g: FiveBarGeometry, seed: int) -> FiveBarGeometry:
@@ -58,6 +58,13 @@ def assert_same_rows(a, b) -> None:
         assert np.array_equal(col_a, col_b)
 
 
+def rows_of(m: qt.QuadtreeModel, classify, paired: bool) -> int:
+    """The rows the build of ``m`` by ``classify`` sends the kernel
+    (`build_rows`), with the calls of levels 0..TOP from a build to TOP."""
+    top = build(m.root_box, qt.TOP, classify).calls
+    return build_rows(m.max_depth, m.calls, top, paired)
+
+
 def test_mirror_follows_from_space_and_modes():
     for g in (M1, M2):
         assert BoxClassifier(JOINTSPACE, g).mirror == 3
@@ -82,9 +89,11 @@ def test_paired_build_equals_unpaired_build(name, space):
         paired, unpaired = CountingClassifier(classify), CountingClassifier(classify, hide=True)
         a, b = build(box, 9, paired), build(box, 9, unpaired)
         assert_same_rows(columns(a.table), columns(b.table))
-        assert a.calls == b.calls == unpaired.rows
+        assert a.calls == b.calls
+        # the grid of the top levels in one batch, then the boxes below it
+        assert unpaired.rows == rows_of(a, classify, paired=False)
         # the root, then one box of each pair
-        assert paired.rows == 1 + (a.calls - 1) // 2
+        assert paired.rows == rows_of(a, classify, paired=True)
         # the tree is its own mirror image
         assert_same_rows(mirrored(a.table, MIRROR[space]), columns(a.table))
 
@@ -146,17 +155,17 @@ def test_parsed_tree_whose_halves_differ(space):
 def test_asymmetric_box_takes_no_pairs():
     classify = CountingClassifier(BoxClassifier(WORKSPACE, M2))
     m = build(Box2.from_bounds(-4.6, 4.6, -4.0, 4.6), 8, classify)
-    assert classify.rows == m.calls
+    assert classify.rows == rows_of(m, classify.classify, paired=False)
     # the joint-space reflection flips both sides; each must be symmetric
     a = iv.full_angle().hi
     for bounds in ((-a, a, -a, 3.0), (-3.0, a, -a, a)):
         classify = CountingClassifier(BoxClassifier(JOINTSPACE, M1))
         m = build(Box2.from_bounds(*bounds), 8, classify)
-        assert classify.rows == m.calls
+        assert classify.rows == rows_of(m, classify.classify, paired=False)
     # the workspace reflection keeps x: a box symmetric in y alone pairs
     classify = CountingClassifier(BoxClassifier(WORKSPACE, M2))
     m = build(Box2.from_bounds(-4.0, 4.6, -4.6, 4.6), 8, classify)
-    assert classify.rows == 1 + (m.calls - 1) // 2
+    assert classify.rows == rows_of(m, classify.classify, paired=True)
 
 
 # the half-width a of the smallest square root box that `_mirror` pairs at
@@ -237,12 +246,13 @@ def test_pairs_only_above_the_guard(a):
     m = build(box, d, classify)
     plain = CountingClassifier(_origin_classifier(), hide=True)
     assert_same_rows(columns(m.table), columns(build(box, d, plain).table))
-    assert m.calls == plain.rows > 100
+    assert m.calls > 100
+    assert plain.rows == rows_of(m, _origin_classifier(), paired=False)
     if a >= EDGE:
-        assert classify.rows == 1 + (m.calls - 1) // 2
+        assert classify.rows == rows_of(m, _origin_classifier(), paired=True)
     else:
         assert qt._mirror(box, d, classify) == 0
-        assert classify.rows == m.calls
+        assert classify.rows == rows_of(m, _origin_classifier(), paired=False)
 
 
 def test_every_full_combo_mirrors_its_opposite(combo_trees_d8):

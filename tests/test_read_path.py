@@ -21,6 +21,7 @@ from fivebar.quadtree import (
     CODE_BLACK,
     CODE_UNDET,
     MAX_DEPTH,
+    TOP,
     ParseError,
     build,
     deserialize,
@@ -301,19 +302,26 @@ class _Recorder:
         return out
 
 
-def _replay(bits, verdicts, depth: int, d_max: int, keys, *bounds) -> tuple[int, list]:
+def _replay(
+    bits, verdicts, depth: int, d_max: int, keys, *bounds, top=()
+) -> tuple[int, list]:
     """Checks the recorded rows of a grow from the frontier (keys, bounds)
     at ``depth``: each level's rows hold that frontier's bounds bit for
     bit, and its undecided boxes split by `reference_split` into the next.
-    Returns the rows checked and the (depth, boxes) of each level."""
+    The boxes of levels 0..len(top) - 1 send no rows: their verdicts are
+    those of their cells in ``top[level]``. Returns the rows checked and
+    the (depth, boxes) of each level that sent rows."""
     pos, levels = 0, []
     while len(keys):
         n = len(keys)
-        want = np.stack([b.view(np.int64) for b in bounds])
-        assert np.array_equal(bits[:, pos:pos + n], want), (depth, n)
-        v = verdicts[pos:pos + n]
-        pos += n
-        levels.append((depth, n))
+        if depth < len(top):
+            v = top[depth][keys >> 2 * (d_max - depth)]
+        else:
+            want = np.stack([b.view(np.int64) for b in bounds])
+            assert np.array_equal(bits[:, pos:pos + n], want), (depth, n)
+            v = verdicts[pos:pos + n]
+            pos += n
+            levels.append((depth, n))
         if depth == d_max:
             break
         open_ = v == 0
@@ -322,12 +330,36 @@ def _replay(bits, verdicts, depth: int, d_max: int, keys, *bounds) -> tuple[int,
     return pos, levels
 
 
+def _root(box: Box2) -> list:
+    """The key and bounds of the root box, as a frontier."""
+    return [np.zeros(1, dtype=np.int64)] + [
+        np.array([b]) for b in (box.x.lo, box.x.hi, box.y.lo, box.y.hi)
+    ]
+
+
 def _replay_build(rec: _Recorder, box: Box2, d: int) -> list:
+    """Checks the recorded rows of a build: first the grid, every box of
+    levels 0..t = min(d, TOP) with the bounds of the carried bisection of
+    the whole grid bit for bit, in Morton order; then the rows of the
+    levels below t, level by level, the levels 0..t reading the grid's
+    verdicts. Returns the (depth, boxes) of the grid's levels and of each
+    level below that sent rows."""
     bits, v = rec.take()
-    root = (np.array([b]) for b in (box.x.lo, box.x.hi, box.y.lo, box.y.hi))
-    n, levels = _replay(bits, v, 0, d, np.zeros(1, dtype=np.int64), *root)
-    assert n == len(v)
-    return levels
+    t = min(d, TOP)
+    keys, *bounds = _root(box)
+    pos, top, levels = 0, [], []
+    for lev in range(t + 1):
+        n = len(keys)
+        want = np.stack([b.view(np.int64) for b in bounds])
+        assert np.array_equal(bits[:, pos:pos + n], want), (lev, n)
+        top.append(v[pos:pos + n])
+        levels.append((lev, n))
+        pos += n
+        if lev < t:
+            keys, *bounds = reference_split(t, lev, keys, *bounds)
+    n, below = _replay(bits[:, pos:], v[pos:], 0, d, *_root(box), top=top)
+    assert pos + n == len(v)
+    return levels + below
 
 
 def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
@@ -361,8 +393,9 @@ def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
             for other in (rec, _Recorder(seed + 10, p_open, box.x.width / 3)):
                 mismatched_leaves(m, other)
                 levels += _replay_build(other, box, d)
-    # one chain of boxes down to maximal depth: four boxes or so a level
-    for box in ODD_BOXES:
+    # one chain of boxes down to maximal depth: four boxes or so a level,
+    # in the grid down to level TOP and sparse frontiers below it
+    for box in (UNIT,) + ODD_BOXES:
         rec = _Recorder(inner=point_classifier(box.x.lo + 0.3, box.y.hi - 0.1))
         build(box, MAX_DEPTH, rec)
         levels += _replay_build(rec, box, MAX_DEPTH)

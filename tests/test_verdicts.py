@@ -41,8 +41,10 @@ from helpers import (
     Ternary,
     box_bounds,
     box_tables,
+    build_rows,
     coincidence_configurations,
     dkp_box,
+    grid_rows,
     ikp_box,
 )
 
@@ -175,9 +177,10 @@ def test_verdicts_match_reference_on_every_built_box(name, space):
     for a, b in SPACES[space][2]:
         classify = _CheckedBatches(space, g, a, b)
         model = build(space_box(g, space), 6, classify)
-        # one batch per level: the frontiers stay below CHUNK at depth 6
-        assert len(classify.sizes) <= 7
-        assert sum(classify.sizes) == model.stats.calls > 1
+        # one batch: every box of levels 0..6, the grid of a build's top
+        # levels, so every box the tree tests and the others
+        assert classify.sizes == [grid_rows(6, paired=False)]
+        assert model.stats.calls > 1
 
 
 def test_verdicts_match_reference_at_elbow_coincidence():
@@ -325,6 +328,8 @@ def test_joint_build_maps_trig_once_per_distinct_endpoint(monkeypatch):
     # mode-free, the joint verdict reads cos and sin of theta1 and theta2
     # only: per batch, math.cos may run once per distinct endpoint of the
     # axis tables of each
+    box, classify = space_box(M1, JOINTSPACE), space_classifier(M1, JOINTSPACE)
+    top = build(box, qt.TOP, classify).calls  # the calls of levels 0..TOP
     counting = types.SimpleNamespace(**vars(math))
     calls = []
 
@@ -345,10 +350,11 @@ def test_joint_build_maps_trig_once_per_distinct_endpoint(monkeypatch):
         return v
 
     monkeypatch.setattr(mech, "joint_verdicts", joint_verdicts)
-    model = build(space_box(M1, JOINTSPACE), 10, space_classifier(M1, JOINTSPACE))
+    model = build(box, 10, classify)
     assert model.stats.calls == 33397
-    # the build classifies one box of each mirror pair below the root
-    assert sum(boxes for *_, boxes in batches) == 1 + (model.stats.calls - 1) // 2
+    # the build classifies one box of each mirror pair below the root: in
+    # the grid of levels 0..TOP, then level by level
+    assert sum(boxes for *_, boxes in batches) == build_rows(10, 33397, top, paired=True) == 18407
     for mapped, distinct, _, boxes in batches:
         assert mapped <= distinct, (mapped, distinct, boxes)
     # a box's column and row are shared by the boxes beside it: the tables
