@@ -39,19 +39,24 @@ the build starts from the root box, a refinement from one `_bounds` call
 over its Undetermined leaves. A batch has a fixed cost that the few boxes
 of the top levels would pay once per level, so a build through ``batch``
 first classifies every box of levels 0..TOP in one batch, the grid of
-those levels (`_grid`), and its level loop reads their verdicts from it;
-a plain function, and a refinement, classify each level as it comes.
-One canonical pass then sorts the rows by key and, deepest level first,
-collapses every four Black or White siblings of one kind into their
-parent, so the table is that of the depth-first recursion's canonical
-tree, with the same number of classifier calls.
+those levels (`_grid`), reads the leaf rows of those levels off its
+verdicts by array passes in Morton order, and starts its level loop at
+level TOP + 1 with tables taken from the grid's; a plain function, and a
+refinement, classify each level as it comes. One canonical pass then
+sorts the rows by key and, deepest level first, collapses every four
+Black or White siblings of one kind into their parent, so the table is
+that of the depth-first recursion's canonical tree, with the same number
+of classifier calls.
 A classifier may state a mirror symmetry (``mirror``): the twin of a box,
 its mirror image, has the path whose quadrant digits are all XOR
 ``mirror`` and gets the same verdict. When the root box and the bisection
 of its flipped sides are symmetric bit for bit (`_mirror`), the build
 classifies one box of each pair of twins in the frontier, and the leaf
 rows of the other are those of the first, reflected; the calls still
-count both, so they are the boxes of the tree.
+count both, so they are the boxes of the tree. Below the root a build
+classifies one half of the tree, whose merges stay inside it: the
+canonical pass runs over that half, and the finished rows are reflected
+once (`_mirror_image`, a table's mirror image).
 Refining a model to a higher depth keeps its Black and White rows and
 starts the frontier at the children of its Undetermined leaves, which are
 known to be undecided, so no decided box is ever retested.
@@ -404,6 +409,15 @@ def _twins(d: int, level, keys: np.ndarray, mirror: int) -> np.ndarray:
     return keys ^ (path << 2 * (d - level))
 
 
+def _mirror_image(d: int, level, keys: np.ndarray, kind, mirror: int) -> tuple[np.ndarray, ...]:
+    """The (level, keys, kind) columns of the mirror image of the leaf rows
+    (level, keys, kind) of a depth-``d`` table: the twin of every row, in
+    key order."""
+    keys = _twins(d, level, keys, mirror)
+    order = np.argsort(keys)
+    return level[order], keys[order], kind[order]
+
+
 def _twin_rows(d: int, level: int, keys: np.ndarray, mirror: int) -> np.ndarray:
     """Index of each box's twin among the boxes at ``level`` with the sorted
     ``keys`` on the depth-``d`` grid, or -1 where the twin is not among
@@ -415,34 +429,63 @@ def _twin_rows(d: int, level: int, keys: np.ndarray, mirror: int) -> np.ndarray:
 
 def _grow(
     depth: int, d_max: int, classify: Classifier, mirror: int, keys, x, y, ix, iy
-) -> tuple[list, int]:
+) -> tuple[list, list, int]:
     """Classify a frontier of boxes at ``depth``, given by their sorted keys
     on the depth-``d_max`` grid and their axis tables, and grow the
     undecided ones level by level down to ``d_max``. Returns the leaf rows
-    of each level, as columns (level, keys, kind), and the number of
-    classifier calls, twins counted.
+    of the boxes classified, as columns (level, keys, kind): those that
+    stand for themselves, and those that stand for their twins too; and
+    the number of classifier calls, twins counted.
 
     With a nonzero ``mirror`` (from `_mirror`), every box not yet flagged
     whose twin is in the frontier as well is paired with it: the one with
     the smaller key is dropped unclassified and the other flagged. A
-    flagged box stands for its twin too: its children are flagged, and
-    each of its leaf rows brings its twin's row.
+    flagged box stands for its twin too, and so do its children and its
+    leaf rows.
 
-    From the root (``depth`` 0) of a classifier with ``batch``, the
-    verdicts of levels 0..min(d_max, TOP) come from one batch over every
-    box of those levels, one of each pair of twins with a nonzero
-    ``mirror`` (`_grid`): the boxes the loop classifies there are among
-    them, so the rows, flags and calls are those of a batch per level.
+    From the root (``depth`` 0) of a classifier with ``batch``, one batch
+    classifies every box of levels 0..T = min(d_max, TOP), one of each pair
+    of twins with a nonzero ``mirror`` (`_grid`). The rows of those levels
+    are read off its verdicts in Morton order: the children of box i of a
+    level are boxes 4i..4i+3 of the next, and a box is reached when its
+    parent was reached and left undecided. With pairs the boxes below the
+    root are those of the kept half, each with a larger key than its twin,
+    and each flagged. The loop then starts at level T + 1, from the
+    children of the open boxes of level T, whose tables come from the
+    grid's own; so the rows, flags and calls are those of a batch per
+    level.
     """
-    rows, calls = [], 0
-    top = []  # verdicts of every box of levels 0..len(top) - 1, per level
+    rows, paired, calls = [], [], 0
+    flag = np.zeros(len(keys), dtype=bool)
     if depth == 0 and hasattr(classify, "batch"):
         t = min(d_max, TOP)
-        slot, twin_slot, *grid = _grid(t, x, y, mirror)
-        top = np.empty(((4 << 2 * t) - 1) // 3, dtype=np.int8)
-        top[slot] = top[twin_slot] = _verdicts(classify, *grid)
-        top = np.split(top, [((1 << 2 * lev) - 1) // 3 for lev in range(1, t + 1)])
-    flag = np.zeros(len(keys), dtype=bool)
+        slot, twin_slot, x, y, ix, iy = _grid(t, x, y, mirror)
+        starts = [((1 << 2 * lev) - 1) // 3 for lev in range(t + 2)]  # of each level
+        v = np.empty(starts[-1], dtype=np.int8)
+        v[slot] = v[twin_slot] = _verdicts(classify, x, y, ix, iy)
+        leaf = v != 0
+        if t == d_max:
+            leaf[starts[t]:] = True
+        reached = np.zeros(len(v), dtype=bool)
+        reached[0] = True
+        for a, b, c in zip(starts, starts[1:], starts[2:]):
+            reached[b:c] = np.repeat(reached[a:b] & ~leaf[a:b], 4)
+        calls = int(reached.sum())
+        reached[twin_slot[twin_slot != slot]] = False  # with pairs, the twins' half
+        s = np.flatnonzero(reached & leaf)
+        level = np.repeat(np.arange(t + 1), np.diff(starts))[s]
+        keys = (s - np.array(starts)[level]) << 2 * (d_max - level)
+        # with pairs, every row below the root stands for its twin's
+        (paired if mirror and v[0] == 0 else rows).append((level, keys, v[s]))
+        if t == d_max:
+            return rows, paired, calls
+        i = np.flatnonzero((reached & ~leaf)[starts[t]:])  # open boxes of level t
+        x, y = ((lo[(1 << t) - 1:], hi[(1 << t) - 1:]) for lo, hi in (x, y))  # its tables
+        keys, x, y, ix, iy = _children(
+            d_max, t, i << 2 * (d_max - t), x, y, _compact_bits(i), _compact_bits(i >> 1)
+        )
+        flag = np.full(len(keys), mirror != 0)
+        depth = t + 1
     while len(keys):
         if mirror and not flag.all():
             j = _twin_rows(d_max, depth, keys, mirror)
@@ -450,23 +493,18 @@ def _grow(
             keep = flag | (j <= i)
             flag = (flag | (j >= 0) & (j < i))[keep]
             keys, ix, iy = keys[keep], ix[keep], iy[keep]
-        if depth < len(top):
-            v = top[depth][keys >> 2 * (d_max - depth)]
-        else:
-            v = _verdicts(classify, x, y, ix, iy)
+        v = _verdicts(classify, x, y, ix, iy)
         calls += len(v) + int(flag.sum())
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
-        twin = leaf & flag
-        keys_out = np.concatenate((keys[leaf], _twins(d_max, depth, keys[twin], mirror)))
-        kind = np.concatenate((v[leaf], v[twin]))
-        rows.append((np.full(len(kind), depth), keys_out, kind))
+        for out, take in ((rows, leaf & ~flag), (paired, leaf & flag)):
+            out.append((np.full(int(take.sum()), depth), keys[take], v[take]))
         if depth == d_max:
             break
         open_ = ~leaf
         flag = np.repeat(flag[open_], 4)
         keys, x, y, ix, iy = _children(d_max, depth, keys[open_], x, y, ix[open_], iy[open_])
         depth += 1
-    return rows, calls
+    return rows, paired, calls
 
 
 def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
@@ -483,8 +521,8 @@ def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
     of their sides past it.
     """
     level, keys, kind = (np.concatenate(c) for c in zip(*rows))
-    # the keys are distinct; a stable sort merges the runs in which `_grow`
-    # emits them (ascending, and descending for the joint-space twins)
+    # the keys are distinct; a stable sort merges the runs in which they
+    # come (ascending, and descending for the joint-space twins of `refine`)
     order = np.argsort(keys, kind="stable")
     level, keys, kind = level[order], keys[order], kind[order]
     bw = np.flatnonzero(kind != CODE_UNDET)
@@ -512,14 +550,35 @@ def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
 def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Build a quadtree model of the region accepted by ``classify``.
     ValueError unless 1 <= d_max <= MAX_DEPTH and the box passes
-    `check_root_box`."""
+    `check_root_box`.
+
+    With mirror pairs the boxes below the root are those of one half, the
+    level-1 quadrants q with q > q ^ mirror and their descendants. Four
+    siblings below level 1 have one level-1 ancestor, so the canonical
+    pass runs over that half alone, and the other half is its mirror image
+    (`_mirror_image`), added once to the finished rows. Only the root's
+    four quadrants straddle the halves: they collapse when the half is
+    two level-1 leaves of one Black or White kind.
+    """
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     check_root_box(box)
     root = np.zeros(1, dtype=np.int64)
     frontier = root, *_tables(box, d_max, 0, root)
-    rows, calls = _grow(0, d_max, classify, _mirror(box, d_max, classify), *frontier)
-    return QuadtreeModel(box, LeafTable(d_max, *_canonical(d_max, rows)), calls)
+    mirror = _mirror(box, d_max, classify)
+    rows, paired, calls = _grow(0, d_max, classify, mirror, *frontier)
+    level, keys, kind = _canonical(d_max, rows + paired)
+    if mirror and len(keys) > 1:  # the rows of one half
+        if len(keys) == 2 and kind[0] == kind[1] != CODE_UNDET:
+            level, keys, kind = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), kind[:1]
+        else:
+            cols = zip(_mirror_image(d_max, level, keys, kind, mirror), (level, keys, kind))
+            level, keys, kind = (np.concatenate(c) for c in cols)
+            # two sorted runs: the twins' keys lie below the half's for a y
+            # flip and interleave with them for an x flip alone
+            order = np.argsort(keys, kind="stable")
+            level, keys, kind = level[order], keys[order], kind[order]
+    return QuadtreeModel(box, LeafTable(d_max, level, keys, kind), calls)
 
 
 def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
@@ -529,6 +588,10 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     are known to be undecided, so no box is tested twice. For a
     deterministic classifier the result equals a fresh build at the new
     depth, at a fraction of the classifier calls.
+
+    The canonical pass runs over the old Black and White rows, the new
+    rows and the twin rows of the paired ones: the old rows need not be
+    symmetric, so the twins are added before the merge, not after.
     """
     if d_max <= m.max_depth:
         raise ValueError("refinement depth must exceed the model's depth")
@@ -540,9 +603,11 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     u = t.kind == CODE_UNDET
     tables = _tables(m.root_box, d, d, t.keys[u])
     frontier = _children(d_max, d, keys[u], *tables)
-    rows, calls = _grow(d + 1, d_max, classify, _mirror(m.root_box, d_max, classify), *frontier)
+    mirror = _mirror(m.root_box, d_max, classify)
+    rows, paired, calls = _grow(d + 1, d_max, classify, mirror, *frontier)
+    twins = [(lev, _twins(d_max, lev, k, mirror), kind) for lev, k, kind in paired]
     kept = (t.level[~u], keys[~u], t.kind[~u])
-    table = LeafTable(d_max, *_canonical(d_max, [kept] + rows))
+    table = LeafTable(d_max, *_canonical(d_max, [kept] + rows + paired + twins))
     return QuadtreeModel(m.root_box, table, m.calls + calls)
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: files written, exit codes, determinism."""
 
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -139,6 +141,29 @@ def test_refine_from_equals_fresh(tmp_path):
     ) == 0
     run(["jointspace", "--mechanism", "m2", "--depth", "6", "--out", str(fresh)])
     assert refined.read_bytes() == fresh.read_bytes()
+
+
+def test_benchmark_build_commands_write_the_reference_trees(tmp_path):
+    # the six commands of the benchmark's `build` workload at seed 0 (the
+    # four mode-free depth-10 trees, the m1 workspace tree at depth 8 and
+    # its refinement to depth 10): every file and its .comp hashes to the
+    # digest that perfbench/references.json records for it
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    want = json.loads(refs.read_text())["seed0"]["build"]
+
+    def space(name: str, s: str, depth: int, out: str, *extra: str) -> None:
+        argv = [s, "--mechanism", name, "--depth", str(depth), "--out", str(tmp_path / out)]
+        assert run(argv + list(extra)) == 0
+
+    for name in ("m1", "m2"):
+        for s in ("jointspace", "workspace"):
+            space(name, s, 10, f"{name}_{s}.qt")
+    space("m1", "workspace", 8, "m1_workspace_d8.qt")
+    space("m1", "workspace", 10, "m1_workspace_refined.qt",
+          "--refine-from", str(tmp_path / "m1_workspace_d8.qt"))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert len(want) == 12
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ a classifier that hides its ``mirror``; the twins' bounds are held to be
 exact negations on the depth-31 grid wherever the guard of
 `quadtree._mirror` takes pairs; and every full combo tree is held to be the
 mirror image of the opposite combo's tree.
+
+A paired build merges one half of the tree and reflects it once: custom
+classifiers with each mirror, on root boxes symmetric on the flipped sides
+only, hold that to the unpaired build at depths 1..TOP + 2, including the
+root's four quadrants of one kind, which collapse across the halves;
+`quadtree._mirror_image` is held to `mirrored`, the tests' own reflection;
+and the rows handed to the canonical pass are pinned.
 """
 
 from types import SimpleNamespace
@@ -23,7 +30,7 @@ from fivebar.mechanism import M1, M2, AssemblyMode, BoxClassifier, FiveBarGeomet
 from fivebar.quadtree import CODE_BLACK, CODE_UNDET, CODE_WHITE, LeafTable, build, deserialize
 from fivebar.quadtree import mismatched_leaves, refine, serialize
 
-from helpers import CountingClassifier, build_rows
+from helpers import CountingClassifier, box_bounds, box_tables, build_rows
 
 
 def _scaled(g: FiveBarGeometry, seed: int) -> FiveBarGeometry:
@@ -60,8 +67,9 @@ def assert_same_rows(a, b) -> None:
 
 def rows_of(m: qt.QuadtreeModel, classify, paired: bool) -> int:
     """The rows the build of ``m`` by ``classify`` sends the kernel
-    (`build_rows`), with the calls of levels 0..TOP from a build to TOP."""
-    top = build(m.root_box, qt.TOP, classify).calls
+    (`build_rows`), with the calls of levels 0..min(d, TOP) from a build to
+    that depth."""
+    top = build(m.root_box, min(m.max_depth, qt.TOP), classify).calls
     return build_rows(m.max_depth, m.calls, top, paired)
 
 
@@ -262,3 +270,159 @@ def test_every_full_combo_mirrors_its_opposite(combo_trees_d8):
         opposite = trees[(name, space, ModeCombo(WorkingMode(-wm.s1, -wm.s2), AssemblyMode(-am)))]
         assert_same_rows(mirrored(m.table, MIRROR[space]), columns(opposite.table))
         assert m.calls == opposite.calls, (name, space, str(combo))
+
+
+# a root box symmetric about 0 on both sides, on x alone, on y alone, and on neither
+SQUARE = Box2.from_bounds(-1.0, 1.0, -1.0, 1.0)
+X_SYMMETRIC = Box2.from_bounds(-1.0, 1.0, -0.8, 1.3)
+Y_SYMMETRIC = Box2.from_bounds(-0.7, 1.2, -1.0, 1.0)
+ASYMMETRIC = Box2.from_bounds(-1.0, 1.1, -0.8, 1.3)
+
+
+def _quadrant_signs(signs, mirror: int, box: Box2):
+    """Undecided on the root box ``box`` and ``signs[q]`` on every box
+    inside its quadrant q; ``signs[q] == signs[q ^ mirror]``."""
+    assert all(signs[q] == signs[q ^ mirror] for q in range(4))
+    mx, my = (side.lo + (side.hi - side.lo) / 2 for side in (box.x, box.y))
+    signs = np.array([*signs, 0], dtype=np.int8)  # index 4: the root
+
+    def batch(x, y, ix, iy):
+        x_lo, x_hi, y_lo, y_hi = box_bounds(x, y, ix, iy)
+        root = (x_lo < mx) & (mx < x_hi) & (y_lo < my) & (my < y_hi)
+        return signs[np.where(root, 4, (x_lo >= mx) + 2 * (y_lo >= my))]
+
+    return SimpleNamespace(batch=batch, mirror=mirror)
+
+
+def _disc(mirror: int):
+    """Black inside the disc of radius 0.55 about (0.3, 0) with ``mirror`` 2,
+    (0, 0.3) with 1 and (0, 0) with 3, White outside it: the verdict of a
+    box from the least and the greatest |x - cx| and |y - cy| over it,
+    which are the same, bit for bit, on a box and on its mirror image."""
+    cx, cy = {1: (0.0, 0.3), 2: (0.3, 0.0), 3: (0.0, 0.0)}[mirror]
+
+    def batch(x, y, ix, iy):
+        x_lo, x_hi, y_lo, y_hi = box_bounds(x, y, ix, iy)
+        near, far = 0.0, 0.0
+        for lo, hi in ((x_lo - cx, x_hi - cx), (y_lo - cy, y_hi - cy)):
+            near = near + np.maximum(np.maximum(lo, -hi), 0) ** 2
+            far = far + np.maximum(-lo, hi) ** 2
+        return np.where(far < 0.55**2, 1, np.where(near > 0.55**2, -1, 0)).astype(np.int8)
+
+    return SimpleNamespace(batch=batch, mirror=mirror)
+
+
+class _PerBox:
+    """A plain function of one box with the ``mirror`` of ``classify``, so
+    that a build pairs twins in its level loop; counts its calls."""
+
+    def __init__(self, classify):
+        self.classify = classify
+        self.mirror = classify.mirror
+        self.calls = 0
+
+    def __call__(self, b: Box2) -> int:
+        self.calls += 1
+        bounds = (np.array([v]) for v in (b.x.lo, b.x.hi, b.y.lo, b.y.hi))
+        return int(self.classify.batch(*box_tables(*bounds))[0])
+
+
+# per mirror, signs of the four quadrants by which both halves hold a
+# Black and a White quadrant
+TWO_KINDS = {1: [-1, -1, 1, 1], 2: [1, -1, 1, -1], 3: [1, -1, -1, 1]}
+# classifier and root box; the last one `_mirror` refuses
+REFLECTED = {
+    "alike-black-mirror-3": (_quadrant_signs([1] * 4, 3, SQUARE), SQUARE),
+    "alike-white-mirror-2": (_quadrant_signs([-1] * 4, 2, Y_SYMMETRIC), Y_SYMMETRIC),
+    "alike-black-mirror-1": (_quadrant_signs([1] * 4, 1, X_SYMMETRIC), X_SYMMETRIC),
+    "two-kinds-mirror-3": (_quadrant_signs(TWO_KINDS[3], 3, SQUARE), SQUARE),
+    "two-kinds-mirror-2": (_quadrant_signs(TWO_KINDS[2], 2, Y_SYMMETRIC), Y_SYMMETRIC),
+    "two-kinds-mirror-1": (_quadrant_signs(TWO_KINDS[1], 1, X_SYMMETRIC), X_SYMMETRIC),
+    "disc-mirror-1": (_disc(1), X_SYMMETRIC),
+    "disc-mirror-2": (_disc(2), Y_SYMMETRIC),
+    "disc-mirror-3": (_disc(3), SQUARE),
+    "disc-refused": (_disc(1), ASYMMETRIC),
+}
+
+
+@pytest.mark.parametrize("d", range(1, qt.TOP + 3))
+@pytest.mark.parametrize("case", list(REFLECTED))
+def test_reflected_half_equals_unpaired_build(case, d):
+    classify, box = REFLECTED[case]
+    takes = qt._mirror(box, d, classify) != 0
+    assert takes == (case != "disc-refused")
+    paired, unpaired = CountingClassifier(classify), CountingClassifier(classify, hide=True)
+    a, b = build(box, d, paired), build(box, d, unpaired)
+    assert_same_rows(columns(a.table), columns(b.table))
+    assert a.calls == b.calls
+    assert unpaired.rows == rows_of(a, classify, paired=False)
+    assert paired.rows == rows_of(a, classify, paired=takes)
+    assert_same_rows(mirrored(a.table, classify.mirror) if takes else columns(a.table),
+                     columns(a.table))
+    # a plain function pairs in the level loop and reflects the same half
+    plain = _PerBox(classify)
+    c = build(box, d, plain)
+    assert_same_rows(columns(c.table), columns(b.table))
+    assert c.calls == b.calls
+    assert plain.calls == (1 + (c.calls - 1) // 2 if takes else c.calls)
+
+
+@pytest.mark.parametrize("mirror", [1, 2, 3])
+def test_quadrants_of_one_kind_collapse_into_the_root(mirror):
+    box = {1: X_SYMMETRIC, 2: Y_SYMMETRIC, 3: SQUARE}[mirror]
+    for d in range(1, qt.TOP + 3):
+        for sign in (CODE_BLACK, CODE_WHITE):
+            m = build(box, d, _quadrant_signs([sign] * 4, mirror, box))
+            root = np.zeros(1, dtype=np.int64)
+            assert_same_rows(columns(m.table), (root, root, np.array([sign], dtype=np.int8)))
+            assert m.calls == 5
+        # a half of two kinds stays split
+        m = build(box, d, _quadrant_signs(TWO_KINDS[mirror], mirror, box))
+        assert m.table.level.tolist() == [1] * 4
+        assert m.table.kind.tolist() == TWO_KINDS[mirror]
+    # and so does a half of two Undetermined leaves
+    m = build(box, 1, _quadrant_signs([CODE_UNDET] * 4, mirror, box))
+    assert m.table.kind.tolist() == [CODE_UNDET] * 4
+
+
+def test_mirror_image_equals_the_reference_reflection(combo_trees_d8):
+    trees, _ = combo_trees_d8
+    tables = [m.table for m in trees.values()]
+    tables += [_asymmetric(space, M1).table for space in (JOINTSPACE, WORKSPACE)]
+    tables += [build(SQUARE, 3, _quadrant_signs([1] * 4, 3, SQUARE)).table]
+    for t in tables:
+        for mirror in (1, 2, 3):
+            image = qt._mirror_image(t.depth, t.level, t.keys, t.kind, mirror)
+            assert_same_rows(image, mirrored(t, mirror))
+
+
+def test_paired_builds_merge_one_half(monkeypatch):
+    # the rows each build hands to the canonical pass: a paired build one
+    # half of its tree, the same build without pairs the whole tree; a
+    # refine merges its old rows with the new ones and their twins
+    handed = []
+    canonical = qt._canonical
+
+    def counting(d, rows):
+        handed.append(sum(len(keys) for _, keys, _ in rows))
+        return canonical(d, rows)
+
+    monkeypatch.setattr(qt, "_canonical", counting)
+    rows = {
+        ("m1", JOINTSPACE): (12524, 25048),
+        ("m1", WORKSPACE): (13835, 27670),
+        ("m2", JOINTSPACE): (10757, 21514),
+        ("m2", WORKSPACE): (10289, 20578),
+    }
+    for (name, space), want in rows.items():
+        g = GEOMETRIES[name]
+        classify = BoxClassifier(space, g)
+        del handed[:]
+        build(space_box(g, space), 10, classify)
+        build(space_box(g, space), 10, CountingClassifier(classify, hide=True))
+        assert tuple(handed) == want, (name, space)
+    classify = BoxClassifier(WORKSPACE, M1)
+    coarse = build(space_box(M1, WORKSPACE), 8, classify)
+    del handed[:]
+    refine(coarse, 10, classify)
+    assert handed == [25582]
