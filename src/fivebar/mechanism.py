@@ -24,10 +24,13 @@ The classification kernel is the batch verdicts `joint_verdicts` and
 the interval arrays of `interval`, and return only the verdict (+1 / -1 /
 0) of each, computing only the enclosures it reads. A batch is given as
 two axis tables, the distinct intervals of its columns and of its rows,
-and an index into each per box: box k is ``x[ix[k]] x y[iy[k]]``. The
-enclosures that depend on one axis alone are computed once per table
-entry and gathered by row; the caller with arbitrary boxes passes
-``ix = iy = arange(n)``. Each early return of a box-by-box verdict is a
+each one (2, n) interval array (anything ``np.asarray`` turns into one,
+converted once on entry), and an index into each per box: box k is
+``x[:, ix[k]] x y[:, iy[k]]``. The enclosures that depend on one axis
+alone are computed once per table entry and gathered by row; the caller
+with arbitrary boxes passes ``ix = iy = arange(n)``. What the two legs or
+the two elbows share travels stacked on a leading axis: the cosines and
+sines of both tables in one map, |A1P| and |A2P| from one hypot. Each early return of a box-by-box verdict is a
 mask over the rows still undecided, so every row gets the verdict its box
 would get alone. Every quadtree classifier is a `BoxClassifier`, which
 calls them and states the mirror symmetry of its verdicts
@@ -37,7 +40,7 @@ box and its image get the same verdict mode-free and with one mode, so a
 build classifies only one of them. `ikp_witness` maps a workspace point
 that the kernel certifies for a working mode to its base angles, the
 pairing witness of the aspects; it solves on the same interval arrays, as
-a batch of one row. The law-of-cosines quotients of every stage go
+a batch of one interval. The law-of-cosines quotients of every stage go
 through one helper, `_vlaw_cos`.
 """
 
@@ -211,13 +214,32 @@ class _Batch:
 
 def _take(rows: np.ndarray, *arrays: iv.IArray) -> list[iv.IArray]:
     """The ``rows`` (a mask or indices) of each interval array, by
-    ``compress`` or ``take``: cheaper than boolean or fancy indexing."""
+    ``compress`` or ``take`` on its last axis: cheaper than boolean or
+    fancy indexing."""
     pick = np.ndarray.compress if rows.dtype == bool else np.ndarray.take
-    return [(pick(lo, rows), pick(hi, rows)) for lo, hi in arrays]
+    return [pick(a, rows, axis=-1) for a in arrays]
+
+
+def _table(a) -> iv.IArray:
+    """An axis table as one (2, n) float64 interval array: anything that
+    ``np.asarray`` turns into one, such as a pair (lo, hi) of arrays."""
+    return np.asarray(a, dtype=np.float64)
+
+
+def _stacked(*ks: float) -> np.ndarray:
+    """One constant per interval array of a stack along a new first axis."""
+    return np.array(ks).reshape(-1, 1, 1)
+
+
+# per row, lower then upper: the whole line as an interval, and the bounds
+# of `_vclip_unit`
+_LINE = np.array([[-np.inf], [np.inf]])
+_UNIT_LO, _UNIT_HI = np.array([[-1.0], [-np.inf]]), np.array([[np.inf], [1.0]])
 
 
 def _vclip_unit(a: iv.IArray) -> iv.IArray:
-    return np.maximum(a[0], -1.0), np.minimum(a[1], 1.0)
+    # the lower bounds up to -1 and the upper ones down to 1
+    return np.clip(a, _UNIT_LO, _UNIT_HI)
 
 
 def _vunit_sine(c: iv.IArray) -> iv.IArray:
@@ -225,21 +247,22 @@ def _vunit_sine(c: iv.IArray) -> iv.IArray:
 
 
 def _vquot(n: iv.IArray, d: iv.IArray) -> iv.IArray:
-    """n / d for a divisor d that is positive in exact arithmetic: a row
-    whose lower bound of d rounds to 0 or below (a subnormal distance times
-    a length) gets the whole line, which every test that reads it leaves
-    undecided."""
-    ok = d[0] > 0.0
-    if ok.all():
+    """n / d for a divisor d that is positive in exact arithmetic: an
+    interval whose lower bound of d rounds to 0 or below (a subnormal
+    distance times a length) gets the whole line, which every test that
+    reads it leaves undecided. The others divide by d, the rest by 1."""
+    if d[..., 0, :].min(initial=np.inf) > 0.0:
         return iv.vdiv(n, d)
-    lo, hi = np.full(len(ok), -np.inf), np.full(len(ok), np.inf)
-    lo[ok], hi[ok] = iv.vdiv(*_take(ok, n, d))
-    return lo, hi
+    ok = (d[..., 0, :] > 0.0)[..., None, :]
+    q = iv.vdiv(n, np.where(ok, d, 1.0))
+    np.copyto(q, _LINE, where=~ok)
+    return q
 
 
-def _vlaw_cos(m: iv.IArray, a: float, b: float) -> iv.IArray:
+def _vlaw_cos(m: iv.IArray, a, b) -> iv.IArray:
     """Cosine of the angle between the sides m and a of a triangle whose
-    third side is b: (m^2 + a^2 - b^2) / (2 a m), the law of cosines."""
+    third side is b: (m^2 + a^2 - b^2) / (2 a m), the law of cosines. For
+    a stack of m, a and b hold one length per array (`_stacked`)."""
     return _vquot(iv.vshift(iv.vsqr(m), a * a - b * b), iv.vscale(m, 2.0 * a))
 
 
@@ -253,8 +276,8 @@ def joint_verdicts(
     wm: Optional[WorkingMode] = None,
 ) -> np.ndarray:
     """Verdicts (+1 / -1 / 0, int8) of the joint-space boxes
-    ``x[ix[k]] x y[iy[k]]`` of base angles (theta1, theta2), from the axis
-    tables x of theta1 and y of theta2.
+    ``x[:, ix[k]] x y[:, iy[k]]`` of base angles (theta1, theta2), from the
+    axis tables x of theta1 and y of theta2.
 
     Mode-free: assemblable and never stretched or folded. With ``am``: the
     branch of that assembly mode is certified nonsingular (sin(alpha) > 0,
@@ -269,12 +292,12 @@ def joint_verdicts(
     computed once per table entry and gathered by row.
     """
     _check_modes(JOINTSPACE, wm, am)
+    x, y = _table(x), _table(y)
     b = _Batch(len(ix))
-    (c1t, s1t), (c2t, s2t) = iv.vcossin(x), iv.vcossin(y)
-    b1x, b1y = _take(ix, iv.vscale(c1t, g.L1), iv.vscale(s1t, g.L1))
-    b2x, b2y = _take(iy, iv.vshift(iv.vscale(c2t, g.L2), g.L0), iv.vscale(s2t, g.L2))
-    # the gap B2 - B1 between the elbows
-    dist = iv.vnorm2(iv.vsub(b2x, b1x), iv.vsub(b2y, b1y))
+    nx = x.shape[-1]
+    # cos and sin of both tables' entries: (cos, sin) x (lo, hi) x entries
+    cs = iv.vcossin(np.concatenate((x, y), axis=-1))
+    dist = _vgap(cs, nx, ix, iy, g)
     keep = b.settle(
         ((dist[0] > g.L3 + g.L4) | (dist[1] < abs(g.L3 - g.L4)), -1),
         # possible B1 = B2 coincidence: P would rotate freely around B1
@@ -301,11 +324,10 @@ def joint_verdicts(
     # det(A) = branch * L3 * |B1B2| * sin(alpha) carries the sign of the
     # branch: |B1B2| > 0 and sin(alpha) > 0 are certified above
     dist, cos_a, sin_a = _take(keep, dist, cos_a, sin_a)
-    u_z, v_z = _vdkp_elbow_crosses(
-        *_take(ix[b.rows], x, c1t, s1t), *_take(iy[b.rows], y, c2t, s2t),
-        g, dist, cos_a, sin_a, int(am),
+    z = _vdkp_elbow_crosses(
+        x, y, cs, ix[b.rows], iy[b.rows], g, dist, cos_a, sin_a, int(am)
     )
-    su, sv = iv.vsign(u_z), iv.vsign(v_z)
+    su, sv = iv.vsign(z)
     b.settle(
         ((su == wm.s1) & (sv == wm.s2), 1),
         (((su != 0) & (su != wm.s1)) | ((sv != 0) & (sv != wm.s2)), -1),
@@ -313,30 +335,48 @@ def joint_verdicts(
     return b.verdict
 
 
-def _vdkp_elbow_crosses(t1, c1t, s1t, t2, c2t, s2t, g, dist, c, sin_a, branch):
-    """Elbow cross products (u_z, v_z) of DKP branch ``branch``.
+def _vgap(cs, nx, ix, iy, g):
+    """|B1B2| of the boxes ``x[:, ix[k]] x y[:, iy[k]]``, from the cosines
+    and sines ``cs`` of the entries of the tables x and y, x's first."""
+    # the elbows B1 = L1 (cos, sin)(theta1) and B2 = (L0, 0) + L2 (cos, sin)(theta2)
+    elbow = iv.vscale(cs, np.repeat([g.L1, g.L2], [nx, cs.shape[-1] - nx]))
+    elbow[0, :, nx:] = iv.vshift(elbow[0, :, nx:], g.L0)
+    # the gap B2 - B1 between them, (x, y) stacked
+    gap = iv.vsub(elbow[..., nx:].take(iy, axis=-1), elbow[..., :nx].take(ix, axis=-1))
+    return iv.vhypot(*iv.vabs(gap))
+
+
+def _vdkp_elbow_crosses(x, y, cs, ix, iy, g, dist, c, sin_a, branch):
+    """Elbow cross products (u_z, v_z), stacked, of DKP branch ``branch``
+    of the boxes ``x[:, ix[k]] x y[:, iy[k]]``, from the tables' (cos, sin)
+    ``cs``.
 
     Tangential/radial projections of the base and opposite links give them
     without reconstructing the elbow angles (far tighter over wide boxes):
       u_z = L1 L3 / |B1B2| * (G1 cos a + branch H1 sin a)
       v_z = L2 L4 / |B1B2| * (-G2 cos a' + branch H2 sin a')
-    where a' is the angle at B2 of the same triangle (B1, B2, P).
+    where a' is the angle at B2 of the same triangle (B1, B2, P), and
+      G1 = L2 s21 - L0 s1,   H1 = L0 c1 + L2 c21 - L1,
+      G2 = L1 s21 - L0 s2,   H2 = L0 c2 - L1 c21 + L2
+    with (c1, s1), (c2, s2) and (c21, s21) the cosines and sines of theta1,
+    theta2 and theta2 - theta1.
     """
+    nx = x.shape[-1]
     c_prime = _vclip_unit(_vlaw_cos(dist, g.L4, g.L3))
     s_prime = iv.vscale(sin_a, g.L3 / g.L4)
-    t21 = iv.vsub(t2, t1)
-    c21, s21 = iv.vcossin(t21)
-    g1 = iv.vsub(iv.vscale(s21, g.L2), iv.vscale(s1t, g.L0))
-    h1 = iv.vshift(iv.vadd(iv.vscale(c1t, g.L0), iv.vscale(c21, g.L2)), -g.L1)
-    g2 = iv.vsub(iv.vscale(s21, g.L1), iv.vscale(s2t, g.L0))
-    h2 = iv.vshift(iv.vsub(iv.vscale(c2t, g.L0), iv.vscale(c21, g.L1)), g.L2)
-    u_num = iv.vadd(iv.vmul(g1, c), iv.vscale(iv.vmul(h1, sin_a), branch))
-    v_num = iv.vadd(
-        iv.vneg(iv.vmul(g2, c_prime)), iv.vscale(iv.vmul(h2, s_prime), branch)
-    )
-    u_z = iv.vscale(iv.vdiv(u_num, dist), g.L1 * g.L3)
-    v_z = iv.vscale(iv.vdiv(v_num, dist), g.L2 * g.L4)
-    return u_z, v_z
+    # L0 (c1, s1) and L0 (c2, s2): (elbow 1, 2) x (cos, sin)
+    base = iv.vscale(cs, g.L0).take(np.concatenate((ix, iy + nx)), axis=-1)
+    base = base.reshape(2, 2, 2, -1).transpose(2, 0, 1, 3)
+    # (L2 c21, L2 s21) and (-L1 c21, L1 s21)
+    t21 = iv.vsub(y.take(iy, axis=-1), x.take(ix, axis=-1))
+    opposite = iv.vscale(iv.vcossin(t21), np.array([[g.L2, g.L2], [-g.L1, g.L1]])[..., None, None])
+    gg = iv.vsub(opposite[:, 1], base[:, 1])
+    hh = iv.vshift(iv.vadd(base[:, 0], opposite[:, 0]), _stacked(-g.L1, g.L2))
+    # -G2 cos a' + branch H2 sin a' as -(G2 cos a') + ..., G1 cos a as is
+    gc = iv.vmul(gg, np.stack((c, c_prime)))
+    gc[1] = iv.vneg(gc[1])
+    num = iv.vadd(gc, iv.vscale(iv.vmul(hh, np.stack((sin_a, s_prime))), branch))
+    return iv.vscale(iv.vdiv(num, dist), _stacked(g.L1 * g.L3, g.L2 * g.L4))
 
 
 def workspace_verdicts(
@@ -349,8 +389,8 @@ def workspace_verdicts(
     am: Optional[AssemblyMode] = None,
 ) -> np.ndarray:
     """Verdicts (+1 / -1 / 0, int8) of the workspace boxes
-    ``x[ix[k]] x y[iy[k]]`` of end-point positions (px, py), from the axis
-    tables x of px and y of py.
+    ``x[:, ix[k]] x y[:, iy[k]]`` of end-point positions (px, py), from the
+    axis tables x of px and y of py.
 
     Mode-free: strictly reachable by both legs. With ``wm``: in addition the
     working-mode signs are certified (both sines > 0, which fix the signs of
@@ -363,14 +403,15 @@ def workspace_verdicts(
     ``wm`` alone, and with a full combo the one det(A) of elbow branches
     (-wm.s1, -wm.s2), without u_z, v_z, angles or elbows. The enclosures
     of |px|, |px - L0| and |py| are computed once per table entry and
-    gathered by row.
+    gathered by row; the legs' quantities travel stacked, leg 1 then leg 2.
     """
     _check_modes(WORKSPACE, wm, am)
+    x, y = _table(x), _table(y)
     b = _Batch(len(ix))
-    abs_x1, abs_x2 = _take(ix, iv.vabs(x), iv.vabs(iv.vshift(x, -g.L0)))
-    (abs_y,) = _take(iy, iv.vabs(y))
-    m1 = iv.vhypot(abs_x1, abs_y)
-    m2 = iv.vhypot(abs_x2, abs_y)
+    # |A1P| and |A2P| from |px|, |px - L0| and |py|
+    dx = iv.vabs(np.stack((x, iv.vshift(x, -g.L0)))).take(ix, axis=-1)
+    m = iv.vhypot(dx, iv.vabs(y).take(iy, axis=-1))
+    (m1, m2) = m
     r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
     r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
     # r_in >= 0, so strictness also keeps A1 and A2 out of the box
@@ -380,35 +421,34 @@ def workspace_verdicts(
         ((m1[1] < r1_in) | (m2[1] < r2_in), -1),
         (~strict, 0),
     )
-    m1, m2 = _take(keep, m1, m2)
-    c1 = _vlaw_cos(m1, g.L1, g.L3)
-    c2 = _vlaw_cos(m2, g.L2, g.L4)
+    (m,) = _take(keep, m)
+    c = _vlaw_cos(m, _stacked(g.L1, g.L2), _stacked(g.L3, g.L4))
     # strictly inside both annuli, c1 and c2 lie in (-1, 1): an enclosure
     # wholly beyond +/-1 comes from a rounded constant and is undecided, not
     # White
-    keep = b.settle(
-        ((c1[0] < -1.0) | (c1[1] > 1.0) | (c2[0] < -1.0) | (c2[1] > 1.0), 0),
-    )
+    keep = b.settle((((c[:, 0] < -1.0) | (c[:, 1] > 1.0)).any(axis=0), 0))
     if wm is None:
         return b.finish(1)
     # c1 and c2 lie within [-1, 1] here: clipping is the identity
-    m1, m2, c1, c2 = _take(keep, m1, m2, c1, c2)
-    s1, s2 = _vunit_sine(c1), _vunit_sine(c2)
-    keep = b.settle(((s1[0] <= 0.0) | (s2[0] <= 0.0), 0))
+    m, c = _take(keep, m, c)
+    s = _vunit_sine(c)
+    keep = b.settle(((s[:, 0] <= 0.0).any(axis=0), 0))
     if am is None:
         return b.finish(1)
     # u_z = -i L1 |A1P| sin(beta1) and v_z = -j L2 |A2P| sin(beta2) carry the
     # working-mode signs in elbow branches (i, j) = (-wm.s1, -wm.s2):
     # |A1P|, |A2P| > 0 and both sines > 0 are certified above
-    m1, m2, s1, s2 = _take(keep, m1, m2, s1, s2)
-    (px,), (py,) = _take(ix[b.rows], x), _take(iy[b.rows], y)
-    s = iv.vsign(_vikp_det_a(px, py, g, m1, m2, s1, s2, -wm.s1, -wm.s2))
-    b.settle((s == int(am), 1), (s != 0, -1))
+    m, s = _take(keep, m, s)
+    px, py = x.take(ix[b.rows], axis=-1), y.take(iy[b.rows], axis=-1)
+    sign = iv.vsign(_vikp_det_a(px, py, g, m, s, -wm.s1, -wm.s2))
+    b.settle((sign == int(am), 1), (sign != 0, -1))
     return b.verdict
 
 
-def _vikp_det_a(px, py, g, m1, m2, s1, s2, i, j):
-    """det(A) cross product of the IKP solution with elbow branches (i, j).
+def _vikp_det_a(px, py, g, m, s, i, j):
+    """det(A) cross product of the IKP solution with elbow branches (i, j),
+    from the stacked (|A1P|, |A2P|) ``m`` and sines ``s`` of the angles at
+    A1 and A2.
 
     Exact identity
       (B1-P) x (B2-P) = L3 L4 [L0 py (cd1 cd2 + ij sd1 sd2)
@@ -417,17 +457,13 @@ def _vikp_det_a(px, py, g, m1, m2, s1, s2, i, j):
     angles at P and S = px (px - L0) + py^2 (evaluated as a sharp
     single-variable quadratic plus a sharp square).
     """
-    cd1 = _vclip_unit(_vlaw_cos(m1, g.L3, g.L1))
-    cd2 = _vclip_unit(_vlaw_cos(m2, g.L4, g.L2))
-    sd1 = iv.vscale(s1, g.L1 / g.L3)
-    sd2 = iv.vscale(s2, g.L2 / g.L4)
+    cd = _vclip_unit(_vlaw_cos(m, _stacked(g.L3, g.L4), _stacked(g.L1, g.L2)))
+    sd = iv.vscale(s, _stacked(g.L1 / g.L3, g.L2 / g.L4))
     s_quad = iv.vadd(
         iv.vshift(iv.vsqr(iv.vshift(px, -g.L0 / 2)), -g.L0 * g.L0 / 4), iv.vsqr(py)
     )
-    cc = iv.vmul(cd1, cd2)
-    ss = iv.vmul(sd1, sd2)
-    cs = iv.vmul(cd2, sd1)
-    sc = iv.vmul(cd1, sd2)
+    # cd1 cd2, sd1 sd2, sd1 cd2, cd1 sd2
+    cc, ss, cs, sc = iv.vmul(np.stack((cd[0], sd[0], sd[0], cd[0])), np.stack((cd[1], sd[1], cd[1], sd[1])))
     n = iv.vadd(
         iv.vscale(iv.vmul(py, iv.vadd(cc, iv.vscale(ss, i * j))), g.L0),
         iv.vmul(s_quad, iv.vsub(iv.vscale(cs, i), iv.vscale(sc, j))),
@@ -435,7 +471,7 @@ def _vikp_det_a(px, py, g, m1, m2, s1, s2, i, j):
     # near A1, where |A1P| |A2P| is subnormal, the bounds may overflow to
     # +-inf: outward bounds all the same, so numpy's warning is moot
     with np.errstate(over="ignore"):
-        return iv.vscale(_vquot(n, iv.vmul(m1, m2)), g.L3 * g.L4)
+        return iv.vscale(_vquot(n, iv.vmul(m[0], m[1])), g.L3 * g.L4)
 
 
 def ikp_witness(
@@ -444,22 +480,21 @@ def ikp_witness(
     """Base angles (theta1, theta2) of working mode ``wm`` at the workspace
     point (px, py): the midpoints of their enclosures, or None unless
     `workspace_verdicts` certifies the point for ``wm``. Both the
-    certificate and the solve run on one-row interval arrays.
+    certificate and the solve run on one-interval arrays.
 
     By u_z = -i L1 |A1P| sin(beta1) and v_z = -j L2 |A2P| sin(beta2), the
     mode is the elbow branch pair (i, j) = (-wm.s1, -wm.s2), with
     theta1 = alpha1 + i beta1 and theta2 = pi - alpha2 + j beta2.
     """
-    x, y = (np.array([px]),) * 2, (np.array([py]),) * 2
+    x, y = np.full((2, 1), float(px)), np.full((2, 1), float(py))
     one = np.zeros(1, dtype=np.intp)
     if workspace_verdicts(x, y, one, one, g, wm)[0] != 1:
         return None
-    m1 = iv.vnorm2(x, y)
-    m2 = iv.vnorm2(iv.vshift(x, -g.L0), y)
-    beta1 = iv.vacos(_vlaw_cos(m1, g.L1, g.L3))
-    beta2 = iv.vacos(_vlaw_cos(m2, g.L2, g.L4))
-    alpha1 = iv.vatan2(y, x)
-    alpha2 = iv.vatan2(y, iv.vshift(iv.vneg(x), g.L0))
+    # (A1P, A2P) in x: (px, py) and (L0 - px, py)
+    legs = np.stack((x, iv.vshift(iv.vneg(x), g.L0)))
+    m = iv.vnorm2(legs, y)
+    beta1, beta2 = iv.vacos(_vlaw_cos(m, _stacked(g.L1, g.L2), _stacked(g.L3, g.L4)))
+    alpha1, alpha2 = iv.vatan2(y, legs)
     pi_minus_a2 = iv.vshift(iv.vneg(alpha2), math.pi)
     t1 = iv.vsub(alpha1, beta1) if wm.s1 > 0 else iv.vadd(alpha1, beta1)
     t2 = iv.vsub(pi_minus_a2, beta2) if wm.s2 > 0 else iv.vadd(pi_minus_a2, beta2)
@@ -507,8 +542,8 @@ class BoxClassifier:
         return workspace_verdicts(x, y, ix, iy, self.g, self.wm, self.am)
 
     def __call__(self, box: Box2) -> int:
-        x = (np.array([box.x.lo]), np.array([box.x.hi]))
-        y = (np.array([box.y.lo]), np.array([box.y.hi]))
+        x = np.array([[box.x.lo], [box.x.hi]])
+        y = np.array([[box.y.lo], [box.y.hi]])
         one = np.zeros(1, dtype=np.intp)
         return int(self.batch(x, y, one, one)[0])
 

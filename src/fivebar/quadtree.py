@@ -25,8 +25,9 @@ bounds; a reader asks the model for those of the rows it reads
 The build is level-synchronous. The frontier of boxes to test at one
 depth is the array of their keys and the product of two axis tables: the
 distinct x intervals of its columns and the distinct y intervals of its
-rows, with an index into each table per box, so box k is
-``x[ix[k]] x y[iy[k]]``. The boxes are classified CHUNK at a time through
+rows, each one (2, n) interval array (lower bounds, then upper bounds),
+with an index into each table per box, so box k is
+``x[:, ix[k]] x y[:, iy[k]]``. The boxes are classified CHUNK at a time through
 the classifier's ``batch(x, y, ix, iy)`` method, each chunk with the
 table entries it uses (a plain function is called once per box), and the
 kernel computes what depends on one axis alone once per table entry.
@@ -39,7 +40,8 @@ the build starts from the root box, a refinement from one `_bounds` call
 over its Undetermined leaves. A batch has a fixed cost that the few boxes
 of the top levels would pay once per level, so a build through ``batch``
 first classifies every box of levels 0..TOP in one batch, the grid of
-those levels (`_grid`), reads the leaf rows of those levels off its
+those levels (`_grid`, each level derived from the one above), reads the
+leaf rows of those levels off its
 verdicts by array passes in Morton order, and starts its level loop at
 level TOP + 1 with tables taken from the grid's; a plain function, and a
 refinement, classify each level as it comes. One canonical pass then
@@ -104,11 +106,13 @@ _CODE_OF[_LETTERS] = [CODE_UNDET, CODE_BLACK, CODE_WHITE]
 MAX_DEPTH = 31
 
 # A box classifier. One with a method ``batch(x, y, ix, iy)``, returning
-# the verdicts of the boxes x[ix[k]] x y[iy[k]] of the axis tables x and y
-# (interval arrays, (lo, hi)) as one array, is called through it. One with
-# an int attribute ``mirror`` states that a box and its mirror image, the
-# box whose quadrant digits are all XOR ``mirror``, get the same verdict
-# (see `_mirror`).
+# the verdicts of the boxes x[:, ix[k]] x y[:, iy[k]] of the axis tables x
+# and y as one array, is called through it. A build passes each table as
+# one (2, n) float64 interval array, lower bounds in row 0 and upper
+# bounds in row 1; the kernel also takes anything ``np.asarray`` turns into
+# one, such as a pair (lo, hi). One with an int attribute ``mirror`` states
+# that a box and its mirror image, the box whose quadrant digits are all
+# XOR ``mirror``, get the same verdict (see `_mirror`).
 Classifier = Callable[[Box2], int]
 
 
@@ -249,10 +253,12 @@ CHUNK = 16384
 
 
 def _verdicts(classify: Classifier, x, y, ix, iy) -> np.ndarray:
-    """Verdict signs (int8) of the boxes ``x[ix[k]] x y[iy[k]]``, given by
-    the axis tables x and y (interval arrays) and the index arrays ix and
-    iy, CHUNK boxes at a time through ``classify.batch``, each chunk with
-    the table entries it uses; a plain function is called once per box."""
+    """Verdict signs (int8) of the boxes ``x[:, ix[k]] x y[:, iy[k]]``,
+    given by the axis tables x and y ((2, n) interval arrays) and the index
+    arrays ix and iy, CHUNK boxes at a time through ``classify.batch``, each
+    chunk with the table entries it uses; a plain function is called once
+    per box."""
+    x, y = np.asarray(x), np.asarray(y)
     batch = getattr(classify, "batch", None)
     if batch is None:
         bounds = (x[0][ix], x[1][ix], y[0][iy], y[1][iy])
@@ -270,12 +276,12 @@ def _verdicts(classify: Classifier, x, y, ix, iy) -> np.ndarray:
 def _used(table, index: np.ndarray):
     """The entries of an axis table that ``index`` uses, in table order, and
     ``index`` into them: a presence mask and its prefix sum, no sort."""
-    used = np.zeros(len(table[0]), dtype=bool)
+    used = np.zeros(table.shape[-1], dtype=bool)
     used[index] = True
     if used.all():
         return table, index
     at = np.cumsum(used) - 1
-    return (table[0][used], table[1][used]), at[index]
+    return table.compress(used, axis=-1), at[index]
 
 
 def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -300,32 +306,48 @@ TOP = 6
 
 
 def _grid(t: int, x, y, mirror: int) -> tuple:
-    """Every box of levels 0..t of the root box ``x[0] x y[0]``, or with a
-    nonzero ``mirror`` the one of each pair of twins that has the larger
-    key, in level and then Morton order: the slot of each box and of its
-    twin among the boxes of all levels (level L from (4^L - 1) / 3 on), and
-    axis tables (x, y, ix, iy). The tables of a level are the intervals of
-    its edge grid (`_halved`: the bits of `_bounds` and of the carried
-    bisection); box i takes column ``_compact_bits(i)`` and row
-    ``_compact_bits(i >> 1)``."""
-    slot, twin, ix, iy, xs, ys = [], [], [], [], [], []
-    ex, ey = np.concatenate(x), np.concatenate(y)  # [lo, hi] of the root
-    for lev in range(t + 1):
-        i = np.arange(1 << 2 * lev)
-        mate = _twins(lev, lev, i, mirror)
-        i, mate = i[i >= mate], mate[i >= mate]
-        above = ((1 << 2 * lev) - 1) // 3  # boxes of the levels above
-        slot.append(above + i)
-        twin.append(above + mate)
-        ix.append((1 << lev) - 1 + _compact_bits(i))  # past the columns above
-        iy.append((1 << lev) - 1 + _compact_bits(i >> 1))
-        xs.append(ex)
-        ys.append(ey)
-        ex, ey = _halved(ex), _halved(ey)
-    x, y = ((np.concatenate([e[:-1] for e in es]), np.concatenate([e[1:] for e in es]))
-            for es in (xs, ys))
-    slot, twin, ix, iy = (np.concatenate(c) for c in (slot, twin, ix, iy))
+    """Every box of levels 0..t of the root box ``x[:, 0] x y[:, 0]``, or
+    with a nonzero ``mirror`` the one of each pair of twins that has the
+    larger key, in level and then Morton order: the slot of each box and of
+    its twin among the boxes of all levels (level L from (4^L - 1) / 3 on),
+    and axis tables (x, y, ix, iy). The tables of a level are the intervals
+    of its edge grid (`_halved`: the bits of `_bounds` and of the carried
+    bisection).
+
+    Each level comes from the one above: child c of box i, whose twin is
+    box j, in column ix and row iy, is box 4i + c, its twin box
+    4j + (c ^ mirror), in column 2 ix + (c & 1) and row 2 iy + (c >> 1).
+    Past the (4^L - 1) / 3 slots and the 2^L - 1 columns (rows) of the
+    levels above, that is slot 4 s + 1 + c of slot s, twin slot
+    4 t + 1 + (c ^ mirror) of twin slot t, column 2 ix + 1 + (c & 1) and
+    row 2 iy + 1 + (c >> 1). A box with a larger key than its twin has
+    children with larger keys than theirs, so the children of the kept
+    boxes are the boxes kept at the next level, less those of the root's
+    quadrants that are the smaller of their pairs.
+    """
+    quad = np.arange(4)
+    # per box: its slot, its twin's, its column and its row, all level by level
+    step = 1 + np.array([quad, quad ^ mirror, quad & 1, quad >> 1])[:, None, :]
+    scale = np.array([4, 4, 2, 2])[:, None, None]
+    boxes = [np.zeros((4, 1), dtype=np.int64)]
+    edges = [(x[:, 0], y[:, 0])]  # [lo, hi] of the root
+    for _ in range(t):
+        b = (boxes[-1][:, :, None] * scale + step).reshape(4, -1)
+        boxes.append(b.compress(b[0] >= b[1], axis=1))
+        edges.append(tuple(map(_halved, edges[-1])))
+    slot, twin, ix, iy = np.concatenate(boxes, axis=1)
+    x, y = (
+        np.stack((np.concatenate([e[:-1] for e in es]), np.concatenate([e[1:] for e in es])))
+        for es in zip(*edges)
+    )
     return slot, twin, x, y, ix, iy
+
+
+def _root_tables(box: Box2) -> tuple:
+    """Axis tables (x, y, ix, iy) of the root box alone: its sides, which
+    are the bits of `_bounds` at level 0."""
+    one = np.zeros(1, dtype=np.intp)
+    return np.array([[box.x.lo], [box.x.hi]]), np.array([[box.y.lo], [box.y.hi]]), one, one
 
 
 def _tables(box: Box2, d: int, level: int, keys: np.ndarray) -> tuple:
@@ -337,14 +359,18 @@ def _tables(box: Box2, d: int, level: int, keys: np.ndarray) -> tuple:
     for cells, lo, hi in ((_compact_bits(keys), *bounds[:2]),
                           (_compact_bits(keys >> 1), *bounds[2:])):
         _, first, index = np.unique(cells, return_index=True, return_inverse=True)
-        out.append(((lo[first], hi[first]), index))
+        out.append((np.stack((lo[first], hi[first])), index))
     (x, ix), (y, iy) = out
     return x, y, ix, iy
 
 
-def _quadrants(v: np.ndarray, step) -> np.ndarray:
+def _quadrants(v: np.ndarray, step: np.ndarray) -> np.ndarray:
     """``v[i] + step[c]`` at row 4i + c."""
-    return np.repeat(v, 4) + np.tile(step, len(v))
+    return (v[:, None] + step).ravel()
+
+
+# the x bit and the y bit of quadrants 0..3
+_X_BIT, _Y_BIT = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
 
 
 def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
@@ -357,12 +383,13 @@ def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
     cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
     keys = _quadrants(keys, np.arange(4) * cells)
     tables = []
-    # the x bit and the y bit of quadrants 0..3
-    for table, index, bit in ((x, ix, [0, 1, 0, 1]), (y, iy, [0, 0, 1, 1])):
-        (lo, hi), index = _used(table, index)
+    for table, index, bit in ((x, ix, _X_BIT), (y, iy, _Y_BIT)):
+        table, index = _used(table, index)
+        lo, hi = table
         mid = _midpoint(lo, hi)
-        halves = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-        tables.append((halves, _quadrants(2 * index, bit)))
+        # [[lo, mid], [mid, hi]] of every entry, the halves side by side
+        halves = np.stack((lo, mid, mid, hi)).reshape(2, 2, -1).transpose(0, 2, 1)
+        tables.append((halves.reshape(2, -1), _quadrants(2 * index, bit)))
     (x, ix), (y, iy) = tables
     return keys, x, y, ix, iy
 
@@ -480,7 +507,7 @@ def _grow(
         if t == d_max:
             return rows, paired, calls
         i = np.flatnonzero((reached & ~leaf)[starts[t]:])  # open boxes of level t
-        x, y = ((lo[(1 << t) - 1:], hi[(1 << t) - 1:]) for lo, hi in (x, y))  # its tables
+        x, y = x[:, (1 << t) - 1:], y[:, (1 << t) - 1:]  # its tables
         keys, x, y, ix, iy = _children(
             d_max, t, i << 2 * (d_max - t), x, y, _compact_bits(i), _compact_bits(i >> 1)
         )
@@ -563,8 +590,7 @@ def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     check_root_box(box)
-    root = np.zeros(1, dtype=np.int64)
-    frontier = root, *_tables(box, d_max, 0, root)
+    frontier = np.zeros(1, dtype=np.int64), *_root_tables(box)
     mirror = _mirror(box, d_max, classify)
     rows, paired, calls = _grow(0, d_max, classify, mirror, *frontier)
     level, keys, kind = _canonical(d_max, rows + paired)

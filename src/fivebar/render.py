@@ -95,5 +95,6 @@ def render_svg(
             fill.tolist(),
         )
     ]
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    # the empty last line ends the text with a newline, in the one join
+    out += ["</svg>", ""]
+    return "\n".join(out)

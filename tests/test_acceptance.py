@@ -274,8 +274,8 @@ def _random_interval(rng, lo=-10.0, hi=10.0) -> Interval:
     return Interval(float(a), float(b))
 
 
-def _rows(intervals) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([a.lo for a in intervals]), np.array([a.hi for a in intervals])
+def _rows(intervals) -> np.ndarray:
+    return np.array([[a.lo for a in intervals], [a.hi for a in intervals]]).reshape(2, -1)
 
 
 def _same_rows(got, want) -> bool:

@@ -20,7 +20,7 @@ from fivebar.cli import main
 from fivebar.interval import DomainError
 from fivebar.mechanism import M2, AssemblyMode, BoxClassifier, WorkingMode
 
-from helpers import parse_table, reference_vdown, reference_vup
+from helpers import parse_table, reference_widen
 
 
 def run(argv):
@@ -519,13 +519,14 @@ def _odd_rows(x) -> int:
 def test_extreme_boxes_build_as_with_nextafter_widening(tmp_path, monkeypatch, box):
     # boxes whose bounds meet the outward rounding where its integer step
     # does not apply; the trees must equal those of two np.nextafter per
-    # bound, with no RuntimeWarning
+    # bound, the lower bounds of every interval array down and the upper
+    # ones up, with no RuntimeWarning
     odd = []
 
     def spy(step):
-        def widen(x):
-            odd.append(_odd_rows(x))
-            return step(x)
+        def widen(a):
+            odd.append(_odd_rows(a))
+            return step(a)
 
         return widen
 
@@ -539,12 +540,10 @@ def test_extreme_boxes_build_as_with_nextafter_widening(tmp_path, monkeypatch, b
 
     for space in ("workspace", "jointspace"):
         with monkeypatch.context() as m:
-            m.setattr(iv, "_vdown", spy(iv._vdown))
-            m.setattr(iv, "_vup", spy(iv._vup))
+            m.setattr(iv, "_widen", spy(iv._widen))
             fast = build_tree(space, "fast.qt")
         with monkeypatch.context() as m:
-            m.setattr(iv, "_vdown", reference_vdown)
-            m.setattr(iv, "_vup", reference_vup)
+            m.setattr(iv, "_widen", reference_widen)
             reference = build_tree(space, "reference.qt")
         assert fast == reference, space
     assert sum(odd) > 0

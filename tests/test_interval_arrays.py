@@ -10,10 +10,11 @@ acos arguments at +-1 and one ulp outside; atan2 boxes that hold the
 origin, touch an axis with 0.0 or -0.0, or straddle the negative x axis.
 
 Two cheap primitives under them have their own reference: the outward
-rounding by an integer step on the int64 view, against two
-``np.nextafter`` (`helpers.reference_vdown` / `reference_vup`) on random
-bit patterns and on every float where the step does not apply; and sin and
-cos mapped once per distinct endpoint, against the scalar functions on
+rounding by an integer step on the int64 view (`_widen`), against two
+``np.nextafter`` (`helpers.reference_vdown` / `reference_vup`) row by row,
+on random bit patterns and on every float where the step does not apply,
+with both rows of an interval array in one call and on stacked arrays; and
+sin and cos mapped once per distinct endpoint, against the scalar functions on
 batches whose rows share endpoints the way a quadtree frontier does.
 hypot, which the arrays and the reference both take from ``np.hypot``, is
 held to the exact norm instead: squared bounds against exact rational
@@ -107,10 +108,7 @@ PAIRS = _pairs()
 
 
 def _arr(intervals) -> iv.IArray:
-    return (
-        np.array([a.lo for a in intervals], dtype=np.float64),
-        np.array([a.hi for a in intervals], dtype=np.float64),
-    )
+    return np.array([[a.lo for a in intervals], [a.hi for a in intervals]], dtype=np.float64).reshape(2, -1)
 
 
 def _assert_same_bits(got: iv.IArray, want: list[Interval]) -> None:
@@ -231,7 +229,7 @@ def test_sign_rows_equal_scalar():
 
 
 def test_empty_arrays():
-    empty = (np.zeros(0), np.zeros(0))
+    empty = np.zeros((2, 0))
     for f in (iv.vsqr, iv.vsqrt, iv.vacos, ref.vsin, ref.vcos):
         assert all(len(side) == 0 for side in f(empty))
     for f in (iv.vadd, iv.vsub, iv.vmul, iv.vdiv, iv.vnorm2, iv.vatan2):
@@ -246,14 +244,23 @@ MAX = np.finfo(np.float64).max
 TINY = np.finfo(np.float64).smallest_normal
 
 
-def _widening_pairs():
-    return ((iv._vdown, reference_vdown), (iv._vup, reference_vup))
+def _widened(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`_widen` of the interval array with the lower bounds lo and the
+    upper bounds hi, both rows in one call."""
+    return iv._widen(np.stack((lo, hi)))
+
+
+def _assert_widened_rows(got: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    # row by row: the lower bounds against two np.nextafter down, the upper
+    # ones against two up
+    _assert_same_float_bits(got[..., 0, :], reference_vdown(lo))
+    _assert_same_float_bits(got[..., 1, :], reference_vup(hi))
 
 
 def _assert_same_float_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == np.float64 and got.shape == want.shape
     diff = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert len(diff) == 0, f"{len(diff)} rows differ, first: {want[diff[0]]!r} vs {got[diff[0]]!r}"
+    assert len(diff) == 0, f"{len(diff)} rows differ, first: {want.flat[diff[0]]!r} vs {got.flat[diff[0]]!r}"
 
 
 def test_widening_equals_nextafter_on_random_bits():
@@ -266,8 +273,10 @@ def test_widening_equals_nextafter_on_random_bits():
     mantissa = rng.integers(0, 1 << 52, n, dtype=np.uint64)
     x = (sign | exponent | mantissa).view(np.float64)
     assert np.isfinite(x).all() and (x == 0.0).sum() < 5
-    for step, ref in _widening_pairs():
-        _assert_same_float_bits(step(x), ref(x))
+    _assert_widened_rows(_widened(x, x), x, x)
+    # a stack of (k, 2, n) interval arrays, the bounds of one another's
+    stacked = x.reshape(50, 2, -1)
+    _assert_widened_rows(iv._widen(stacked.copy()), stacked[:, 0, :], stacked[:, 1, :])
 
 
 def _odd_floats() -> np.ndarray:
@@ -285,36 +294,40 @@ def test_widening_equals_nextafter_on_boundary_floats():
     x = _odd_floats()
     assert (x.view(np.int64) == np.int64(-(2**63))).any()  # -0.0 is in
     with np.errstate(over="ignore"):
-        for step, ref in _widening_pairs():
-            got = step(x)
-            _assert_same_float_bits(got, ref(x))
-            assert (np.isnan(got) == np.isnan(x)).all()
-            # every row alone, as a one-row batch goes through
-            for v in x:
-                _assert_same_float_bits(step(np.array([v])), ref(np.array([v])))
+        got = _widened(x, x)
+        _assert_widened_rows(got, x, x)
+        assert (np.isnan(got) == np.isnan(x)).all()
+        # the bounds of one another's, and stacked with ordinary intervals
+        _assert_widened_rows(_widened(x, x[::-1]), x, x[::-1])
+        stacked = np.stack((np.stack((x, x)), np.ones((2, len(x)))))
+        _assert_widened_rows(iv._widen(stacked.copy()), stacked[:, 0, :], stacked[:, 1, :])
+        # every float alone, as a one-row batch goes through
+        for v in x:
+            one = np.array([v])
+            _assert_widened_rows(_widened(one, one), one, one)
 
 
 @pytest.mark.parametrize("v", [MAX, _steps(MAX, -1)])
 def test_widening_past_max_warns_like_nextafter(v):
-    for x, step, ref in (
-        (np.array([1.0, v]), iv._vup, reference_vup),
-        (np.array([-v, -1.0]), iv._vdown, reference_vdown),
-    ):
+    # the upper row past +max, then the lower row past -max; the other row
+    # of the same call steps toward zero, which is silent
+    for x, ref in ((np.array([1.0, v]), reference_vup), (np.array([-v, -1.0]), reference_vdown)):
         with pytest.warns(RuntimeWarning, match="overflow") as want:
             expected = ref(x)
         with pytest.warns(RuntimeWarning, match="overflow") as got:
-            result = step(x)
+            result = _widened(x, x)
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
-        _assert_same_float_bits(result, expected)
+        with np.errstate(over="ignore"):
+            _assert_widened_rows(result, x, x)
         assert np.isinf(result).sum() == 1
 
 
 def test_widening_toward_zero_from_max_is_silent():
     x = np.array([MAX, _steps(MAX, -1), math.inf, -MAX, -math.inf])
+    lo, hi = x[:3], x[[3, 4, 3]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_same_float_bits(iv._vdown(x[:3]), reference_vdown(x[:3]))
-        _assert_same_float_bits(iv._vup(x[3:]), reference_vup(x[3:]))
+        _assert_widened_rows(_widened(lo, hi), lo, hi)
 
 
 def test_mod4_equals_np_mod_on_integer_floats():
@@ -484,7 +497,7 @@ def test_norm2_of_boxes_across_zero_holds_their_exact_extremes():
         ends = rng.uniform(-1.0, 1.0, (2, n)) * 2.0 ** np.clip(e + rng.integers(-2, 3, (2, n)), -1074, 1023)
         ends[rng.random((2, n)) < 0.05] = 0.0
         ends[rng.random((2, n)) < 0.05] = -0.0
-        sides.append((np.minimum(*ends), np.maximum(*ends)))
+        sides.append(np.stack((np.minimum(*ends), np.maximum(*ends))))
     straddles = [(lo < 0.0) & (0.0 < hi) for lo, hi in sides]
     assert (straddles[0] & straddles[1]).sum() > 1000
     assert (straddles[0] ^ straddles[1]).sum() > 1000
@@ -526,3 +539,39 @@ def test_hypot_comes_from_one_site_in_the_kernel():
         ("mechanism.point_classify_joint", "math.hypot"),
         ("mechanism.point_classify_workspace", "math.hypot"),
     }
+
+
+def _is_widening(node: ast.AST) -> bool:
+    # a mention of numpy's nextafter, `np.nextafter` or an import of it, or
+    # of the int64 step: its step column `_STEP` or its turn `_TURN`
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "nextafter"
+         and isinstance(node.value, ast.Name) and node.value.id == "np")
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(a.name == "nextafter" for a in node.names))
+        or (isinstance(node, ast.Name) and node.id in ("_STEP", "_TURN"))
+    )
+
+
+def test_widening_comes_from_one_function():
+    # every bound of the interval arrays is widened by `_widen`: numpy's
+    # nextafter and the int64 step appear nowhere else in the library, and
+    # outside a function only where the step's columns are defined
+    uses, outside = [], []
+    for source in sorted(Path(iv.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        found = [
+            (f"{source.stem}.{name}", ast.unparse(node))
+            for name, f in module_functions(tree) for node in ast.walk(f) if _is_widening(node)
+        ]
+        uses += found
+        if sum(map(_is_widening, ast.walk(tree))) > len(found):
+            outside.append(source.stem)
+    assert {name for name, _ in uses} == {"interval._widen"}
+    assert {node for _, node in uses} == {"np.nextafter", "_STEP", "_TURN"}
+    assert outside == ["interval"]
+    defined = [
+        n for n in ast.parse(Path(iv.__file__).read_text()).body
+        if isinstance(n, ast.Assign) and any(map(_is_widening, ast.walk(n)))
+    ]
+    assert [ast.unparse(n.targets[0]) for n in defined] == ["_STEP", "_TURN"]
