@@ -200,19 +200,15 @@ def _holds_zero(a: IArray) -> np.ndarray:
     return (_lo(a) <= 0.0) & (0.0 <= _hi(a))
 
 
-def _span(p: np.ndarray) -> IArray:
-    """The intervals [min, max] of the candidate bounds ``p`` (..., k, n)
-    over axis -2."""
-    out = np.empty(p.shape[:-2] + (2, p.shape[-1]))
-    np.minimum.reduce(p, axis=-2, out=_lo(out))
-    np.maximum.reduce(p, axis=-2, out=_hi(out))
-    return out
-
-
 def _hull(p: np.ndarray) -> IArray:
+    """The intervals [min, max] of the candidate bounds ``p`` (..., k, n)
+    over axis -2, widened."""
+    out = np.empty(p.shape[:-2] + (2, p.shape[-1]))
     # min and max may pick either zero of a tie -0.0 == 0.0, which the
     # widening maps to the same bound
-    return _widen(_span(p))
+    np.minimum.reduce(p, axis=-2, out=_lo(out))
+    np.maximum.reduce(p, axis=-2, out=_hi(out))
+    return _widen(out)
 
 
 def _corners(op, a: IArray, b: IArray) -> np.ndarray:

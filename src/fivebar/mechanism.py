@@ -28,20 +28,21 @@ each one (2, n) interval array (anything ``np.asarray`` turns into one,
 converted once on entry), and an index into each per box: box k is
 ``x[:, ix[k]] x y[:, iy[k]]``. The enclosures that depend on one axis
 alone are computed once per table entry and gathered by row; the caller
-with arbitrary boxes passes ``ix = iy = arange(n)``. What the two legs or
-the two elbows share travels stacked on a leading axis: the cosines and
-sines of both tables in one map, |A1P| and |A2P| from one hypot. Each early return of a box-by-box verdict is a
-mask over the rows still undecided, so every row gets the verdict its box
-would get alone. Every quadtree classifier is a `BoxClassifier`, which
-calls them and states the mirror symmetry of its verdicts
-(`BoxClassifier.mirror`): reflecting the linkage in its base line maps
-(theta1, theta2) to (-theta1, -theta2) and (px, py) to (px, -py), and a
-box and its image get the same verdict mode-free and with one mode, so a
-build classifies only one of them. `ikp_witness` maps a workspace point
-that the kernel certifies for a working mode to its base angles, the
-pairing witness of the aspects; it solves on the same interval arrays, as
-a batch of one interval. The law-of-cosines quotients of every stage go
-through one helper, `_vlaw_cos`.
+with arbitrary boxes passes ``ix = iy = arange(n)``. What goes through the
+same operations travels stacked on a leading axis: the cosines and sines
+of both tables from one map, the two elbows, |A1P| and |A2P| from one
+hypot. Each early return of a box-by-box verdict is a mask over the rows
+still undecided, so every row gets the verdict its box would get alone.
+Every quadtree classifier is a `BoxClassifier`, which calls them and
+states the mirror symmetry of its verdicts (`BoxClassifier.mirror`):
+reflecting the linkage in its base line maps (theta1, theta2) to
+(-theta1, -theta2) and (px, py) to (px, -py), and a box and its image get
+the same verdict mode-free and with one mode, so a build classifies only
+one of them. `ikp_witness` maps a workspace point that the kernel
+certifies for a working mode to its base angles, the pairing witness of
+the aspects; it solves on the same interval arrays, as a batch of one
+interval. The law-of-cosines quotients of every stage go through one
+helper, `_vlaw_cos`.
 """
 
 from __future__ import annotations
@@ -220,12 +221,6 @@ def _take(rows: np.ndarray, *arrays: iv.IArray) -> list[iv.IArray]:
     return [pick(a, rows, axis=-1) for a in arrays]
 
 
-def _table(a) -> iv.IArray:
-    """An axis table as one (2, n) float64 interval array: anything that
-    ``np.asarray`` turns into one, such as a pair (lo, hi) of arrays."""
-    return np.asarray(a, dtype=np.float64)
-
-
 def _stacked(*ks: float) -> np.ndarray:
     """One constant per interval array of a stack along a new first axis."""
     return np.array(ks).reshape(-1, 1, 1)
@@ -292,7 +287,7 @@ def joint_verdicts(
     computed once per table entry and gathered by row.
     """
     _check_modes(JOINTSPACE, wm, am)
-    x, y = _table(x), _table(y)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     b = _Batch(len(ix))
     nx = x.shape[-1]
     # cos and sin of both tables' entries: (cos, sin) x (lo, hi) x entries
@@ -367,12 +362,13 @@ def _vdkp_elbow_crosses(x, y, cs, ix, iy, g, dist, c, sin_a, branch):
     # L0 (c1, s1) and L0 (c2, s2): (elbow 1, 2) x (cos, sin)
     base = iv.vscale(cs, g.L0).take(np.concatenate((ix, iy + nx)), axis=-1)
     base = base.reshape(2, 2, 2, -1).transpose(2, 0, 1, 3)
-    # (L2 c21, L2 s21) and (-L1 c21, L1 s21)
+    # (L2 c21, L2 s21) and (-L1 c21, L1 s21): H2 adds -L1 c21
     t21 = iv.vsub(y.take(iy, axis=-1), x.take(ix, axis=-1))
-    opposite = iv.vscale(iv.vcossin(t21), np.array([[g.L2, g.L2], [-g.L1, g.L1]])[..., None, None])
-    gg = iv.vsub(opposite[:, 1], base[:, 1])
-    hh = iv.vshift(iv.vadd(base[:, 0], opposite[:, 0]), _stacked(-g.L1, g.L2))
-    # -G2 cos a' + branch H2 sin a' as -(G2 cos a') + ..., G1 cos a as is
+    arms = np.array([[g.L2, g.L2], [-g.L1, g.L1]]).reshape(2, 2, 1, 1)
+    opposite = iv.vscale(iv.vcossin(t21), arms)
+    gg = iv.vsub(opposite[:, 1], base[:, 1])  # (G1, G2)
+    hh = iv.vshift(iv.vadd(base[:, 0], opposite[:, 0]), _stacked(-g.L1, g.L2))  # (H1, H2)
+    # (G1 cos a, -(G2 cos a')) + branch (H1 sin a, H2 sin a')
     gc = iv.vmul(gg, np.stack((c, c_prime)))
     gc[1] = iv.vneg(gc[1])
     num = iv.vadd(gc, iv.vscale(iv.vmul(hh, np.stack((sin_a, s_prime))), branch))
@@ -406,12 +402,12 @@ def workspace_verdicts(
     gathered by row; the legs' quantities travel stacked, leg 1 then leg 2.
     """
     _check_modes(WORKSPACE, wm, am)
-    x, y = _table(x), _table(y)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     b = _Batch(len(ix))
     # |A1P| and |A2P| from |px|, |px - L0| and |py|
     dx = iv.vabs(np.stack((x, iv.vshift(x, -g.L0)))).take(ix, axis=-1)
     m = iv.vhypot(dx, iv.vabs(y).take(iy, axis=-1))
-    (m1, m2) = m
+    m1, m2 = m
     r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
     r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
     # r_in >= 0, so strictness also keeps A1 and A2 out of the box
@@ -463,7 +459,9 @@ def _vikp_det_a(px, py, g, m, s, i, j):
         iv.vshift(iv.vsqr(iv.vshift(px, -g.L0 / 2)), -g.L0 * g.L0 / 4), iv.vsqr(py)
     )
     # cd1 cd2, sd1 sd2, sd1 cd2, cd1 sd2
-    cc, ss, cs, sc = iv.vmul(np.stack((cd[0], sd[0], sd[0], cd[0])), np.stack((cd[1], sd[1], cd[1], sd[1])))
+    cc, ss, cs, sc = iv.vmul(
+        np.stack((cd[0], sd[0], sd[0], cd[0])), np.stack((cd[1], sd[1], cd[1], sd[1]))
+    )
     n = iv.vadd(
         iv.vscale(iv.vmul(py, iv.vadd(cc, iv.vscale(ss, i * j))), g.L0),
         iv.vmul(s_quad, iv.vsub(iv.vscale(cs, i), iv.vscale(sc, j))),

@@ -317,16 +317,18 @@ def _grid(t: int, x, y, mirror: int) -> tuple:
     Each level comes from the one above: child c of box i, whose twin is
     box j, in column ix and row iy, is box 4i + c, its twin box
     4j + (c ^ mirror), in column 2 ix + (c & 1) and row 2 iy + (c >> 1).
-    Past the (4^L - 1) / 3 slots and the 2^L - 1 columns (rows) of the
-    levels above, that is slot 4 s + 1 + c of slot s, twin slot
-    4 t + 1 + (c ^ mirror) of twin slot t, column 2 ix + 1 + (c & 1) and
-    row 2 iy + 1 + (c >> 1). A box with a larger key than its twin has
-    children with larger keys than theirs, so the children of the kept
-    boxes are the boxes kept at the next level, less those of the root's
-    quadrants that are the smaller of their pairs.
+    Counted past the (4^L - 1) / 3 slots and the 2^L - 1 columns (rows) of
+    the levels above, child c of the box in slot s, whose twin is in slot
+    w, column u and row v, is in slot 4 s + 1 + c, its twin in slot
+    4 w + 1 + (c ^ mirror), in column 2 u + 1 + (c & 1) and row
+    2 v + 1 + (c >> 1). A box with a larger key than its twin has children
+    with larger keys than theirs, so the children of the kept boxes are
+    the boxes kept at the next level, less those of the root's quadrants
+    that are the smaller of their pairs.
     """
     quad = np.arange(4)
-    # per box: its slot, its twin's, its column and its row, all level by level
+    # per box: its slot, its twin's, its column and its row, counted over
+    # every level
     step = 1 + np.array([quad, quad ^ mirror, quad & 1, quad >> 1])[:, None, :]
     scale = np.array([4, 4, 2, 2])[:, None, None]
     boxes = [np.zeros((4, 1), dtype=np.int64)]

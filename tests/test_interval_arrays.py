@@ -108,7 +108,8 @@ PAIRS = _pairs()
 
 
 def _arr(intervals) -> iv.IArray:
-    return np.array([[a.lo for a in intervals], [a.hi for a in intervals]], dtype=np.float64).reshape(2, -1)
+    bounds = [[a.lo for a in intervals], [a.hi for a in intervals]]
+    return np.array(bounds, dtype=np.float64).reshape(2, -1)
 
 
 def _assert_same_bits(got: iv.IArray, want: list[Interval]) -> None:
@@ -260,7 +261,8 @@ def _assert_widened_rows(got: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Non
 def _assert_same_float_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == np.float64 and got.shape == want.shape
     diff = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert len(diff) == 0, f"{len(diff)} rows differ, first: {want.flat[diff[0]]!r} vs {got.flat[diff[0]]!r}"
+    first = diff[:1].tolist()
+    assert len(diff) == 0, f"{len(diff)} rows differ, first: {want.flat[first]} vs {got.flat[first]}"
 
 
 def test_widening_equals_nextafter_on_random_bits():
