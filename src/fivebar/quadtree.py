@@ -389,8 +389,9 @@ def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
         table, index = _used(table, index)
         lo, hi = table
         mid = _midpoint(lo, hi)
-        # [[lo, mid], [mid, hi]] of every entry, the halves side by side
-        halves = np.stack((lo, mid, mid, hi)).reshape(2, 2, -1).transpose(0, 2, 1)
+        # entry j halves into entries 2j, [lo, mid], and 2j + 1, [mid, hi]
+        halves = np.empty((2, len(mid), 2))
+        halves[0, :, 0], halves[0, :, 1], halves[1, :, 0], halves[1, :, 1] = lo, mid, mid, hi
         tables.append((halves.reshape(2, -1), _quadrants(2 * index, bit)))
     (x, ix), (y, iy) = tables
     return keys, x, y, ix, iy

@@ -309,6 +309,22 @@ def test_widening_equals_nextafter_on_boundary_floats():
             _assert_widened_rows(_widened(one, one), one, one)
 
 
+def test_widening_keeps_nan_payloads_as_nextafter_does():
+    # NaNs of both signs whose payload lies within two of either end of the
+    # NaN range, where a step of 2 on the view leaves the NaNs (onto max,
+    # inf or a signed zero), and the quiet NaN: the bits of two
+    # np.nextafter, which quiet the signalling ones
+    payloads = [1, 2, 3, 1 << 51, (1 << 52) - 3, (1 << 52) - 2, (1 << 52) - 1]
+    bits = np.array([0x7FF0_0000_0000_0000 | p for p in payloads], dtype=np.uint64)
+    x = np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+    assert np.isnan(x).all()
+    with np.errstate(invalid="ignore"):
+        _assert_widened_rows(_widened(x, x), x, x)
+        for v in x:
+            one = np.array([v])
+            _assert_widened_rows(_widened(one, np.ones(1)), one, np.ones(1))
+
+
 @pytest.mark.parametrize("v", [MAX, _steps(MAX, -1)])
 def test_widening_past_max_warns_like_nextafter(v):
     # the upper row past +max, then the lower row past -max; the other row
