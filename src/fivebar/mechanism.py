@@ -404,9 +404,11 @@ def workspace_verdicts(
     _check_modes(WORKSPACE, wm, am)
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     b = _Batch(len(ix))
-    # |A1P| and |A2P| from |px|, |px - L0| and |py|
-    dx = iv.vabs(np.stack((x, iv.vshift(x, -g.L0)))).take(ix, axis=-1)
-    m = iv.vhypot(dx, iv.vabs(y).take(iy, axis=-1))
+    # |A1P| and |A2P| from |px|, |px - L0| and |py|; the gathered rows live
+    # only through the hypot (held for the whole call, they raised the peak
+    # RSS of a build)
+    dx = iv.vabs(np.stack((x, iv.vshift(x, -g.L0))))
+    m = iv.vhypot(dx.take(ix, axis=-1), iv.vabs(y).take(iy, axis=-1))
     m1, m2 = m
     r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
     r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
