@@ -507,7 +507,7 @@ class BoxClassifier:
     """The quadtree classifier of one space and mode setting.
 
     ``batch(x, y, ix, iy)`` returns the verdicts of many boxes at once,
-    box k being ``x[ix[k]] x y[iy[k]]`` of the axis tables x and y, and
+    box k being ``x[:, ix[k]] x y[:, iy[k]]`` of the axis tables x and y, and
     calling it with a `Box2` classifies one box (a batch of one). A working
     mode needs an assembly mode in the joint space, and an assembly mode
     needs a working mode in the workspace (ValueError).

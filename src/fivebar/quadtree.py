@@ -53,15 +53,15 @@ A classifier may state a mirror symmetry (``mirror``): the twin of a box,
 its mirror image, has the path whose quadrant digits are all XOR
 ``mirror`` and gets the same verdict. When the root box and the bisection
 of its flipped sides are symmetric bit for bit (`_mirror`), the build
-classifies one box of each pair of twins in the frontier, and the leaf
-rows of the other are those of the first, reflected; the calls still
-count both, so they are the boxes of the tree. Below the root a build
-classifies one half of the tree, whose merges stay inside it: the
-canonical pass runs over that half, and the finished rows are reflected
+classifies the root and one half of the tree below it (`_kept`), one box
+of each pair of twins; the calls count both, so they are the boxes of the
+tree. The half's merges stay inside it, so one finishing step (`_table`)
+runs the canonical pass over the half and reflects the finished rows
 once (`_mirror_image`, a table's mirror image).
 Refining a model to a higher depth keeps its Black and White rows and
 starts the frontier at the children of its Undetermined leaves, which are
-known to be undecided, so no decided box is ever retested.
+known to be undecided, so no decided box is ever retested; a table that
+is its own mirror image refines its kept half alone.
 
 Reading a model works on whole columns as well. The text form is parsed by
 prefix sums over the code points of its node line, and one search, run in
@@ -448,45 +448,39 @@ def _mirror_image(d: int, level, keys: np.ndarray, kind, mirror: int) -> tuple[n
     return level[order], keys[order], kind[order]
 
 
-def _twin_rows(d: int, level: int, keys: np.ndarray, mirror: int) -> np.ndarray:
-    """Index of each box's twin among the boxes at ``level`` with the sorted
-    ``keys`` on the depth-``d`` grid, or -1 where the twin is not among
-    them."""
-    twin = _twins(d, level, keys, mirror)
-    j = np.minimum(np.searchsorted(keys, twin), len(keys) - 1)
-    return np.where(keys[j] == twin, j, -1)
+def _kept(d: int, keys: np.ndarray, mirror: int) -> np.ndarray:
+    """Which boxes with ``keys`` on the depth-``d`` grid a build with
+    ``mirror`` classifies: below the root, those whose first quadrant digit
+    q has q > q ^ ``mirror``, the larger key of each pair of twins; with
+    ``mirror`` 0, every box."""
+    q = keys >> 2 * (d - 1) & 3
+    return q >= q ^ mirror
 
 
 def _grow(
     depth: int, d_max: int, classify: Classifier, mirror: int, keys, x, y, ix, iy
-) -> tuple[list, list, int]:
+) -> tuple[list, int]:
     """Classify a frontier of boxes at ``depth``, given by their sorted keys
     on the depth-``d_max`` grid and their axis tables, and grow the
     undecided ones level by level down to ``d_max``. Returns the leaf rows
-    of the boxes classified, as columns (level, keys, kind): those that
-    stand for themselves, and those that stand for their twins too; and
-    the number of classifier calls, twins counted.
+    of the boxes classified, as columns (level, keys, kind), and the number
+    of classifier calls, twins counted.
 
-    With a nonzero ``mirror`` (from `_mirror`), every box not yet flagged
-    whose twin is in the frontier as well is paired with it: the one with
-    the smaller key is dropped unclassified and the other flagged. A
-    flagged box stands for its twin too, and so do its children and its
-    leaf rows.
+    With a nonzero ``mirror`` (from `_mirror`), every frontier below the
+    root is the kept half (`_kept`): a box there stands for its twin too,
+    and counts two calls. From the root, its children are cut to that half.
 
     From the root (``depth`` 0) of a classifier with ``batch``, one batch
-    classifies every box of levels 0..T = min(d_max, TOP), one of each pair
-    of twins with a nonzero ``mirror`` (`_grid`). The rows of those levels
-    are read off its verdicts in Morton order: the children of box i of a
-    level are boxes 4i..4i+3 of the next, and a box is reached when its
-    parent was reached and left undecided. With pairs the boxes below the
-    root are those of the kept half, each with a larger key than its twin,
-    and each flagged. The loop then starts at level T + 1, from the
-    children of the open boxes of level T, whose tables come from the
-    grid's own; so the rows, flags and calls are those of a batch per
-    level.
+    classifies every box of levels 0..T = min(d_max, TOP), with a nonzero
+    ``mirror`` the root and the kept half (`_grid`). The rows of those
+    levels are read off its verdicts in Morton order: the children of box i
+    of a level are boxes 4i..4i+3 of the next, and a box is reached when
+    its parent was reached and left undecided. The loop then starts at
+    level T + 1, from the children of the open boxes of level T, whose
+    tables come from the grid's own; so the rows and calls are those of a
+    batch per level.
     """
-    rows, paired, calls = [], [], 0
-    flag = np.zeros(len(keys), dtype=bool)
+    rows, calls = [], 0
     if depth == 0 and hasattr(classify, "batch"):
         t = min(d_max, TOP)
         slot, twin_slot, x, y, ix, iy = _grid(t, x, y, mirror)
@@ -504,37 +498,29 @@ def _grow(
         reached[twin_slot[twin_slot != slot]] = False  # with pairs, the twins' half
         s = np.flatnonzero(reached & leaf)
         level = np.repeat(np.arange(t + 1), np.diff(starts))[s]
-        keys = (s - np.array(starts)[level]) << 2 * (d_max - level)
-        # with pairs, every row below the root stands for its twin's
-        (paired if mirror and v[0] == 0 else rows).append((level, keys, v[s]))
+        rows.append((level, (s - np.array(starts)[level]) << 2 * (d_max - level), v[s]))
         if t == d_max:
-            return rows, paired, calls
+            return rows, calls
         i = np.flatnonzero((reached & ~leaf)[starts[t]:])  # open boxes of level t
         x, y = x[:, (1 << t) - 1:], y[:, (1 << t) - 1:]  # its tables
         keys, x, y, ix, iy = _children(
             d_max, t, i << 2 * (d_max - t), x, y, _compact_bits(i), _compact_bits(i >> 1)
         )
-        flag = np.full(len(keys), mirror != 0)
         depth = t + 1
     while len(keys):
-        if mirror and not flag.all():
-            j = _twin_rows(d_max, depth, keys, mirror)
-            i = np.arange(len(keys))
-            keep = flag | (j <= i)
-            flag = (flag | (j >= 0) & (j < i))[keep]
-            keys, ix, iy = keys[keep], ix[keep], iy[keep]
         v = _verdicts(classify, x, y, ix, iy)
-        calls += len(v) + int(flag.sum())
+        calls += len(v) * (2 if mirror and depth else 1)
         leaf = v != 0 if depth < d_max else np.ones(len(v), dtype=bool)
-        for out, take in ((rows, leaf & ~flag), (paired, leaf & flag)):
-            out.append((np.full(int(take.sum()), depth), keys[take], v[take]))
+        rows.append((np.full(int(leaf.sum()), depth), keys[leaf], v[leaf]))
         if depth == d_max:
             break
         open_ = ~leaf
-        flag = np.repeat(flag[open_], 4)
         keys, x, y, ix, iy = _children(d_max, depth, keys[open_], x, y, ix[open_], iy[open_])
+        if depth == 0:  # the root's children: the kept half
+            keep = _kept(d_max, keys, mirror)
+            keys, ix, iy = keys[keep], ix[keep], iy[keep]
         depth += 1
-    return rows, paired, calls
+    return rows, calls
 
 
 def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
@@ -551,8 +537,8 @@ def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
     of their sides past it.
     """
     level, keys, kind = (np.concatenate(c) for c in zip(*rows))
-    # the keys are distinct; a stable sort merges the runs in which they
-    # come (ascending, and descending for the joint-space twins of `refine`)
+    # the keys are distinct; a stable sort merges the ascending runs in
+    # which they come
     order = np.argsort(keys, kind="stable")
     level, keys, kind = level[order], keys[order], kind[order]
     bw = np.flatnonzero(kind != CODE_UNDET)
@@ -577,37 +563,43 @@ def _canonical(d: int, rows: list) -> tuple[np.ndarray, ...]:
     return level[alive], keys[alive], kind[alive]
 
 
+def _table(d: int, rows: list, mirror: int) -> LeafTable:
+    """The depth-``d`` leaf table of the leaf ``rows`` of a build: their
+    `_canonical` rows, and with a nonzero ``mirror``, where ``rows`` are the
+    root or the kept half (`_kept`), the half's mirror image added once.
+    Four siblings below level 1 have one level-1 ancestor, so only the
+    root's four quadrants straddle the halves: they collapse when the half
+    is two level-1 leaves of one Black or White kind.
+    """
+    level, keys, kind = _canonical(d, rows)
+    if mirror and len(keys) > 1:  # the rows of one half
+        if len(keys) == 2 and kind[0] == kind[1] != CODE_UNDET:
+            level, keys, kind = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), kind[:1]
+        else:
+            cols = zip(_mirror_image(d, level, keys, kind, mirror), (level, keys, kind))
+            level, keys, kind = (np.concatenate(c) for c in cols)
+            # two sorted runs: the twins' keys lie below the half's for a y
+            # flip and interleave with them for an x flip alone
+            order = np.argsort(keys, kind="stable")
+            level, keys, kind = level[order], keys[order], kind[order]
+    return LeafTable(d, level, keys, kind)
+
+
 def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     """Build a quadtree model of the region accepted by ``classify``.
     ValueError unless 1 <= d_max <= MAX_DEPTH and the box passes
     `check_root_box`.
 
-    With mirror pairs the boxes below the root are those of one half, the
-    level-1 quadrants q with q > q ^ mirror and their descendants. Four
-    siblings below level 1 have one level-1 ancestor, so the canonical
-    pass runs over that half alone, and the other half is its mirror image
-    (`_mirror_image`), added once to the finished rows. Only the root's
-    four quadrants straddle the halves: they collapse when the half is
-    two level-1 leaves of one Black or White kind.
+    With mirror pairs `_grow` classifies the kept half (`_kept`) and
+    `_table` adds the other.
     """
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     check_root_box(box)
     frontier = np.zeros(1, dtype=np.int64), *_root_tables(box)
     mirror = _mirror(box, d_max, classify)
-    rows, paired, calls = _grow(0, d_max, classify, mirror, *frontier)
-    level, keys, kind = _canonical(d_max, rows + paired)
-    if mirror and len(keys) > 1:  # the rows of one half
-        if len(keys) == 2 and kind[0] == kind[1] != CODE_UNDET:
-            level, keys, kind = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), kind[:1]
-        else:
-            cols = zip(_mirror_image(d_max, level, keys, kind, mirror), (level, keys, kind))
-            level, keys, kind = (np.concatenate(c) for c in cols)
-            # two sorted runs: the twins' keys lie below the half's for a y
-            # flip and interleave with them for an x flip alone
-            order = np.argsort(keys, kind="stable")
-            level, keys, kind = level[order], keys[order], kind[order]
-    return QuadtreeModel(box, LeafTable(d_max, level, keys, kind), calls)
+    rows, calls = _grow(0, d_max, classify, mirror, *frontier)
+    return QuadtreeModel(box, _table(d_max, rows, mirror), calls)
 
 
 def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
@@ -618,9 +610,8 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     deterministic classifier the result equals a fresh build at the new
     depth, at a fraction of the classifier calls.
 
-    The canonical pass runs over the old Black and White rows, the new
-    rows and the twin rows of the paired ones: the old rows need not be
-    symmetric, so the twins are added before the merge, not after.
+    A table that is its own mirror image refines its kept half (`_kept`),
+    as a build does; any other grows whole, without pairs.
     """
     if d_max <= m.max_depth:
         raise ValueError("refinement depth must exceed the model's depth")
@@ -628,15 +619,17 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
         raise ValueError(f"d_max must be <= {MAX_DEPTH}")
     t = m.table
     d = m.max_depth
-    keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
-    u = t.kind == CODE_UNDET
-    tables = _tables(m.root_box, d, d, t.keys[u])
-    frontier = _children(d_max, d, keys[u], *tables)
     mirror = _mirror(m.root_box, d_max, classify)
-    rows, paired, calls = _grow(d + 1, d_max, classify, mirror, *frontier)
-    twins = [(lev, _twins(d_max, lev, k, mirror), kind) for lev, k, kind in paired]
-    kept = (t.level[~u], keys[~u], t.kind[~u])
-    table = LeafTable(d_max, *_canonical(d_max, [kept] + rows + paired + twins))
+    cols = t.level, t.keys, t.kind
+    if mirror and not all(map(np.array_equal, _mirror_image(d, *cols, mirror), cols)):
+        mirror = 0  # its halves differ
+    half = _kept(d, t.keys, mirror) | (t.level == 0)
+    u = half & (t.kind == CODE_UNDET)
+    old = half & ~u
+    keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
+    frontier = _children(d_max, d, keys[u], *_tables(m.root_box, d, d, t.keys[u]))
+    rows, calls = _grow(d + 1, d_max, classify, mirror, *frontier)
+    table = _table(d_max, [(t.level[old], keys[old], t.kind[old])] + rows, mirror)
     return QuadtreeModel(m.root_box, table, m.calls + calls)
 
 

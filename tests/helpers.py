@@ -324,7 +324,7 @@ def reference_split(
 
 
 def box_bounds(x, y, ix, iy) -> tuple[np.ndarray, ...]:
-    """(x_lo, x_hi, y_lo, y_hi) of the boxes ``x[ix[k]] x y[iy[k]]`` of a
+    """(x_lo, x_hi, y_lo, y_hi) of the boxes ``x[:, ix[k]] x y[:, iy[k]]`` of a
     classifier batch, gathered from its axis tables."""
     return x[0][ix], x[1][ix], y[0][iy], y[1][iy]
 

@@ -13,7 +13,9 @@ classifiers with each mirror, on root boxes symmetric on the flipped sides
 only, hold that to the unpaired build at depths 1..TOP + 2, including the
 root's four quadrants of one kind, which collapse across the halves;
 `quadtree._mirror_image` is held to `mirrored`, the tests' own reflection;
-and the rows handed to the canonical pass are pinned.
+and the rows handed to the canonical pass are pinned. One rule,
+`quadtree._kept`, picks the half: one box of each pair of twins, the boxes
+of `quadtree._grid`, and the half a refine grows.
 """
 
 from types import SimpleNamespace
@@ -30,7 +32,7 @@ from fivebar.mechanism import M1, M2, AssemblyMode, BoxClassifier, FiveBarGeomet
 from fivebar.quadtree import CODE_BLACK, CODE_UNDET, CODE_WHITE, LeafTable, build, deserialize
 from fivebar.quadtree import mismatched_leaves, refine, serialize
 
-from helpers import CountingClassifier, box_bounds, box_tables, build_rows
+from helpers import CountingClassifier, box_bounds, box_tables, build_rows, grid_rows
 
 
 def _scaled(g: FiveBarGeometry, seed: int) -> FiveBarGeometry:
@@ -146,9 +148,8 @@ def test_parsed_tree_whose_halves_differ(space):
     paired, unpaired = CountingClassifier(classify), CountingClassifier(classify, hide=True)
     a, b = refine(m, 8, paired), refine(m, 8, unpaired)
     assert_same_rows(columns(a.table), columns(b.table))
-    assert a.calls == b.calls == unpaired.rows
-    # the twins that are both there pair, the others do not
-    assert a.calls // 2 < paired.rows < a.calls
+    # a table that is not its own mirror image refines without pairs
+    assert paired.rows == unpaired.rows == a.calls == b.calls
     paired, unpaired = CountingClassifier(classify), CountingClassifier(classify, hide=True)
     count = mismatched_leaves(m, paired)
     assert count == mismatched_leaves(m, unpaired) > 0
@@ -425,4 +426,65 @@ def test_paired_builds_merge_one_half(monkeypatch):
     coarse = build(space_box(M1, WORKSPACE), 8, classify)
     del handed[:]
     refine(coarse, 10, classify)
-    assert handed == [25582]
+    assert handed == [12791]
+
+
+@pytest.mark.parametrize("mirror", [1, 2, 3])
+def test_kept_takes_one_box_of_each_pair(mirror):
+    rng = np.random.default_rng(mirror)
+    d = 12
+    for lev in range(1, d + 1):
+        keys = np.unique(rng.integers(0, 1 << 2 * lev, 300)) << 2 * (d - lev)
+        twins = qt._twins(d, lev, keys, mirror)
+        kept = qt._kept(d, keys, mirror)
+        assert np.array_equal(kept, ~qt._kept(d, twins, mirror))
+        assert np.array_equal(kept, keys > twins)  # the larger key
+        assert qt._kept(d, keys, 0).all()
+    assert not qt._kept(d, np.zeros(1, dtype=np.int64), mirror).any()  # the root
+
+
+@pytest.mark.parametrize("mirror", [0, 1, 2, 3])
+def test_grid_keeps_the_boxes_of_kept(mirror):
+    t = qt.TOP
+    x, y, _, _ = qt._root_tables(SQUARE)
+    slot = qt._grid(t, x, y, mirror)[0]
+    starts = [((1 << 2 * lev) - 1) // 3 for lev in range(t + 2)]
+    assert slot[0] == 0
+    for lev in range(1, t + 1):
+        every = np.arange(1 << 2 * lev)
+        got = slot[(slot >= starts[lev]) & (slot < starts[lev + 1])] - starts[lev]
+        assert np.array_equal(got, every[qt._kept(lev, every, mirror)])
+
+
+def _open_down_to(level: int, mirror: int):
+    """Undecided on the boxes of SQUARE at levels 0..``level``, +1 on the
+    deeper ones."""
+
+    def batch(x, y, ix, iy):
+        x_lo, x_hi, _, _ = box_bounds(x, y, ix, iy)
+        return np.where(x_hi - x_lo >= 2.0 / 2**level, 0, 1).astype(np.int8)
+
+    return SimpleNamespace(batch=batch, mirror=mirror)
+
+
+@pytest.mark.parametrize("mirror", [1, 2, 3])
+def test_paired_refine_equals_fresh_build(mirror):
+    # undecided down to depth 2 and Black below: refined 2 -> 3, the kept
+    # half of two level-1 Black leaves collapses into the root
+    classify = CountingClassifier(_open_down_to(2, mirror))
+    m = build(SQUARE, 2, classify)
+    assert m.stats.undetermined == 16
+    del classify.sizes[:]
+    a = refine(m, 3, classify)
+    b = build(SQUARE, 3, _open_down_to(2, mirror))
+    assert_same_rows(columns(a.table), columns(b.table))
+    assert a.calls == b.calls == 1 + 4 + 16 + 64
+    assert len(a.table.keys) == 1 and classify.rows == 64 // 2
+    # a root leaf refines into itself, with no call
+    classify = CountingClassifier(_open_down_to(-1, mirror))
+    m = build(SQUARE, 2, classify)
+    a = refine(m, 5, classify)
+    assert classify.sizes == [grid_rows(2, paired=True)]
+    b = build(SQUARE, 5, classify)
+    assert_same_rows(columns(a.table), columns(b.table))
+    assert a.calls == b.calls == 1

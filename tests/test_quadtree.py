@@ -644,12 +644,16 @@ def _callers(tree: ast.Module, callee: str) -> set[str]:
 
 def test_one_growth_path_classifies_boxes():
     # `_grow` is the only code that classifies boxes, and so the only one
-    # that pairs mirror twins; `build` and `refine` start it, and the check
-    # of a tree against a classifier is a fresh build
+    # that pairs mirror twins; `build` and `refine` start it and end in one
+    # finishing step, and the check of a tree against a classifier is a
+    # fresh build
     tree = ast.parse(Path(quadtree.__file__).read_text())
     assert _callers(tree, "_verdicts") == {"_grow"}
     assert _callers(tree, "_grow") == {"build", "refine"}
+    assert _callers(tree, "_table") == {"build", "refine"}
     assert "mismatched_leaves" in _callers(tree, "build")
+    # twins pair by one rule over the whole frontier, not box by box
+    assert "_twin_rows" not in dict(module_functions(tree))
 
 
 def _parses_a_path(node: ast.AST) -> bool:
