@@ -573,7 +573,6 @@ def point_classify_joint(
     t2: float,
     g: FiveBarGeometry,
     combo: Optional[tuple[WorkingMode, AssemblyMode]] = None,
-    tol: float = POINT_TOL,
 ) -> str:
     """Classify an exact joint-space point: valid / invalid / singular.
 
@@ -585,15 +584,15 @@ def point_classify_joint(
     b1, b2 = _scalar_elbows(t1, t2, g)
     dx, dy = b2[0] - b1[0], b2[1] - b1[1]
     dist = math.hypot(dx, dy)
-    if dist <= tol:
+    if dist <= POINT_TOL:
         return SINGULAR
     outer, inner = g.L3 + g.L4, abs(g.L3 - g.L4)
-    if dist > outer + tol or dist < inner - tol:
+    if dist > outer + POINT_TOL or dist < inner - POINT_TOL:
         return INVALID
-    if abs(dist - outer) <= tol or abs(dist - inner) <= tol:
+    if abs(dist - outer) <= POINT_TOL or abs(dist - inner) <= POINT_TOL:
         return SINGULAR
     c = (dist * dist + g.L3 * g.L3 - g.L4 * g.L4) / (2.0 * g.L3 * dist)
-    if 1.0 - abs(c) <= tol:
+    if 1.0 - abs(c) <= POINT_TOL:
         return SINGULAR
     alpha = math.acos(max(-1.0, min(1.0, c)))
     beta = math.atan2(dy, dx)
@@ -604,13 +603,13 @@ def point_classify_joint(
         t_z = _cross(b1[0] - p[0], b1[1] - p[1], b2[0] - p[0], b2[1] - p[1])
         branches[branch] = (p, t_z)
     if combo is None:
-        if any(abs(t_z) <= tol for (_, t_z) in branches.values()):
+        if any(abs(t_z) <= POINT_TOL for (_, t_z) in branches.values()):
             return SINGULAR
         return VALID
     wm, am = combo
     chosen = None
     for p, t_z in branches.values():
-        if abs(t_z) <= tol:
+        if abs(t_z) <= POINT_TOL:
             return SINGULAR
         if math.copysign(1.0, t_z) == int(am):
             chosen = p
@@ -618,7 +617,7 @@ def point_classify_joint(
         return INVALID
     u_z = _cross(b1[0], b1[1], chosen[0] - b1[0], chosen[1] - b1[1])
     v_z = _cross(b2[0] - g.L0, b2[1], chosen[0] - b2[0], chosen[1] - b2[1])
-    if abs(u_z) <= tol or abs(v_z) <= tol:
+    if abs(u_z) <= POINT_TOL or abs(v_z) <= POINT_TOL:
         return SINGULAR
     if math.copysign(1.0, u_z) == wm.s1 and math.copysign(1.0, v_z) == wm.s2:
         return VALID
@@ -630,24 +629,23 @@ def point_classify_workspace(
     py: float,
     g: FiveBarGeometry,
     combo: Optional[tuple[WorkingMode, AssemblyMode]] = None,
-    tol: float = POINT_TOL,
 ) -> str:
     """Classify an exact workspace point: valid / invalid / singular."""
     m1 = math.hypot(px, py)
     m2 = math.hypot(px - g.L0, py)
     r1_out, r1_in = g.L1 + g.L3, abs(g.L1 - g.L3)
     r2_out, r2_in = g.L2 + g.L4, abs(g.L2 - g.L4)
-    if m1 > r1_out + tol or m2 > r2_out + tol:
+    if m1 > r1_out + POINT_TOL or m2 > r2_out + POINT_TOL:
         return INVALID
-    if m1 < r1_in - tol or m2 < r2_in - tol:
+    if m1 < r1_in - POINT_TOL or m2 < r2_in - POINT_TOL:
         return INVALID
     if (
-        abs(m1 - r1_out) <= tol
-        or abs(m1 - r1_in) <= tol
-        or abs(m2 - r2_out) <= tol
-        or abs(m2 - r2_in) <= tol
-        or m1 <= tol
-        or m2 <= tol
+        abs(m1 - r1_out) <= POINT_TOL
+        or abs(m1 - r1_in) <= POINT_TOL
+        or abs(m2 - r2_out) <= POINT_TOL
+        or abs(m2 - r2_in) <= POINT_TOL
+        or m1 <= POINT_TOL
+        or m2 <= POINT_TOL
     ):
         return SINGULAR
     if combo is None:
@@ -655,7 +653,7 @@ def point_classify_workspace(
     wm, am = combo
     c1 = (g.L1 * g.L1 + m1 * m1 - g.L3 * g.L3) / (2.0 * m1 * g.L1)
     c2 = (g.L2 * g.L2 + m2 * m2 - g.L4 * g.L4) / (2.0 * m2 * g.L2)
-    if 1.0 - abs(c1) <= tol or 1.0 - abs(c2) <= tol:
+    if 1.0 - abs(c1) <= POINT_TOL or 1.0 - abs(c2) <= POINT_TOL:
         return SINGULAR
     beta1 = math.acos(max(-1.0, min(1.0, c1)))
     beta2 = math.acos(max(-1.0, min(1.0, c2)))
@@ -667,7 +665,7 @@ def point_classify_workspace(
         t1 = alpha1 + s * beta1
         b1 = (g.L1 * math.cos(t1), g.L1 * math.sin(t1))
         u_z = _cross(b1[0], b1[1], px - b1[0], py - b1[1])
-        if abs(u_z) <= tol:
+        if abs(u_z) <= POINT_TOL:
             return SINGULAR
         if math.copysign(1.0, u_z) == wm.s1:
             b1_sel = b1
@@ -676,14 +674,14 @@ def point_classify_workspace(
         t2 = math.pi - alpha2 + s * beta2
         b2 = (g.L0 + g.L2 * math.cos(t2), g.L2 * math.sin(t2))
         v_z = _cross(b2[0] - g.L0, b2[1], px - b2[0], py - b2[1])
-        if abs(v_z) <= tol:
+        if abs(v_z) <= POINT_TOL:
             return SINGULAR
         if math.copysign(1.0, v_z) == wm.s2:
             b2_sel = b2
     if b1_sel is None or b2_sel is None:
         return INVALID
     t_z = _cross(b1_sel[0] - px, b1_sel[1] - py, b2_sel[0] - px, b2_sel[1] - py)
-    if abs(t_z) <= tol:
+    if abs(t_z) <= POINT_TOL:
         return SINGULAR
     if math.copysign(1.0, t_z) == int(am):
         return VALID

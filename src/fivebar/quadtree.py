@@ -27,23 +27,24 @@ depth is the array of their keys and the product of two axis tables: the
 distinct x intervals of its columns and the distinct y intervals of its
 rows, each one (2, n) interval array (lower bounds, then upper bounds),
 with an index into each table per box, so box k is
-``x[:, ix[k]] x y[:, iy[k]]``. The boxes are classified CHUNK at a time through
-the classifier's ``batch(x, y, ix, iy)`` method, each chunk with the
-table entries it uses (a plain function is called once per box), and the
-kernel computes what depends on one axis alone once per table entry.
-Decided boxes, and the undecided ones at maximal depth, become leaf rows
-of (level, key, kind); the other undecided boxes split into the keys of
-the next frontier. Its tables drop the entries that no open box uses (a
-presence mask and a prefix sum, no sort) and halve the others at their
-midpoints, which are the bits of `_bounds` on the grid of the next level;
-the build starts from the root box, a refinement from one `_bounds` call
-over its Undetermined leaves. A batch has a fixed cost that the few boxes
-of the top levels would pay once per level, so a build through ``batch``
-first classifies every box of levels 0..TOP in one batch, the grid of
-those levels (`_grid`, each level derived from the one above), reads the
-leaf rows of those levels off its
-verdicts by array passes in Morton order, and starts its level loop at
-level TOP + 1 with tables taken from the grid's; a plain function, and a
+``x[:, ix[k]] x y[:, iy[k]]``. The build starts from the root box, a
+refinement from one `_bounds` call over its Undetermined leaves
+(`_tables`), and one function, `_children`, makes every frontier below
+that: the keys of the quadrants of the open boxes of the one above, and
+tables that drop the entries no open box uses (a presence mask and a
+prefix sum, no sort) and halve the others at their midpoints, which are
+the bits of `_bounds` on the grid of the next level. The boxes are
+classified CHUNK at a time through the classifier's
+``batch(x, y, ix, iy)`` method, each chunk with the table entries it uses
+(a plain function is called once per box), and the kernel computes what
+depends on one axis alone once per table entry. Decided boxes, and the
+undecided ones at maximal depth, become leaf rows of (level, key, kind).
+A batch has a fixed cost that the few boxes of the top levels would pay
+once per level, so a build through ``batch`` first classifies every box
+of levels 0..TOP in one batch, the frontiers of the root's `_children`
+down to level TOP with their tables end to end, reads the leaf rows of
+those levels off its verdicts by array passes in Morton order, and
+starts its level loop at level TOP + 1; a plain function, and a
 refinement, classify each level as it comes. One canonical pass then
 sorts the rows by key and, deepest level first, collapses every four
 Black or White siblings of one kind into their parent, so the table is
@@ -53,11 +54,12 @@ A classifier may state a mirror symmetry (``mirror``): the twin of a box,
 its mirror image, has the path whose quadrant digits are all XOR
 ``mirror`` and gets the same verdict. When the root box and the bisection
 of its flipped sides are symmetric bit for bit (`_mirror`), the build
-classifies the root and one half of the tree below it (`_kept`), one box
-of each pair of twins; the calls count both, so they are the boxes of the
-tree. The half's merges stay inside it, so one finishing step (`_table`)
-runs the canonical pass over the half and reflects the finished rows
-once (`_mirror_image`, a table's mirror image).
+classifies the root and one half of the tree below it (`_kept`, to which
+`_children` cuts the root's quadrants), one box of each pair of twins;
+the calls count both, so they are the boxes of the tree. The half's
+merges stay inside it, so one finishing step (`_table`) runs the
+canonical pass over the half and reflects the finished rows once
+(`_mirror_image`, a table's mirror image).
 Refining a model to a higher depth keeps its Black and White rows and
 starts the frontier at the children of its Undetermined leaves, which are
 known to be undecided, so no decided box is ever retested; a table that
@@ -107,12 +109,14 @@ MAX_DEPTH = 31
 
 # A box classifier. One with a method ``batch(x, y, ix, iy)``, returning
 # the verdicts of the boxes x[:, ix[k]] x y[:, iy[k]] of the axis tables x
-# and y as one array, is called through it. A build passes each table as
-# one (2, n) float64 interval array, lower bounds in row 0 and upper
-# bounds in row 1; the kernel also takes anything ``np.asarray`` turns into
-# one, such as a pair (lo, hi). One with an int attribute ``mirror`` states
-# that a box and its mirror image, the box whose quadrant digits are all
-# XOR ``mirror``, get the same verdict (see `_mirror`).
+# and y as one array, is called through it; any other callable is called
+# once per box with a `Box2`. A build passes each table as one (2, n)
+# float64 interval array, lower bounds in row 0 and upper bounds in row 1;
+# the kernel also takes anything ``np.asarray`` turns into one, such as a
+# pair (lo, hi). One with an int attribute ``mirror`` states that a box
+# and its mirror image, the box whose quadrant digits are all XOR
+# ``mirror``, get the same verdict (see `_mirror`); a build then
+# classifies one box of each pair of twins (`_kept`).
 Classifier = Callable[[Box2], int]
 
 
@@ -298,58 +302,12 @@ def _halved(edges: np.ndarray) -> np.ndarray:
     return grid
 
 
-# A build classifies every box of levels 0..TOP in one batch (`_grid`). A
-# batch has a fixed cost, that of some 1 500-2 300 rows at 0.16-0.19 us a
-# row (levels 8-10); levels 0..6 hold 5 461 boxes, or 2 731 with mirror
-# pairs, and a grid to level 7 would add 8 192 rows to save one batch.
+# A build classifies every box of levels 0..TOP in one batch. A batch has
+# a fixed cost, 185 us in the joint space and 120 us in the workspace (a
+# 1-row batch, m1, median), that of some 1 200-1 800 rows at 0.08-0.12 us
+# a row (levels 8-10); levels 0..6 hold 5 461 boxes, or 2 731 with mirror
+# pairs, and levels down to 7 would add 8 192 rows to save one batch.
 TOP = 6
-
-
-def _grid(t: int, x, y, mirror: int) -> tuple:
-    """Every box of levels 0..t of the root box ``x[:, 0] x y[:, 0]``, or
-    with a nonzero ``mirror`` the one of each pair of twins that has the
-    larger key, in level and then Morton order: the slot of each box and of
-    its twin among the boxes of all levels (level L from (4^L - 1) / 3 on),
-    and axis tables (x, y, ix, iy). The tables of a level are the intervals
-    of its edge grid (`_halved`: the bits of `_bounds` and of the carried
-    bisection).
-
-    Each level comes from the one above: child c of box i, whose twin is
-    box j, in column ix and row iy, is box 4i + c, its twin box
-    4j + (c ^ mirror), in column 2 ix + (c & 1) and row 2 iy + (c >> 1).
-    Counted past the (4^L - 1) / 3 slots and the 2^L - 1 columns (rows) of
-    the levels above, child c of the box in slot s, whose twin is in slot
-    w, column u and row v, is in slot 4 s + 1 + c, its twin in slot
-    4 w + 1 + (c ^ mirror), in column 2 u + 1 + (c & 1) and row
-    2 v + 1 + (c >> 1). A box with a larger key than its twin has children
-    with larger keys than theirs, so the children of the kept boxes are
-    the boxes kept at the next level, less those of the root's quadrants
-    that are the smaller of their pairs.
-    """
-    quad = np.arange(4)
-    # per box: its slot, its twin's, its column and its row, counted over
-    # every level
-    step = 1 + np.array([quad, quad ^ mirror, quad & 1, quad >> 1])[:, None, :]
-    scale = np.array([4, 4, 2, 2])[:, None, None]
-    boxes = [np.zeros((4, 1), dtype=np.int64)]
-    edges = [(x[:, 0], y[:, 0])]  # [lo, hi] of the root
-    for _ in range(t):
-        b = (boxes[-1][:, :, None] * scale + step).reshape(4, -1)
-        boxes.append(b.compress(b[0] >= b[1], axis=1))
-        edges.append(tuple(map(_halved, edges[-1])))
-    slot, twin, ix, iy = np.concatenate(boxes, axis=1)
-    x, y = (
-        np.stack((np.concatenate([e[:-1] for e in es]), np.concatenate([e[1:] for e in es])))
-        for es in zip(*edges)
-    )
-    return slot, twin, x, y, ix, iy
-
-
-def _root_tables(box: Box2) -> tuple:
-    """Axis tables (x, y, ix, iy) of the root box alone: its sides, which
-    are the bits of `_bounds` at level 0."""
-    one = np.zeros(1, dtype=np.intp)
-    return np.array([[box.x.lo], [box.x.hi]]), np.array([[box.y.lo], [box.y.hi]]), one, one
 
 
 def _tables(box: Box2, d: int, level: int, keys: np.ndarray) -> tuple:
@@ -375,13 +333,15 @@ def _quadrants(v: np.ndarray, step: np.ndarray) -> np.ndarray:
 _X_BIT, _Y_BIT = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
 
 
-def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
+def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy, mirror: int) -> tuple:
     """The frontier of the quadrants of the boxes at ``level`` of a
-    depth-``d`` grid, as keys and axis tables (x, y, ix, iy). The quadrants
-    are in the order x-lo/y-lo, x-hi/y-lo, x-lo/y-hi, x-hi/y-hi, the
-    children of box i rows 4i..4i+3. Each table keeps the entries that its
-    index uses and halves each of them at its midpoint, so child c of box b
-    takes entries 2 ix[b] + (c & 1) and 2 iy[b] + (c >> 1)."""
+    depth-``d`` grid, as keys and axis tables (x, y, ix, iy); the root's
+    (``level`` 0) cut to the kept half of a build with ``mirror``
+    (`_kept`). The quadrants are in the order x-lo/y-lo, x-hi/y-lo,
+    x-lo/y-hi, x-hi/y-hi, the children of box i rows 4i..4i+3 (less those
+    the cut drops). Each table keeps the entries that its index uses and
+    halves each of them at its midpoint, so child c of box b takes entries
+    2 ix[b] + (c & 1) and 2 iy[b] + (c >> 1)."""
     cells = 1 << 2 * (d - level - 1)  # finest-grid cells of one child
     keys = _quadrants(keys, np.arange(4) * cells)
     tables = []
@@ -394,6 +354,9 @@ def _children(d: int, level: int, keys: np.ndarray, x, y, ix, iy) -> tuple:
         halves[0, :, 0], halves[0, :, 1], halves[1, :, 0], halves[1, :, 1] = lo, mid, mid, hi
         tables.append((halves.reshape(2, -1), _quadrants(2 * index, bit)))
     (x, ix), (y, iy) = tables
+    if level == 0:
+        keep = _kept(d, keys, mirror)
+        keys, ix, iy = keys[keep], ix[keep], iy[keep]
     return keys, x, y, ix, iy
 
 
@@ -462,50 +425,54 @@ def _grow(
 ) -> tuple[list, int]:
     """Classify a frontier of boxes at ``depth``, given by their sorted keys
     on the depth-``d_max`` grid and their axis tables, and grow the
-    undecided ones level by level down to ``d_max``. Returns the leaf rows
-    of the boxes classified, as columns (level, keys, kind), and the number
-    of classifier calls, twins counted.
+    undecided ones level by level down to ``d_max``, each level the
+    `_children` of the one above. Returns the leaf rows of the boxes
+    classified, as columns (level, keys, kind), and the number of
+    classifier calls, twins counted.
 
     With a nonzero ``mirror`` (from `_mirror`), every frontier below the
-    root is the kept half (`_kept`): a box there stands for its twin too,
-    and counts two calls. From the root, its children are cut to that half.
+    root is the kept half (`_kept`, the cut of the root's `_children`): a
+    box there stands for its twin too, and counts two calls.
 
     From the root (``depth`` 0) of a classifier with ``batch``, one batch
-    classifies every box of levels 0..T = min(d_max, TOP), with a nonzero
-    ``mirror`` the root and the kept half (`_grid`). The rows of those
-    levels are read off its verdicts in Morton order: the children of box i
-    of a level are boxes 4i..4i+3 of the next, and a box is reached when
-    its parent was reached and left undecided. The loop then starts at
-    level T + 1, from the children of the open boxes of level T, whose
-    tables come from the grid's own; so the rows and calls are those of a
-    batch per level.
+    classifies every box of levels 0..T = min(d_max, TOP), the frontiers of
+    the root and its `_children` down to level T with their tables end to
+    end. The rows of those levels are read off its verdicts in Morton
+    order: below level 1 the children of box i of a level are boxes
+    4i..4i+3 of the next, and a box is reached when its parent was reached
+    and left undecided. The loop then starts at level T + 1, from the
+    children of the open boxes of level T, so the rows and calls are those
+    of a batch per level.
     """
     rows, calls = [], 0
     if depth == 0 and hasattr(classify, "batch"):
         t = min(d_max, TOP)
-        slot, twin_slot, x, y, ix, iy = _grid(t, x, y, mirror)
-        starts = [((1 << 2 * lev) - 1) // 3 for lev in range(t + 2)]  # of each level
-        v = np.empty(starts[-1], dtype=np.int8)
-        v[slot] = v[twin_slot] = _verdicts(classify, x, y, ix, iy)
+        fronts = [(keys, x, y, ix, iy)]
+        for lev in range(t):
+            fronts.append(_children(d_max, lev, *fronts[-1], mirror))
+        cols = list(zip(*fronts))  # keys, x, y, ix, iy of each level
+        for i in (3, 4):  # each index past the entries of the levels above
+            past = np.cumsum([0] + [table.shape[1] for table in cols[i - 2][:-1]])
+            cols[i] = [index + n for index, n in zip(cols[i], past)]
+        keys, x, y, ix, iy = (np.concatenate(c, axis=-1) for c in cols)
+        v = _verdicts(classify, x, y, ix, iy)
+        sizes = [len(k) for k in cols[0]]
+        starts = np.cumsum([0] + sizes).tolist()  # of each level
         leaf = v != 0
         if t == d_max:
             leaf[starts[t]:] = True
         reached = np.zeros(len(v), dtype=bool)
         reached[0] = True
         for a, b, c in zip(starts, starts[1:], starts[2:]):
-            reached[b:c] = np.repeat(reached[a:b] & ~leaf[a:b], 4)
-        calls = int(reached.sum())
-        reached[twin_slot[twin_slot != slot]] = False  # with pairs, the twins' half
-        s = np.flatnonzero(reached & leaf)
-        level = np.repeat(np.arange(t + 1), np.diff(starts))[s]
-        rows.append((level, (s - np.array(starts)[level]) << 2 * (d_max - level), v[s]))
+            reached[b:c] = np.repeat(reached[a:b] & ~leaf[a:b], (c - b) // (b - a))
+        calls = int(reached[0] + (2 if mirror else 1) * reached[1:].sum())
+        done = reached & leaf
+        rows.append((np.repeat(np.arange(t + 1), sizes)[done], keys[done], v[done]))
         if t == d_max:
             return rows, calls
-        i = np.flatnonzero((reached & ~leaf)[starts[t]:])  # open boxes of level t
-        x, y = x[:, (1 << t) - 1:], y[:, (1 << t) - 1:]  # its tables
-        keys, x, y, ix, iy = _children(
-            d_max, t, i << 2 * (d_max - t), x, y, _compact_bits(i), _compact_bits(i >> 1)
-        )
+        keys, x, y, ix, iy = fronts[t]
+        open_ = (reached & ~leaf)[starts[t]:]
+        keys, x, y, ix, iy = _children(d_max, t, keys[open_], x, y, ix[open_], iy[open_], mirror)
         depth = t + 1
     while len(keys):
         v = _verdicts(classify, x, y, ix, iy)
@@ -515,10 +482,9 @@ def _grow(
         if depth == d_max:
             break
         open_ = ~leaf
-        keys, x, y, ix, iy = _children(d_max, depth, keys[open_], x, y, ix[open_], iy[open_])
-        if depth == 0:  # the root's children: the kept half
-            keep = _kept(d_max, keys, mirror)
-            keys, ix, iy = keys[keep], ix[keep], iy[keep]
+        keys, x, y, ix, iy = _children(
+            d_max, depth, keys[open_], x, y, ix[open_], iy[open_], mirror
+        )
         depth += 1
     return rows, calls
 
@@ -596,7 +562,8 @@ def build(box: Box2, d_max: int, classify: Classifier) -> QuadtreeModel:
     if not 1 <= d_max <= MAX_DEPTH:
         raise ValueError(f"d_max must be in [1, {MAX_DEPTH}]")
     check_root_box(box)
-    frontier = np.zeros(1, dtype=np.int64), *_root_tables(box)
+    root = np.zeros(1, dtype=np.int64)
+    frontier = root, *_tables(box, d_max, 0, root)
     mirror = _mirror(box, d_max, classify)
     rows, calls = _grow(0, d_max, classify, mirror, *frontier)
     return QuadtreeModel(box, _table(d_max, rows, mirror), calls)
@@ -627,7 +594,7 @@ def refine(m: QuadtreeModel, d_max: int, classify: Classifier) -> QuadtreeModel:
     u = half & (t.kind == CODE_UNDET)
     old = half & ~u
     keys = t.keys << 2 * (d_max - d)  # the same cells on the finer grid
-    frontier = _children(d_max, d, keys[u], *_tables(m.root_box, d, d, t.keys[u]))
+    frontier = _children(d_max, d, keys[u], *_tables(m.root_box, d, d, t.keys[u]), mirror)
     rows, calls = _grow(d + 1, d_max, classify, mirror, *frontier)
     table = _table(d_max, [(t.level[old], keys[old], t.kind[old])] + rows, mirror)
     return QuadtreeModel(m.root_box, table, m.calls + calls)

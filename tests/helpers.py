@@ -32,10 +32,9 @@ library's region column and aspect rows, so that the pinned digests keep
 hashing the same text. `reference_vdown` / `reference_vup` are the
 two-``np.nextafter`` outward rounding that the integer step of the
 interval arrays replaced, and `reference_widen` applies them to the rows of
-an interval array in place, as `interval._widen` does. `reference_grid` is
-the construction of `quadtree._grid` from each level's Morton indices.
-`box_bounds` gathers the bounds of every box of
-a classifier batch from its axis tables, and `box_tables` turns boxes given
+an interval array in place, as `interval._widen` does. `box_bounds`
+gathers the bounds of every box of a classifier batch from its axis
+tables, and `box_tables` turns boxes given
 by their bounds into such a batch (one table entry per box), so that the
 tests' classifiers and kernel calls speak per-box bounds.
 `CountingClassifier` records the size of each batch a build sends to the
@@ -91,9 +90,6 @@ from fivebar.quadtree import (
     QuadtreeModel,
     RegionLabeling,
     _black_edges,
-    _compact_bits,
-    _halved,
-    _twins,
     build,
     serialize,
 )
@@ -354,31 +350,6 @@ class CountingClassifier:
     def batch(self, x, y, ix, iy):
         self.sizes.append(len(ix))
         return self.classify.batch(x, y, ix, iy)
-
-
-def reference_grid(t: int, x, y, mirror: int) -> tuple:
-    """`quadtree._grid` built level by level from each level's Morton
-    indices: per level an ``arange``, `_twins` and two `_compact_bits`, and
-    the tables as pairs (lo, hi). The reference of the derived
-    construction."""
-    slot, twin, ix, iy, xs, ys = [], [], [], [], [], []
-    ex, ey = np.concatenate(x), np.concatenate(y)  # [lo, hi] of the root
-    for lev in range(t + 1):
-        i = np.arange(1 << 2 * lev)
-        mate = _twins(lev, lev, i, mirror)
-        i, mate = i[i >= mate], mate[i >= mate]
-        above = ((1 << 2 * lev) - 1) // 3  # boxes of the levels above
-        slot.append(above + i)
-        twin.append(above + mate)
-        ix.append((1 << lev) - 1 + _compact_bits(i))  # past the columns above
-        iy.append((1 << lev) - 1 + _compact_bits(i >> 1))
-        xs.append(ex)
-        ys.append(ey)
-        ex, ey = _halved(ex), _halved(ey)
-    x, y = ((np.concatenate([e[:-1] for e in es]), np.concatenate([e[1:] for e in es]))
-            for es in (xs, ys))
-    slot, twin, ix, iy = (np.concatenate(c) for c in (slot, twin, ix, iy))
-    return slot, twin, x, y, ix, iy
 
 
 def grid_rows(d: int, paired: bool) -> int:

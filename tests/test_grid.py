@@ -6,10 +6,9 @@ from it; a plain function is called box by box, level by level.
 Both paths are held to the same table and calls on every mode setting of
 both spaces, at depths below, at and above TOP, and on root boxes where
 `quadtree._mirror` refuses pairs; the batch build is held to the exact rows
-of its grid and of the levels below. The grid, derived level from level,
-is held bit for bit to its construction from each level's Morton indices,
-and the root's axis tables to those of `_bounds`. The depth-10 work of the
-mode-free builds is pinned.
+of its grid and of the levels below. The root's axis tables are held bit
+for bit to its sides. The depth-10 work of the mode-free builds is
+pinned.
 """
 
 import numpy as np
@@ -22,7 +21,7 @@ from fivebar.interval import Box2
 from fivebar.mechanism import M1, M2, AssemblyMode, BoxClassifier, WorkingMode
 from fivebar.quadtree import TOP, build
 
-from helpers import CountingClassifier, box_tables, grid_rows, reference_bounds, reference_grid
+from helpers import CountingClassifier, box_tables, grid_rows, reference_bounds
 
 GEOMETRIES = {"m1": M1, "m2": M2}
 # every mode setting of each space, as (wm, am)
@@ -122,27 +121,14 @@ def _assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
     assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-@pytest.mark.parametrize("mirror", range(4))
-def test_grid_equals_construction_from_morton_indices(mirror):
-    for box in (Box2.from_bounds(-3.1, 3.1, -0.0, 3.0), space_box(M1, WORKSPACE)):
-        x, y, _, _ = qt._root_tables(box)
-        for t in range(TOP + 1):
-            got = qt._grid(t, x, y, mirror)
-            want = reference_grid(t, tuple(x), tuple(y), mirror)
-            for col in (0, 1, 4, 5):  # slot, twin, ix, iy
-                assert got[col].tolist() == want[col].tolist(), (t, col)
-            for table, (lo, hi) in zip(got[2:4], want[2:4]):
-                _assert_same_bits(table, np.stack((lo, hi)))
-
-
 @pytest.mark.parametrize("d", [1, 10, qt.MAX_DEPTH])
 def test_root_tables_are_the_bits_of_level_0(d):
+    # a build starts from the tables `_tables` gives the root: its sides
     root = np.zeros(1, dtype=np.int64)
     boxes = [space_box(M1, JOINTSPACE), Box2.from_bounds(-0.0, 1e-300, -8e307, 5e-324)]
     for box in boxes + list(ASYMMETRIC.values()):
-        got, want = qt._root_tables(box), qt._tables(box, d, 0, root)
-        for a, b in zip(got[:2], want[:2]):
-            assert a.dtype == np.float64
-            _assert_same_bits(a, b)
-        for a, b in zip(got[2:], want[2:]):
-            assert a.tolist() == b.tolist() == [0]
+        x, y, ix, iy = qt._tables(box, d, 0, root)
+        for table, side in ((x, box.x), (y, box.y)):
+            assert table.dtype == np.float64
+            _assert_same_bits(table, np.array([[side.lo], [side.hi]]))
+        assert ix.tolist() == iy.tolist() == [0]

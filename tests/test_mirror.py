@@ -15,7 +15,8 @@ root's four quadrants of one kind, which collapse across the halves;
 `quadtree._mirror_image` is held to `mirrored`, the tests' own reflection;
 and the rows handed to the canonical pass are pinned. One rule,
 `quadtree._kept`, picks the half: one box of each pair of twins, the boxes
-of `quadtree._grid`, and the half a refine grows.
+below the root of a build's first batch (held in `test_read_path.py`), and
+the half a refine grows.
 """
 
 from types import SimpleNamespace
@@ -441,19 +442,6 @@ def test_kept_takes_one_box_of_each_pair(mirror):
         assert np.array_equal(kept, keys > twins)  # the larger key
         assert qt._kept(d, keys, 0).all()
     assert not qt._kept(d, np.zeros(1, dtype=np.int64), mirror).any()  # the root
-
-
-@pytest.mark.parametrize("mirror", [0, 1, 2, 3])
-def test_grid_keeps_the_boxes_of_kept(mirror):
-    t = qt.TOP
-    x, y, _, _ = qt._root_tables(SQUARE)
-    slot = qt._grid(t, x, y, mirror)[0]
-    starts = [((1 << 2 * lev) - 1) // 3 for lev in range(t + 2)]
-    assert slot[0] == 0
-    for lev in range(1, t + 1):
-        every = np.arange(1 << 2 * lev)
-        got = slot[(slot >= starts[lev]) & (slot < starts[lev + 1])] - starts[lev]
-        assert np.array_equal(got, every[qt._kept(lev, every, mirror)])
 
 
 def _open_down_to(level: int, mirror: int):

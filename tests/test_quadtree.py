@@ -652,8 +652,28 @@ def test_one_growth_path_classifies_boxes():
     assert _callers(tree, "_grow") == {"build", "refine"}
     assert _callers(tree, "_table") == {"build", "refine"}
     assert "mismatched_leaves" in _callers(tree, "build")
-    # twins pair by one rule over the whole frontier, not box by box
-    assert "_twin_rows" not in dict(module_functions(tree))
+    # every frontier below the root is the children of the one above, cut
+    # to the kept half at the root's, and twins pair by one rule over the
+    # whole frontier, not box by box or by a grid of slots
+    assert _callers(tree, "_children") == {"_grow", "refine"}
+    assert _callers(tree, "_kept") == {"_children", "refine"}
+    assert not {"_twin_rows", "_grid", "_root_tables"} & set(dict(module_functions(tree)))
+
+
+def test_every_private_function_is_used_in_the_library():
+    # a module-level helper that no other function of the library names is
+    # dead code
+    private, refs = [], []
+    for source in sorted(Path(quadtree.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        private += [n.name for n in tree.body
+                    if isinstance(n, ast.FunctionDef) and n.name.startswith("_")]
+        for name, f in module_functions(tree):
+            nodes = list(ast.walk(f))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            refs.append((name, names | {n.attr for n in nodes if isinstance(n, ast.Attribute)}))
+    assert "_verdicts" in private
+    assert [p for p in private if not any(p in names for f, names in refs if f != p)] == []
 
 
 def _parses_a_path(node: ast.AST) -> bool:

@@ -1,7 +1,8 @@
 """The array passes of the read path against the loops they replaced:
 `deserialize` against a per-character parse and a level-by-level bisection
 of every leaf, the bounds a build's frontier gets from its halved axis
-tables against a split that carries them, the bounds of some rows against the
+tables against a split that carries them (with mirror pairs, of the kept
+half), the bounds of some rows against the
 same rows of the whole table's, `label_regions` and `aspect_regions`
 against a union-find, the seam pairs of the cell probes against a sweep
 over exact bounds, `render_svg` against one ``repr`` per number, and
@@ -23,6 +24,7 @@ from fivebar.quadtree import (
     MAX_DEPTH,
     TOP,
     ParseError,
+    _kept,
     build,
     deserialize,
     label_regions,
@@ -273,10 +275,15 @@ class _Recorder:
     """A batch classifier that keeps the int64 views of the bounds of every
     batch it is given, and its verdicts: those of ``inner``, or
     pseudo-random ones of the bounds' bits, undecided on about ``p_open``
-    percent of the boxes and on every box at least ``wide`` wide."""
+    percent of the boxes and on every box at least ``wide`` wide. It states
+    ``mirror``, so that a build on a symmetric root box sends one box of
+    each pair of twins."""
 
-    def __init__(self, seed: int = 0, p_open: int = 0, wide: float = 0.0, inner=None):
+    def __init__(
+        self, seed: int = 0, p_open: int = 0, wide: float = 0.0, inner=None, mirror: int = 0
+    ):
         self.seed, self.p_open, self.wide, self.inner = seed, p_open, wide, inner
+        self.mirror = mirror
         self.bits, self.verdicts = [], []
 
     def batch(self, *tables):
@@ -302,15 +309,23 @@ class _Recorder:
         return out
 
 
+def _split(d: int, level: int, mirror: int, keys, *bounds) -> list:
+    """`reference_split`, the root's quadrants cut to the half that a build
+    with ``mirror`` keeps (`_kept`)."""
+    keys, *bounds = reference_split(d, level, keys, *bounds)
+    keep = _kept(d, keys, mirror) if level == 0 else slice(None)
+    return [keys[keep]] + [b[keep] for b in bounds]
+
+
 def _replay(
-    bits, verdicts, depth: int, d_max: int, keys, *bounds, top=()
+    bits, verdicts, depth: int, d_max: int, keys, *bounds, top=(), mirror: int = 0
 ) -> tuple[int, list]:
     """Checks the recorded rows of a grow from the frontier (keys, bounds)
     at ``depth``: each level's rows hold that frontier's bounds bit for
-    bit, and its undecided boxes split by `reference_split` into the next.
-    The boxes of levels 0..len(top) - 1 send no rows: their verdicts are
-    those of their cells in ``top[level]``. Returns the rows checked and
-    the (depth, boxes) of each level that sent rows."""
+    bit, and its undecided boxes split by `_split` into the next. The
+    boxes of levels 0..len(top) - 1 send no rows: their verdicts are those
+    of their cells in ``top[level]``. Returns the rows checked and the
+    (depth, boxes) of each level that sent rows."""
     pos, levels = 0, []
     while len(keys):
         n = len(keys)
@@ -325,7 +340,7 @@ def _replay(
         if depth == d_max:
             break
         open_ = v == 0
-        keys, *bounds = reference_split(d_max, depth, keys[open_], *(b[open_] for b in bounds))
+        keys, *bounds = _split(d_max, depth, mirror, keys[open_], *(b[open_] for b in bounds))
         depth += 1
     return pos, levels
 
@@ -339,11 +354,12 @@ def _root(box: Box2) -> list:
 
 def _replay_build(rec: _Recorder, box: Box2, d: int) -> list:
     """Checks the recorded rows of a build: first the grid, every box of
-    levels 0..t = min(d, TOP) with the bounds of the carried bisection of
-    the whole grid bit for bit, in Morton order; then the rows of the
-    levels below t, level by level, the levels 0..t reading the grid's
-    verdicts. Returns the (depth, boxes) of the grid's levels and of each
-    level below that sent rows."""
+    levels 0..t = min(d, TOP), with the recorder's nonzero ``mirror`` the
+    root and the kept half (`_split`), with the bounds of the carried
+    bisection of the whole grid bit for bit, in Morton order; then the
+    rows of the levels below t, level by level, the levels 0..t reading
+    the grid's verdicts. Returns the (depth, boxes) of the grid's levels
+    and of each level below that sent rows."""
     bits, v = rec.take()
     t = min(d, TOP)
     keys, *bounds = _root(box)
@@ -352,12 +368,14 @@ def _replay_build(rec: _Recorder, box: Box2, d: int) -> list:
         n = len(keys)
         want = np.stack([b.view(np.int64) for b in bounds])
         assert np.array_equal(bits[:, pos:pos + n], want), (lev, n)
-        top.append(v[pos:pos + n])
+        cells = np.zeros(1 << 2 * lev, dtype=v.dtype)  # by cell of the level
+        cells[keys >> 2 * (t - lev)] = v[pos:pos + n]
+        top.append(cells)
         levels.append((lev, n))
         pos += n
         if lev < t:
-            keys, *bounds = reference_split(t, lev, keys, *bounds)
-    n, below = _replay(bits[:, pos:], v[pos:], 0, d, *_root(box), top=top)
+            keys, *bounds = _split(t, lev, rec.mirror, keys, *bounds)
+    n, below = _replay(bits[:, pos:], v[pos:], 0, d, *_root(box), top=top, mirror=rec.mirror)
     assert pos + n == len(v)
     return levels + below
 
@@ -402,6 +420,34 @@ def test_frontier_bounds_equal_carried_bisection_bit_for_bit():
     sparse = [(k, n) for k, n in levels if n < 2**k]
     assert len(sparse) > 100 and len(levels) - len(sparse) > 100
     assert max(k for k, _ in sparse) == MAX_DEPTH
+
+
+# root boxes symmetric about 0 on both sides, on which a build takes the
+# pairs of every mirror
+SYMMETRIC_BOXES = (
+    Box2.from_bounds(-1.0, 1.0, -1.0, 1.0),
+    Box2.from_bounds(-2.7, 2.7, -8e307, 8e307),
+)
+
+
+@pytest.mark.parametrize("mirror", [0, 1, 2, 3])
+def test_paired_build_sends_the_root_and_the_kept_half_bit_for_bit(mirror):
+    # with mirror pairs the first batch holds the root, then exactly the
+    # `_kept` boxes of each level 1..TOP in Morton order, and the levels
+    # below it only their quadrants; without, every box of those levels
+    levels = []
+    for box in SYMMETRIC_BOXES:
+        for d in (1, 3, TOP, 8):
+            for seed, p_open in ((0, 30), (2, 70)):
+                rec = _Recorder(seed, p_open, box.x.width / 3, mirror=mirror)
+                build(box, d, rec)
+                levels += _replay_build(rec, box, d)
+        rec = _Recorder(inner=point_classifier(box.x.hi - 0.3, box.y.hi - 0.1), mirror=mirror)
+        build(box, MAX_DEPTH, rec)
+        levels += _replay_build(rec, box, MAX_DEPTH)
+    # with pairs, one box of each pair of level-1 twins
+    assert {n for k, n in levels if k == 1} == {2 if mirror else 4}
+    assert max(k for k, _ in levels) == MAX_DEPTH
 
 
 def test_paths_of_rows_match_whole_table():
